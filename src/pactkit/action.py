@@ -37,15 +37,6 @@ class PartialAction:
     maps: dict
     tainted: bool = False
 
-    def fiber(self, e: str) -> frozenset:
-        return frozenset(x for x in self.carrier if self.anchor[x] == e)
-
-    def domain(self, g: str) -> frozenset:
-        return self.domains[g]
-
-    def act(self, g: str, x: str) -> str:
-        return self.maps[g][x]
-
 
 def _structural(groupoid: Groupoid, carrier, anchor, domains, maps):
     points = sorted(str(x) for x in carrier)
@@ -83,8 +74,11 @@ def validate_partial_action(groupoid: Groupoid, carrier, anchor, domains, maps) 
     equality on composable pairs, "(iii)" for composition compatibility, and
     "(inv)" for stored tables disagreeing with inverses.
     """
-    points, anchor, domains, maps = _structural(groupoid, carrier, anchor, domains, maps)
-    G = groupoid
+    return _semantic(groupoid, *_structural(groupoid, carrier, anchor, domains, maps))
+
+
+def _semantic(G: Groupoid, points, anchor, domains, maps) -> Report:
+    """The semantic conditions on tables already normalized by ``_structural``."""
     viol: list[Violation] = []
     notes: list[str] = []
     units = sorted(G.identities)
@@ -120,6 +114,41 @@ def validate_partial_action(groupoid: Groupoid, carrier, anchor, domains, maps) 
                 Violation("(inv)", (g,) + bad[0], "stored table of the inverse is not the inverse table")
             )
 
+    if not _products_compatible(G, domains, maps):
+        viol += _condition_ii(G, domains, maps)
+        viol += _condition_iii(G, domains, maps)
+
+    missing = sorted(set(units) - {anchor[x] for x in points})
+    if missing:
+        notes.append(f"anchor is not surjective; unreached units: {missing}")
+
+    return Report(ok=not viol, violations=tuple(viol), notes=tuple(notes))
+
+
+def _products_compatible(G: Groupoid, domains, maps) -> bool:
+    """Accept conditions (ii) and (iii) together in one unsorted pass.
+
+    Relies on ``_structural``: each table of g is a bijection from the domain
+    of inv(g) onto the domain of g.  Then g(h(x)) = gh(x) on the overlap puts
+    the image of the overlap inside the target overlap, and equal sizes make
+    the two equal.  False on any miss; the ordered scans then name the
+    witnesses.
+    """
+    inv = G.inv
+    for (g, h), gh in G.mul.items():
+        overlap = domains[inv[g]] & domains[h]
+        to_g, back, to_gh = maps[g], maps[inv[h]], maps[gh]
+        for y in overlap:
+            x = back.get(y)
+            if x is None or to_gh.get(x) != to_g[y]:
+                return False
+        if len(overlap) != len(domains[g] & domains[gh]):
+            return False
+    return True
+
+
+def _condition_ii(G: Groupoid, domains, maps) -> list[Violation]:
+    viol = []
     for (g, h) in G.mul:
         gh = G.mul[(g, h)]
         lhs = frozenset(maps[g][x] for x in domains[G.inv[g]] & domains[h] if x in maps[g])
@@ -128,7 +157,11 @@ def validate_partial_action(groupoid: Groupoid, carrier, anchor, domains, maps) 
             viol.append(
                 Violation("(ii)", (g, h, min(lhs ^ rhs)), "image of the overlap misses the target overlap")
             )
+    return viol
 
+
+def _condition_iii(G: Groupoid, domains, maps) -> list[Violation]:
+    viol = []
     for (g, h) in G.mul:
         gh = G.mul[(g, h)]
         for y in sorted(domains[G.inv[g]] & domains[h]):
@@ -138,12 +171,7 @@ def validate_partial_action(groupoid: Groupoid, carrier, anchor, domains, maps) 
             expected = maps[gh].get(x)
             if expected is None or maps[g][y] != expected:
                 viol.append(Violation("(iii)", (g, h, x), "composite map disagrees with the product"))
-
-    missing = sorted(set(units) - {anchor[x] for x in points})
-    if missing:
-        notes.append(f"anchor is not surjective; unreached units: {missing}")
-
-    return Report(ok=not viol, violations=tuple(viol), notes=tuple(notes))
+    return viol
 
 
 def build_partial_action(
@@ -156,7 +184,7 @@ def build_partial_action(
     (broken tables, dangling references) are never bypassable.
     """
     points, anchor, domains, maps = _structural(groupoid, carrier, anchor, domains, maps)
-    report = validate_partial_action(groupoid, carrier, anchor, domains, maps)
+    report = _semantic(groupoid, points, anchor, domains, maps)
     if not bypass:
         report.raise_if_failed("partial action validation")
     return PartialAction(

@@ -1,4 +1,4 @@
-"""Shared validation report types and error taxonomy."""
+"""Shared validation report types, error taxonomy, and the equivalence check."""
 
 from __future__ import annotations
 
@@ -33,6 +33,14 @@ class CapExceededError(ValueError):
     """A size cap guarding an exponential enumeration was exceeded."""
 
 
+def defect(tainted: bool, message: str) -> Exception:
+    """The error for an identity that failed: a precondition failure on input
+    built with the validation bypass, a falsification on validated input."""
+    if tainted:
+        return PreconditionError(message + " (input was built with the validation bypass)")
+    return FalsificationError(message)
+
+
 @dataclass(frozen=True)
 class Violation:
     condition: str
@@ -59,3 +67,24 @@ class Report:
 
     def conditions(self) -> frozenset:
         return frozenset(v.condition for v in self.violations)
+
+
+def equivalence_classes(items, rel: dict) -> list | None:
+    """The classes of ``rel`` when it is an equivalence on ``items``, else None.
+
+    ``rel[p]`` is the set of items related to p, and must lie inside
+    ``items``.  The relation is an equivalence exactly when every class
+    contains its first member p and equals ``rel[q]`` for each member q, so
+    the check costs O(sum of |class|^2).
+    """
+    seen: set = set()
+    classes = []
+    for p in items:
+        if p in seen:
+            continue
+        block = rel[p]
+        if p not in block or any(rel[q] != block for q in block):
+            return None
+        classes.append(frozenset(block))
+        seen |= block
+    return classes

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FalsificationError, PreconditionError
+from .core import FalsificationError, PreconditionError, defect, equivalence_classes
 from .action import (
     PartialAction,
     build_partial_action,
@@ -55,29 +55,18 @@ def build_coset_action(A: PartialAction, x: str) -> CosetSpace:
             return False
         return G.mul[(G.inv[h2], h1)] in stab
 
-    def broken(message: str):
-        if A.tainted:
-            return PreconditionError(message + " (input was built with the validation bypass)")
-        return FalsificationError(message)
-
-    for h1 in hx:
-        if not related(h1, h1):
-            raise broken("coset relation is not reflexive")
-        for h2 in hx:
-            if related(h1, h2) != related(h2, h1):
-                raise broken("coset relation is not symmetric")
-            for h3 in hx:
-                if related(h1, h2) and related(h2, h3) and not related(h1, h3):
-                    raise broken("coset relation is not transitive")
-
-    blocks = []
-    seen: set = set()
-    for h in hx:
-        if h in seen:
-            continue
-        block = frozenset(k for k in hx if related(h, k))
-        blocks.append(block)
-        seen |= block
+    related_to = {h: frozenset(k for k in hx if related(h, k)) for h in hx}
+    blocks = equivalence_classes(hx, related_to)
+    if blocks is None:
+        for h1 in hx:
+            if not related(h1, h1):
+                raise defect(A.tainted, "coset relation is not reflexive")
+            for h2 in hx:
+                if related(h1, h2) != related(h2, h1):
+                    raise defect(A.tainted, "coset relation is not symmetric")
+                for h3 in hx:
+                    if related(h1, h2) and related(h2, h3) and not related(h1, h3):
+                        raise defect(A.tainted, "coset relation is not transitive")
     classes = tuple(sorted(blocks, key=min))
     class_of = {h: coset_token(min(b)) for b in classes for h in b}
 

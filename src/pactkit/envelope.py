@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FalsificationError, PreconditionError, Violation
+from .core import FalsificationError, PreconditionError, Violation, defect, equivalence_classes
 from .action import (
     PartialAction,
     action_graph,
@@ -23,37 +23,6 @@ from . import topology as topo
 from .topology import FiniteTopology, star_open_report
 
 ENVELOPE_TOPOLOGY_CAP = 64
-
-
-class _UnionFind:
-    """Union-find with path compression and union by size."""
-
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-        self.size = {x: 1 for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        x, y = self.find(x), self.find(y)
-        if x == y:
-            return
-        if self.size[x] < self.size[y]:
-            x, y = y, x
-        self.parent[y] = x
-        self.size[x] += self.size[y]
-
-    def blocks(self):
-        out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), set()).add(x)
-        return [frozenset(b) for b in out.values()]
 
 
 def class_token(rep: tuple) -> str:
@@ -78,23 +47,8 @@ def _pair_neighbours(A: PartialAction, g: str, x: str):
             yield (G.mul[(g, G.inv[l])], A.maps[l][x])
 
 
-def globalize(A: PartialAction) -> EnvelopingAction:
-    """Construct the enveloping action of a validated partial action.
-
-    The merge relation is verified to be an equivalence before quotienting,
-    the induced action is evaluated on every member of every class to catch
-    representative-dependent defects, and the result is validated as a global
-    action with an injective embedding.
-    """
-    G = A.groupoid
-    pairs = tuple(
-        (g, x) for g in G.elements for x in A.carrier if A.anchor[x] == G.src[g]
-    )
-    rel = {p: set() for p in pairs}
-    for g, x in pairs:
-        for q in _pair_neighbours(A, g, x):
-            rel[(g, x)].add(q)
-
+def _merge_relation_problems(pairs, rel) -> list:
+    """Every reflexivity, symmetry and transitivity failure, in scan order."""
     problems = []
     for p in pairs:
         if p not in rel[p]:
@@ -108,18 +62,38 @@ def globalize(A: PartialAction) -> EnvelopingAction:
             for r in rel[q]:
                 if r not in rel[p]:
                     problems.append(("transitive", (p, q, r)))
-    if problems:
-        kind, witness = problems[0]
-        message = f"merge relation is not {kind}: witness {witness}"
-        if A.tainted:
-            raise PreconditionError(message + " (input was built with the validation bypass)")
-        raise FalsificationError(message)
+    return problems
 
-    uf = _UnionFind(pairs)
+
+def globalize(A: PartialAction) -> EnvelopingAction:
+    """Construct the enveloping action of a validated partial action.
+
+    The merge relation is verified to be an equivalence before quotienting,
+    the induced action is evaluated on every member of every class to catch
+    representative-dependent defects, and the result is validated as a global
+    action with an injective embedding.
+    """
+    G = A.groupoid
+    pairs = tuple(
+        (g, x) for g in G.elements for x in A.carrier if A.anchor[x] == G.src[g]
+    )
+    # neighbours are stored as the pair objects themselves, so that the
+    # classes built from them hold no second copy of each pair
+    canonical = {p: p for p in pairs}
+    rel = {p: set() for p in pairs}
+    for g, x in pairs:
+        for q in _pair_neighbours(A, g, x):
+            rel[(g, x)].add(canonical.get(q, q))
     for p in pairs:
-        for q in rel[p]:
-            uf.union(p, q)
-    classes = tuple(sorted(uf.blocks(), key=min))
+        stray = sorted(q for q in rel[p] if q not in rel)
+        if stray:
+            raise defect(A.tainted, f"merge relation leaves the pair set: witness {(p, stray[0])}")
+
+    blocks = equivalence_classes(pairs, rel)
+    if blocks is None:
+        kind, witness = _merge_relation_problems(pairs, rel)[0]
+        raise defect(A.tainted, f"merge relation is not {kind}: witness {witness}")
+    classes = tuple(sorted(blocks, key=min))
     class_of = {}
     anchor_of_class = {}
     for block in classes:

@@ -121,7 +121,11 @@ def validate_groupoid(candidate) -> Report:
     StructuralError; genuine axiom violations come back in the report, each
     naming the axiom and a witness tuple.
     """
-    elements, mul, inv, src, rng, declared = _tables(candidate)
+    return _axioms(*_tables(candidate))
+
+
+def _axioms(elements, mul, inv, src, rng, declared) -> Report:
+    """The axiom checks on tables already normalized by ``_tables``."""
     viol: list[Violation] = []
 
     # axiom 3: unique right/left units, and they agree with the declared maps
@@ -183,9 +187,9 @@ def validate_groupoid(candidate) -> Report:
 
 def build_groupoid(candidate) -> Groupoid:
     """Validate raw tables and freeze them into a Groupoid."""
-    elements, mul, inv, src, rng, _ = _tables(candidate)
-    report = validate_groupoid(candidate)
-    report.raise_if_failed("groupoid validation")
+    tables = _tables(candidate)
+    _axioms(*tables).raise_if_failed("groupoid validation")
+    elements, mul, inv, src, rng, _ = tables
     identities = frozenset({src[g] for g in elements} | {rng[g] for g in elements})
     return Groupoid(
         elements=tuple(sorted(elements)),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .core import StructuralError
+from .core import StructuralError, ValidationFailed
 from .action import PartialAction, build_partial_action, validate_partial_action
 from .envelope import EnvelopingAction
 from .groupoid import Groupoid, build_groupoid, validate_groupoid
@@ -53,22 +53,72 @@ def resolve_instance_path(name: str) -> Path:
 # parsing
 
 
-def _parse_topology(block: dict) -> FiniteTopology:
-    if set(block) != {"carrier", "min_open"}:
+# JSON shapes checked at the boundary: ``str``, ``[shape]`` for a list of
+# that shape, or a tuple of shapes for a fixed-length list
+_STRINGS = [str]
+_PAIRS = [(str, str)]
+_TRIPLES = [(str, str, str)]
+_SETS = [(str, [str])]
+_TABLES = [(str, [(str, str)])]
+
+
+def _fits(value, shape) -> bool:
+    if shape is str:
+        return isinstance(value, str)
+    if not isinstance(value, list):
+        return False
+    if isinstance(shape, list):
+        return all(_fits(v, shape[0]) for v in value)
+    return len(value) == len(shape) and all(_fits(v, s) for v, s in zip(value, shape))
+
+
+def _describe(shape) -> str:
+    if shape is str:
+        return "string"
+    if isinstance(shape, list):
+        return f"[{_describe(shape[0])}, ...]"
+    return "[" + ", ".join(_describe(s) for s in shape) + "]"
+
+
+def _shaped(value, shape, what: str):
+    """``value`` when it has the JSON shape, else StructuralError."""
+    if not _fits(value, shape):
+        raise StructuralError(f"{what} must have the shape {_describe(shape)}")
+    return value
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise StructuralError(f"{what} must be a JSON object")
+    return value
+
+
+def _read(path: str):
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise StructuralError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+
+
+def _parse_topology(block) -> FiniteTopology:
+    if set(_object(block, "topology block")) != {"carrier", "min_open"}:
         raise StructuralError("topology block must have exactly carrier and min_open")
-    return build_topology(block["carrier"], {x: set(s) for x, s in block["min_open"]})
+    carrier = _shaped(block["carrier"], _STRINGS, "topology carrier")
+    min_open = _shaped(block["min_open"], _SETS, "topology min_open")
+    return build_topology(carrier, {x: set(s) for x, s in min_open})
 
 
-def _groupoid_payload_to_tables(payload: dict) -> dict:
-    keys = set(payload)
+def _groupoid_payload_to_tables(payload) -> dict:
+    keys = set(_object(payload, "groupoid payload"))
     if not keys <= {"elements", "mul", "inv", "src", "rng"}:
         raise StructuralError(f"unknown keys in groupoid payload: {sorted(keys - {'elements','mul','inv','src','rng'})}")
     return {
-        "elements": payload.get("elements", []),
-        "mul": [tuple(t) for t in payload.get("mul", [])],
-        "inv": [tuple(t) for t in payload.get("inv", [])],
-        "src": [tuple(t) for t in payload.get("src", [])],
-        "rng": [tuple(t) for t in payload.get("rng", [])],
+        "elements": _shaped(payload.get("elements", []), _STRINGS, "groupoid elements"),
+        "mul": [tuple(t) for t in _shaped(payload.get("mul", []), _TRIPLES, "groupoid mul")],
+        "inv": [tuple(t) for t in _shaped(payload.get("inv", []), _PAIRS, "groupoid inv")],
+        "src": [tuple(t) for t in _shaped(payload.get("src", []), _PAIRS, "groupoid src")],
+        "rng": [tuple(t) for t in _shaped(payload.get("rng", []), _PAIRS, "groupoid rng")],
     }
 
 
@@ -83,9 +133,9 @@ def _resolve_groupoid(ref) -> Groupoid:
     raise StructuralError("groupoid must be inline or a fixture/path reference")
 
 
-def _action_tables(payload: dict) -> tuple[Groupoid, dict]:
+def _action_tables(payload) -> tuple[Groupoid, dict]:
     allowed = {"groupoid", "carrier", "anchor", "domains", "maps", "topology"}
-    unknown = set(payload) - allowed
+    unknown = set(_object(payload, "action payload")) - allowed
     if unknown:
         raise StructuralError(f"unknown keys in action payload: {sorted(unknown)}")
     for key in ("groupoid", "carrier", "anchor", "domains", "maps"):
@@ -93,10 +143,10 @@ def _action_tables(payload: dict) -> tuple[Groupoid, dict]:
             raise StructuralError(f"action payload is missing {key!r}")
     G = _resolve_groupoid(payload["groupoid"])
     parts = {
-        "carrier": payload["carrier"],
-        "anchor": {x: e for x, e in payload["anchor"]},
-        "domains": {g: frozenset(s) for g, s in payload["domains"]},
-        "maps": {g: {x: y for x, y in t} for g, t in payload["maps"]},
+        "carrier": _shaped(payload["carrier"], _STRINGS, "carrier"),
+        "anchor": {x: e for x, e in _shaped(payload["anchor"], _PAIRS, "anchor")},
+        "domains": {g: frozenset(s) for g, s in _shaped(payload["domains"], _SETS, "domains")},
+        "maps": {g: {x: y for x, y in t} for g, t in _shaped(payload["maps"], _TABLES, "maps")},
     }
     return G, parts
 
@@ -107,11 +157,7 @@ def load(path: str, bypass: bool = False) -> InstanceFile:
     With ``bypass`` the semantic action checks are skipped and the loaded
     value is tainted; structural defects still raise.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StructuralError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    doc = _read(path)
     if not isinstance(doc, dict):
         raise StructuralError(f"{path}: document must be a JSON object")
     allowed = {"kind", "meta", "payload", "topology", "classes", "embedding"}
@@ -119,18 +165,18 @@ def load(path: str, bypass: bool = False) -> InstanceFile:
     if unknown:
         raise StructuralError(f"{path}: unknown document keys: {sorted(unknown)}")
     kind = doc.get("kind")
-    meta = doc.get("meta", {})
-    name = meta.get("name", Path(path).stem)
-    description = meta.get("description", "")
+    meta = _object(doc.get("meta", {}), f"{path}: meta")
+    name = _shaped(meta.get("name", Path(path).stem), str, f"{path}: meta name")
+    description = _shaped(meta.get("description", ""), str, f"{path}: meta description")
     payload = doc.get("payload")
     if payload is None:
         raise StructuralError(f"{path}: missing payload")
 
     if kind == "groupoid":
-        tables = _groupoid_payload_to_tables(payload)
-        report = validate_groupoid(tables)
-        report.raise_if_failed(f"{path}: groupoid payload")
-        G = build_groupoid(tables)
+        try:
+            G = build_groupoid(_groupoid_payload_to_tables(payload))
+        except ValidationFailed as exc:  # the same report, labelled with the file
+            exc.report.raise_if_failed(f"{path}: groupoid payload")
         T = _parse_topology(doc["topology"]) if "topology" in doc else None
         if T is not None and set(T.carrier) != set(G.elements):
             raise StructuralError(f"{path}: topology carrier does not match the elements")
@@ -138,18 +184,16 @@ def load(path: str, bypass: bool = False) -> InstanceFile:
 
     if kind == "action":
         G, parts = _action_tables(payload)
-        report = validate_partial_action(
-            G, parts["carrier"], parts["anchor"], parts["domains"], parts["maps"]
-        )
-        if not bypass:
-            report.raise_if_failed(f"{path}: action payload")
-        A = build_partial_action(
-            G, parts["carrier"], parts["anchor"], parts["domains"], parts["maps"], bypass=bypass
-        )
+        try:
+            A = build_partial_action(
+                G, parts["carrier"], parts["anchor"], parts["domains"], parts["maps"], bypass=bypass
+            )
+        except ValidationFailed as exc:  # the same report, labelled with the file
+            exc.report.raise_if_failed(f"{path}: action payload")
         T_G = T_M = None
         topo_block = payload.get("topology", doc.get("topology"))
         if topo_block is not None:
-            unknown_t = set(topo_block) - {"groupoid", "carrier"}
+            unknown_t = set(_object(topo_block, f"{path}: topology")) - {"groupoid", "carrier"}
             if unknown_t:
                 raise StructuralError(f"{path}: unknown topology keys: {sorted(unknown_t)}")
             if "groupoid" in topo_block:
@@ -172,12 +216,12 @@ def load_envelope(path: str, base: PartialAction) -> EnvelopingAction:
     reassembled over the supplied base; coherence is the caller's concern
     (run verify_globalization before trusting the result).
     """
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StructuralError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    if doc.get("kind") != "action" or "classes" not in doc or "embedding" not in doc:
+    doc = _read(path)
+    if (
+        not isinstance(doc, dict)
+        or doc.get("kind") != "action"
+        or not {"payload", "classes", "embedding"} <= set(doc)
+    ):
         raise StructuralError(f"{path}: not an envelope document")
     G, parts = _action_tables(doc["payload"])
     if G != base.groupoid:
@@ -187,12 +231,14 @@ def load_envelope(path: str, base: PartialAction) -> EnvelopingAction:
     )
     classes = []
     class_of = {}
-    for token, members in doc["classes"]:
+    for token, members in _shaped(doc["classes"], _TABLES, f"{path}: classes"):
         block = frozenset((g, x) for g, x in members)
+        if not block:
+            raise StructuralError(f"{path}: class {token} has no members")
         classes.append(block)
         for p in block:
             class_of[p] = token
-    embedding = {x: t for x, t in doc["embedding"]}
+    embedding = {x: t for x, t in _shaped(doc["embedding"], _PAIRS, f"{path}: embedding")}
     pairs = tuple(sorted(class_of))
     if set(embedding) != set(base.carrier):
         raise StructuralError(f"{path}: embedding does not cover the base carrier")
@@ -210,11 +256,7 @@ def load_envelope(path: str, base: PartialAction) -> EnvelopingAction:
 
 def inspect(path: str):
     """Parse a document and return (kind, report) without raising on violations."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StructuralError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    doc = _read(path)
     if not isinstance(doc, dict) or "kind" not in doc or "payload" not in doc:
         raise StructuralError(f"{path}: document must be an object with kind and payload")
     kind = doc["kind"]

@@ -23,9 +23,6 @@ class FiniteTopology:
     carrier: tuple
     min_open: dict
 
-    def points(self):
-        return self.carrier
-
 
 def build_topology(carrier, min_open: dict) -> FiniteTopology:
     """Validate minimal-open data (point membership and nesting) and freeze it."""

@@ -116,3 +116,234 @@ def all_preorders(n: int):
             if j == j2
         ):
             yield {i: frozenset(j for j in points if (i, j) in rel) for i in points}
+
+
+# ---------------------------------------------------------------------------
+# reference scans: the library's earlier ordered implementations, kept
+# verbatim so the fast paths can be compared against them
+
+
+def reference_validate_partial_action(groupoid, carrier, anchor, domains, maps):
+    """The full ordered validation: structural pass, then every condition scan."""
+    from pactkit.core import Report, StructuralError, Violation
+
+    points = sorted(str(x) for x in carrier)
+    if len(set(points)) != len(points):
+        raise StructuralError("duplicate carrier points")
+    anchor = dict(anchor)
+    if set(anchor) != set(points):
+        raise StructuralError("anchor must be defined on exactly the carrier")
+    bad = sorted(x for x, e in anchor.items() if e not in groupoid.identities)
+    if bad:
+        raise StructuralError(f"anchor of {bad} is not an identity")
+    domains = {g: frozenset(s) for g, s in dict(domains).items()}
+    if set(domains) != set(groupoid.elements):
+        raise StructuralError("domains must be defined on exactly the groupoid elements")
+    for g, s in domains.items():
+        if not s <= set(points):
+            raise StructuralError(f"domain of {g!r} leaves the carrier")
+    maps = {g: dict(t) for g, t in dict(maps).items()}
+    if set(maps) != set(groupoid.elements):
+        raise StructuralError("maps must be defined on exactly the groupoid elements")
+    for g, table in maps.items():
+        expected_keys = domains[groupoid.inv[g]]
+        if set(table) != expected_keys:
+            raise StructuralError(f"table of {g!r} is not defined on the domain of its inverse")
+        if set(table.values()) != domains[g] or len(set(table.values())) != len(table):
+            raise StructuralError(f"table of {g!r} is not a bijection onto its domain")
+
+    G = groupoid
+    viol = []
+    notes = []
+    units = sorted(G.identities)
+
+    for i, e in enumerate(units):
+        for f in units[i + 1 :]:
+            overlap = domains[e] & domains[f]
+            if overlap:
+                viol.append(
+                    Violation("(i)", (min(overlap),), f"domains of units {e!r} and {f!r} overlap")
+                )
+    for e in units:
+        fiber = frozenset(x for x in points if anchor[x] == e)
+        if domains[e] != fiber:
+            witness = min(domains[e] ^ fiber)
+            viol.append(
+                Violation("(i)", (witness,), f"domain of unit {e!r} differs from its anchor fiber")
+            )
+        for x in sorted(domains[e] & frozenset(maps[e])):
+            if maps[e][x] != x:
+                viol.append(Violation("(i)", (e, x), "unit does not act as the identity"))
+
+    for g in G.elements:
+        extra = domains[g] - domains[G.rng[g]]
+        if extra:
+            viol.append(Violation("(pre)", (g, min(extra)), "domain escapes the range fiber"))
+
+    for g in G.elements:
+        inverse_table = {y: x for x, y in maps[g].items()}
+        if maps[G.inv[g]] != inverse_table:
+            bad = sorted(set(maps[G.inv[g]].items()) ^ set(inverse_table.items()))
+            viol.append(
+                Violation("(inv)", (g,) + bad[0], "stored table of the inverse is not the inverse table")
+            )
+
+    for (g, h) in G.mul:
+        gh = G.mul[(g, h)]
+        lhs = frozenset(maps[g][x] for x in domains[G.inv[g]] & domains[h] if x in maps[g])
+        rhs = domains[g] & domains[gh]
+        if lhs != rhs:
+            viol.append(
+                Violation("(ii)", (g, h, min(lhs ^ rhs)), "image of the overlap misses the target overlap")
+            )
+
+    for (g, h) in G.mul:
+        gh = G.mul[(g, h)]
+        for y in sorted(domains[G.inv[g]] & domains[h]):
+            x = maps[G.inv[h]].get(y)
+            if x is None:
+                continue
+            expected = maps[gh].get(x)
+            if expected is None or maps[g][y] != expected:
+                viol.append(Violation("(iii)", (g, h, x), "composite map disagrees with the product"))
+
+    missing = sorted(set(units) - {anchor[x] for x in points})
+    if missing:
+        notes.append(f"anchor is not surjective; unreached units: {missing}")
+
+    return Report(ok=not viol, violations=tuple(viol), notes=tuple(notes))
+
+
+def reference_merge_relation_problems(A) -> list:
+    """Every reflexivity, symmetry and transitivity failure of the merge
+    relation of ``globalize``, in scan order; the first names its error."""
+    G = A.groupoid
+    pairs = tuple(
+        (g, x) for g in G.elements for x in A.carrier if A.anchor[x] == G.src[g]
+    )
+    rel = {p: set() for p in pairs}
+    for g, x in pairs:
+        for l in G.d_fiber(G.src[g]):
+            if x in A.domains[G.inv[l]]:
+                rel[(g, x)].add((G.mul[(g, G.inv[l])], A.maps[l][x]))
+
+    problems = []
+    for p in pairs:
+        if p not in rel[p]:
+            problems.append(("reflexive", p))
+    for p in pairs:
+        for q in rel[p]:
+            if p not in rel[q]:
+                problems.append(("symmetric", (p, q)))
+    for p in pairs:
+        for q in rel[p]:
+            for r in rel[q]:
+                if r not in rel[p]:
+                    problems.append(("transitive", (p, q, r)))
+    return problems
+
+
+def reference_coset_relation_failure(A, x):
+    """The first failure of the coset relation at x in triple-scan order, or None."""
+    from pactkit.action import stabilizer
+
+    G = A.groupoid
+    stab = stabilizer(A, x)
+    hx = sorted(G.d_fiber(A.anchor[x]))
+
+    def related(h1, h2):
+        if G.rng[h1] != G.rng[h2]:
+            return False
+        return G.mul[(G.inv[h2], h1)] in stab
+
+    for h1 in hx:
+        if not related(h1, h1):
+            return "coset relation is not reflexive"
+        for h2 in hx:
+            if related(h1, h2) != related(h2, h1):
+                return "coset relation is not symmetric"
+            for h3 in hx:
+                if related(h1, h2) and related(h2, h3) and not related(h1, h3):
+                    return "coset relation is not transitive"
+    return None
+
+
+# ---------------------------------------------------------------------------
+# seeded inputs for comparing the fast paths with the reference scans
+
+
+def cross_check_actions(rng, count: int) -> list:
+    """Random partial actions from the small pool, plus larger instances:
+    pair_groupoid(5) on up to 12 points and Z16 regular on 8 of its points."""
+    from pactkit.action import restrict
+    from pactkit.groupoid import from_group, pair_groupoid
+    from pactkit.sampling import (
+        coset_global_action,
+        cyclic_table,
+        groupoid_pool,
+        random_partial_action,
+    )
+
+    pool = groupoid_pool()
+    actions = [random_partial_action(rng, rng.choice(pool)) for _ in range(count)]
+    pair5 = pair_groupoid(range(5))
+    z16 = coset_global_action(from_group(cyclic_table(16)), "0", {"0"})
+    for _ in range(3):
+        actions.append(random_partial_action(rng, pair5, max_points=12))
+        actions.append(restrict(z16, rng.sample(list(z16.carrier), 8)))
+    return actions
+
+
+def raw_tables(A) -> dict:
+    return {
+        "carrier": list(A.carrier),
+        "anchor": dict(A.anchor),
+        "domains": {g: set(s) for g, s in A.domains.items()},
+        "maps": {g: dict(t) for g, t in A.maps.items()},
+    }
+
+
+def corrupt_one_entry(rng, A) -> dict:
+    """Raw tables of A with one entry changed, keeping every table a bijection
+    between the domains so that only semantic conditions can fail.
+
+    ``swap`` exchanges two images of one table and mirrors the change in the
+    inverse table; ``swap-one`` leaves the inverse table stale; ``drop`` and
+    ``add`` remove or add one arrow and its inverse; ``anchor`` moves one
+    point to another unit.
+    """
+    G = A.groupoid
+    raw = raw_tables(A)
+    maps, domains = raw["maps"], raw["domains"]
+    kind = rng.choice(["swap", "swap-one", "drop", "add", "anchor"])
+    if kind in ("swap", "swap-one"):
+        movers = [g for g in G.elements if len(maps[g]) >= 2]
+        if movers:
+            g = rng.choice(movers)
+            y1, y2 = rng.sample(sorted(maps[g]), 2)
+            x1, x2 = maps[g][y1], maps[g][y2]
+            maps[g][y1], maps[g][y2] = x2, x1
+            if kind == "swap" and G.inv[g] != g:
+                maps[G.inv[g]][x1], maps[G.inv[g]][x2] = y2, y1
+    elif kind == "drop":
+        movers = [g for g in G.elements if maps[g]]
+        if movers:
+            g = rng.choice(movers)
+            y = rng.choice(sorted(maps[g]))
+            x = maps[g].pop(y)
+            maps[G.inv[g]].pop(x, None)
+    elif kind == "add":
+        g = rng.choice(G.elements)
+        free_y = [p for p in raw["carrier"] if p not in maps[g]]
+        free_x = [p for p in raw["carrier"] if p not in domains[g]]
+        if free_y and free_x:
+            y, x = rng.choice(free_y), rng.choice(free_x)
+            if G.inv[g] != g or x == y or (x not in maps[g] and y not in domains[g]):
+                maps[g][y] = x
+                maps[G.inv[g]][x] = y
+    elif len(G.identities) > 1:
+        x = rng.choice(raw["carrier"])
+        raw["anchor"][x] = rng.choice(sorted(G.identities - {raw["anchor"][x]}))
+    for g in G.elements:
+        domains[g] = set(maps[g].values())
+    return raw

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import helpers
 from pactkit import (
     PreconditionError,
+    ValidationFailed,
     action_graph,
     action_graphs,
     build_partial_action,
@@ -357,3 +358,94 @@ def test_relabeling_preserves_orbits_and_classification(rnd):
     assert classify(B) == classify(A)
     relabeled = {frozenset(mapping[x] for x in c) for c in orbit_relation(A).classes}
     assert set(orbit_relation(B).classes) == relabeled
+
+
+# ---------------------------------------------------------------------------
+# the fast (ii)/(iii) acceptance against the reference ordered scans
+
+
+def _violations(report):
+    return [(v.condition, v.witness) for v in report.violations]
+
+
+def z3_tables(domains, maps):
+    from pactkit.groupoid import from_group
+    from pactkit.sampling import cyclic_table
+
+    return from_group(cyclic_table(3)), ["a", "b", "c"], {p: "0" for p in "abc"}, domains, maps
+
+
+def test_condition_iii_only_label_and_witnesses():
+    # 1 acts as a transposition, so 1*1 = 2 does not act as the composite
+    swap = {"a": "b", "b": "a", "c": "c"}
+    case = z3_tables({"0": "abc", "1": "abc", "2": "abc"}, {"0": {p: p for p in "abc"}, "1": swap, "2": swap})
+    report = validate_partial_action(*case)
+    assert _violations(report) == [
+        ("(iii)", ("1", "1", "b")),
+        ("(iii)", ("1", "1", "a")),
+        ("(iii)", ("2", "2", "b")),
+        ("(iii)", ("2", "2", "a")),
+    ]
+    assert report == helpers.reference_validate_partial_action(*case)
+
+
+def test_condition_ii_label_and_witnesses():
+    # 1 shifts a -> b -> c, so the image of the overlap {b} is {c}, not {b}
+    case = z3_tables(
+        {"0": "abc", "1": "bc", "2": "ab"},
+        {"0": {p: p for p in "abc"}, "1": {"a": "b", "b": "c"}, "2": {"b": "a", "c": "b"}},
+    )
+    report = validate_partial_action(*case)
+    assert _violations(report) == [
+        ("(ii)", ("1", "1", "b")),
+        ("(ii)", ("2", "2", "a")),
+        ("(iii)", ("1", "1", "a")),
+        ("(iii)", ("2", "2", "c")),
+    ]
+    assert report == helpers.reference_validate_partial_action(*case)
+
+
+def test_condition_pre_label_and_witnesses():
+    from pactkit.fixtures import pair2
+
+    # (1,2) lands on b, which lies over (2,2) instead of its range (1,1)
+    case = (
+        pair2(),
+        ["a", "b"],
+        {"a": "(1,1)", "b": "(2,2)"},
+        {"(1,1)": "a", "(2,2)": "b", "(1,2)": "b", "(2,1)": "a"},
+        {"(1,1)": {"a": "a"}, "(2,2)": {"b": "b"}, "(1,2)": {"a": "b"}, "(2,1)": {"b": "a"}},
+    )
+    report = validate_partial_action(*case)
+    assert _violations(report) == [
+        ("(pre)", ("(1,2)", "b")),
+        ("(pre)", ("(2,1)", "a")),
+        ("(ii)", ("(1,2)", "(2,1)", "b")),
+        ("(ii)", ("(1,2)", "(2,2)", "b")),
+        ("(ii)", ("(2,1)", "(1,1)", "a")),
+        ("(ii)", ("(2,1)", "(1,2)", "a")),
+        ("(iii)", ("(1,2)", "(2,1)", "b")),
+        ("(iii)", ("(2,1)", "(1,2)", "a")),
+    ]
+    assert report == helpers.reference_validate_partial_action(*case)
+
+
+def test_validation_matches_reference_on_random_and_corrupted_actions():
+    rng = random.Random(2024)
+    labels = set()
+    for A in helpers.cross_check_actions(rng, 40):
+        cases = [helpers.raw_tables(A)] + [helpers.corrupt_one_entry(rng, A) for _ in range(6)]
+        for raw in cases:
+            args = (A.groupoid, raw["carrier"], raw["anchor"], raw["domains"], raw["maps"])
+            expected = helpers.reference_validate_partial_action(*args)
+            assert validate_partial_action(*args) == expected
+            labels |= expected.conditions()
+            assert build_partial_action(*args, bypass=True).tainted
+            if expected.ok:
+                build_partial_action(*args)
+            else:
+                with pytest.raises(ValidationFailed) as err:
+                    build_partial_action(*args)
+                lines = "; ".join(str(v) for v in expected.violations)
+                assert str(err.value) == f"partial action validation: {lines}"
+    assert labels == {"(i)", "(pre)", "(ii)", "(iii)", "(inv)"}

@@ -160,3 +160,29 @@ def test_isotropy_comparison_rejects_multi_unit_groupoids():
     C = fix_c()
     with pytest.raises(PreconditionError, match="one-unit"):
         isotropy_restriction_check(C, "u", globalize(C))
+
+
+def test_coset_relation_errors_match_the_reference_scan():
+    from helpers import corrupt_one_entry, cross_check_actions, reference_coset_relation_failure
+
+    rng = random.Random(47)
+    checked = set()
+    for A in cross_check_actions(rng, 60):
+        for _ in range(4):
+            raw = corrupt_one_entry(rng, A)
+            B = build_partial_action(A.groupoid, *raw.values(), bypass=True)
+            x = min(B.carrier)
+            expected = reference_coset_relation_failure(B, x)
+            if expected is None:
+                C = build_coset_action(B, x)
+                assert set().union(*C.classes) == C.hx
+                continue
+            with pytest.raises(PreconditionError) as err:
+                build_coset_action(B, x)
+            assert str(err.value) == expected + " (input was built with the validation bypass)"
+            checked.add(expected)
+    assert checked == {
+        "coset relation is not reflexive",
+        "coset relation is not symmetric",
+        "coset relation is not transitive",
+    }

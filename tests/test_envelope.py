@@ -4,6 +4,7 @@ import pytest
 
 from pactkit import (
     EnvelopingAction,
+    FalsificationError,
     PreconditionError,
     build_partial_action,
     classify,
@@ -258,3 +259,49 @@ def test_hausdorff_iff_relation_closed_on_random_instances():
         assert not rep.skipped
         assert rep.pi_open
         assert rep.MG_hausdorff == rep.relation_closed
+
+
+BYPASS_NOTE = " (input was built with the validation bypass)"
+
+
+def test_globalize_neighbour_outside_the_pairs_is_a_merge_defect():
+    # remark-x: h carries x2 (over e) into the fiber of f, so (f, x3) is
+    # identified with (h, x2), which is not a pair (src(h) = f, anchor(x2) = e)
+    from dataclasses import replace
+
+    from pactkit.fixtures import remark_x
+
+    A = remark_x()
+    message = "merge relation leaves the pair set: witness (('f', 'x3'), ('h', 'x2'))"
+    with pytest.raises(PreconditionError) as err:
+        globalize(A)
+    assert str(err.value) == message + BYPASS_NOTE
+    with pytest.raises(FalsificationError) as err:
+        globalize(replace(A, tainted=False))
+    assert str(err.value) == message
+
+
+def test_merge_relation_errors_name_the_reference_first_witness():
+    from helpers import corrupt_one_entry, cross_check_actions, reference_merge_relation_problems
+
+    rng = random.Random(31)
+    checked = set()
+    for A in cross_check_actions(rng, 60):
+        for _ in range(4):
+            raw = corrupt_one_entry(rng, A)
+            B = build_partial_action(A.groupoid, *raw.values(), bypass=True)
+            try:
+                globalize(B)
+                raised = None
+            except (PreconditionError, FalsificationError) as exc:
+                raised = str(exc)
+            if raised and raised.startswith("merge relation leaves the pair set"):
+                continue  # the reference scan has no answer here
+            problems = reference_merge_relation_problems(B)
+            if problems:
+                kind, witness = problems[0]
+                assert raised == f"merge relation is not {kind}: witness {witness}" + BYPASS_NOTE
+                checked.add(kind)
+            else:
+                assert raised is None or not raised.startswith("merge relation")
+    assert checked == {"reflexive", "symmetric", "transitive"}

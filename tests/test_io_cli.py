@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
+import pactkit
 from pactkit import StructuralError, ValidationFailed, verify_globalization
 from pactkit.cli import main
 from pactkit.io import (
@@ -205,8 +207,9 @@ def test_cli_repeated_invocations_byte_identical(capsys):
 
 
 def test_cli_unknown_command_exits_two():
+    env = dict(os.environ, PYTHONPATH=str(Path(pactkit.__file__).resolve().parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-m", "pactkit", "frobnicate"], capture_output=True, text=True
+        [sys.executable, "-m", "pactkit", "frobnicate"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 2
     assert "usage" in proc.stderr.lower()
@@ -245,3 +248,37 @@ def test_canonical_json_stable_under_reparse():
 
 def test_packaged_fixture_directory_exists():
     assert (fixtures_dir() / "fix-b.json").exists()
+
+
+def test_cli_globalize_bypass_merge_defect_is_one_precondition_line(capsys):
+    code, out, err = run_cli(["globalize", "remark-x", "--bypass-validation"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("precondition failed: merge relation leaves the pair set")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _mutate_meta(doc):
+    doc["meta"] = []
+
+
+def _mutate_carrier(doc):
+    doc["payload"]["carrier"] = 5
+
+
+def _mutate_anchor(doc):
+    doc["payload"]["anchor"][0] = ["a"]
+
+
+@pytest.mark.parametrize("mutate", [_mutate_meta, _mutate_carrier, _mutate_anchor])
+def test_shape_errors_are_structural_and_exit_two(mutate, tmp_path, capsys):
+    doc = json.loads(Path(resolve_instance_path("fix-b")).read_text())
+    mutate(doc)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(StructuralError):
+        load(str(path))
+    code, out, err = run_cli(["info", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
