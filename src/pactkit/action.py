@@ -447,11 +447,9 @@ def action_graphs(A: PartialAction, T_G: FiniteTopology, T_X: FiniteTopology) ->
     if set(T_X.carrier) != set(A.carrier):
         raise StructuralError("carrier topology mismatch")
     graph = action_graph(A)
-    open_in = topo.product(T_G, T_X)
-    closed_in = topo.product(T_G, T_X, T_X)
     return GraphOpenness(
-        graph_open=topo.is_open(open_in, graph.gamma),
-        graph_closed=topo.is_closed(closed_in, graph.full),
+        graph_open=topo.product_is_open((T_G, T_X), graph.gamma),
+        graph_closed=topo.product_is_closed((T_G, T_X, T_X), graph.full),
     )
 
 

@@ -8,6 +8,7 @@ Output is a pure function of the input files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -19,7 +20,7 @@ from .core import (
     ValidationFailed,
 )
 from . import io as instancefiles
-from .action import action_graphs, classify, is_global, orbit_relation
+from .action import classify, is_global, orbit_relation
 from .coset import build_coset_action, coset_envelope_isomorphism
 from .envelope import envelope_topology, globalize, verify_globalization
 from .morphisms import find_isomorphism
@@ -254,12 +255,8 @@ def cmd_topology_report(args) -> int:
     A = doc.payload
     T_G = doc.groupoid_topology or discrete(A.groupoid.elements)
     T_M = doc.carrier_topology or discrete(A.carrier)
-    graphs = action_graphs(A, T_G, T_M)
-    E = globalize(A)
-    report = envelope_topology(E, T_G, T_M)
+    report = envelope_topology(globalize(A), T_G, T_M)
     booleans = report.booleans()
-    booleans["graph_open"] = graphs.graph_open
-    booleans["graph_closed"] = graphs.graph_closed
     payload = {"command": "topology-report", "skipped": report.skipped, **booleans}
     lines = []
     for key in (
@@ -331,9 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # argparse keeps no state between parse_args calls, so the parser built
+    # on first use serves every later call in this process
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValidationFailed, StructuralError, CapExceededError, FileNotFoundError) as exc:

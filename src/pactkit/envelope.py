@@ -9,10 +9,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FalsificationError, PreconditionError, Violation, defect, equivalence_classes
+from .core import (
+    CapExceededError,
+    FalsificationError,
+    PreconditionError,
+    Violation,
+    defect,
+    equivalence_classes,
+)
 from .action import (
     PartialAction,
-    action_graph,
     action_graphs,
     build_partial_action,
     is_global,
@@ -330,8 +336,7 @@ def envelope_topology(
             graph_closed=graphs.graph_closed,
         )
 
-    pair_set = frozenset(E.pairs)
-    T_pairs = topo.subspace(topo.product(T_G, T_M), pair_set)
+    T_pairs = topo.product_subspace((T_G, T_M), E.pairs)
     rep_quotient = topo.quotient(T_pairs, E.classes)
     T_MG = topo.rename_points(
         rep_quotient, {rep: E.class_of[rep] for rep in rep_quotient.carrier}
@@ -339,28 +344,37 @@ def envelope_topology(
     projection = {p: E.class_of[p] for p in E.pairs}
 
     pi_open_map = topo.is_open_map(projection, T_pairs, T_MG)
-    opens_G = topo.all_opens(T_G)
-    opens_M = topo.all_opens(T_M)
-    if len(opens_G) * len(opens_M) > 4096:
+    try:
+        # the same decision as |opens_G| * |opens_M| > 4096, without
+        # enumerating either family past that bound
+        opens_G = topo.all_opens(T_G, cap=4096)
+        opens_M = topo.all_opens(T_M, cap=4096 // len(opens_G))
+    except CapExceededError:
         # both sides of the identity distribute over unions of basis opens,
         # so the minimal-open pairs carry the full content
         opens_G = sorted({T_G.min_open[g] for g in T_G.carrier}, key=sorted)
         opens_M = sorted({T_M.min_open[x] for x in T_M.carrier}, key=sorted)
+    pairs_at = {g: [] for g in G.elements}
+    for p in E.pairs:
+        pairs_at[p[0]].append(p)
+    block_of = {E.class_of[min(b)]: b for b in E.classes}
+    # rhs(V, U) is the union over k of {v k^-1 : v in V, src v = src k} x
+    # {k u : u in U, u in dom k^-1}; the second factor is fixed per U
+    translates = [
+        [(k, [A.maps[k][u] for u in U & A.domains[G.inv[k]]]) for k in G.elements]
+        for U in opens_M
+    ]
     formula_ok = True
     for V in opens_G:
-        for U in opens_M:
-            window = [p for p in E.pairs if p[0] in V and p[1] in U]
-            hit = {projection[p] for p in window}
-            lhs = frozenset(p for p in E.pairs if projection[p] in hit)
-            rhs = set()
-            for k in G.elements:
-                left = [v for v in V if G.src[v] == G.src[k]]
-                right = [u for u in U if u in A.domains[G.inv[k]]]
-                for v in left:
-                    gv = G.mul[(v, G.inv[k])]
-                    for u in right:
-                        rhs.add((gv, A.maps[k][u]))
-            if lhs != frozenset(rhs):
+        V_at = {}
+        for v in V:
+            V_at.setdefault(G.src[v], []).append(v)
+        left = {k: [G.mul[(v, G.inv[k])] for v in V_at.get(G.src[k], ())] for k in G.elements}
+        for U, moved in zip(opens_M, translates):
+            hit = {projection[p] for g in V for p in pairs_at[g] if p[1] in U}
+            lhs = frozenset().union(*(block_of[c] for c in hit))
+            rhs = {(a, b) for k, images in moved for a in left[k] for b in images}
+            if lhs != rhs:
                 formula_ok = False
     pi_open = pi_open_map and formula_ok
 
@@ -383,18 +397,14 @@ def envelope_topology(
             if lhs != rhs:
                 fiber_ok = False
 
-    fp = sorted((k, c) for k in G.elements for c in B.carrier if B.anchor[c] == G.src[k])
-    T_fp = topo.subspace(topo.product(T_G, T_MG), frozenset(fp))
+    fp = [(k, c) for k in G.elements for c in B.carrier if B.anchor[c] == G.src[k]]
+    T_fp = topo.product_subspace((T_G, T_MG), fp)
     beta = {(k, c): B.maps[k][c] for k, c in fp}
     beta_ok = topo.is_continuous(beta, T_fp, T_MG)
 
     hausdorff = topo.is_hausdorff(T_MG)
-    relation = frozenset(
-        (p, q) for p in E.pairs for q in E.pairs if projection[p] == projection[q]
-    )
-    relation_closed = topo.is_closed(topo.product(T_pairs, T_pairs), relation)
-    graph = action_graph(A)
-    graph_closed = topo.is_closed(topo.product(T_G, T_M, T_M), graph.full)
+    relation = frozenset((p, q) for b in E.classes for p in b for q in b)
+    relation_closed = topo.product_is_closed((T_pairs, T_pairs), relation)
 
     return EnvelopeTopologyReport(
         skipped=False,
@@ -407,5 +417,5 @@ def envelope_topology(
         fiber_formula_holds=fiber_ok,
         MG_hausdorff=hausdorff,
         relation_closed=relation_closed,
-        graph_closed=graph_closed,
+        graph_closed=graphs.graph_closed,
     )

@@ -83,7 +83,11 @@ def closure(T: FiniteTopology, S) -> frozenset:
 
 
 def product(*factors: FiniteTopology) -> FiniteTopology:
-    """Product topology; points are tuples over the factors, one slot each."""
+    """Product topology; points are tuples over the factors, one slot each.
+
+    The reference for ``product_is_open``, ``product_is_closed`` and
+    ``product_subspace``, which answer the same questions factor by factor.
+    """
     if len(factors) < 2:
         raise PreconditionError("product needs at least two factors")
     carrier = list(itertools.product(*(T.carrier for T in factors)))
@@ -92,6 +96,63 @@ def product(*factors: FiniteTopology) -> FiniteTopology:
         blocks = [factors[i].min_open[point[i]] for i in range(len(factors))]
         mo[point] = frozenset(itertools.product(*blocks))
     return build_topology(carrier, mo)
+
+
+def _check_product_subset(factors, S) -> frozenset:
+    """``S`` as a subset of the product carrier, checked slot by slot."""
+    if len(factors) < 2:
+        raise PreconditionError("product needs at least two factors")
+    S = frozenset(S)
+    carriers = [frozenset(T.carrier) for T in factors]
+    for p in S:
+        if not (
+            isinstance(p, tuple)
+            and len(p) == len(carriers)
+            and all(a in C for a, C in zip(p, carriers))
+        ):
+            raise StructuralError("subset leaves the carrier")
+    return S
+
+
+def _product_min_open(factors, p) -> frozenset:
+    return frozenset(itertools.product(*(T.min_open[a] for T, a in zip(factors, p))))
+
+
+def product_is_open(factors, S) -> bool:
+    """``is_open(product(*factors), S)`` without building the product.
+
+    The minimal open set of a product point is the product of the factor
+    minimal opens, so only the points of ``S`` are expanded.
+    """
+    S = _check_product_subset(factors, S)
+    return all(_product_min_open(factors, p) <= S for p in S)
+
+
+def product_is_closed(factors, S) -> bool:
+    """``is_closed(product(*factors), S)`` without building the product.
+
+    A set is closed when it holds every point whose minimal open meets it,
+    i.e. for each x in S every y with x in min_open(y). In a product those y
+    are the products of the factor up-sets {y_i : x_i in min_open(y_i)}, so
+    no complement is formed.
+    """
+    S = _check_product_subset(factors, S)
+    ups = []
+    for T in factors:
+        up = {a: [] for a in T.carrier}
+        for y in T.carrier:
+            for a in T.min_open[y]:
+                up[a].append(y)
+        ups.append(up)
+    return all(
+        q in S for x in S for q in itertools.product(*(up[a] for up, a in zip(ups, x)))
+    )
+
+
+def product_subspace(factors, S) -> FiniteTopology:
+    """``subspace(product(*factors), S)``, expanding only the points of ``S``."""
+    S = _check_product_subset(factors, S)
+    return build_topology(sorted(S), {p: _product_min_open(factors, p) & S for p in S})
 
 
 def subspace(T: FiniteTopology, S) -> FiniteTopology:

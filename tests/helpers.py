@@ -347,3 +347,131 @@ def corrupt_one_entry(rng, A) -> dict:
     for g in G.elements:
         domains[g] = set(maps[g].values())
     return raw
+
+
+# ---------------------------------------------------------------------------
+# reference topology reports: the library's earlier implementations, which
+# build every product topology they ask about, kept verbatim
+
+
+def reference_action_graphs(A, T_G, T_X):
+    from pactkit import topology as topo
+    from pactkit.action import GraphOpenness, action_graph
+    from pactkit.core import StructuralError
+
+    if set(T_G.carrier) != set(A.groupoid.elements):
+        raise StructuralError("groupoid topology carrier mismatch")
+    if set(T_X.carrier) != set(A.carrier):
+        raise StructuralError("carrier topology mismatch")
+    graph = action_graph(A)
+    open_in = topo.product(T_G, T_X)
+    closed_in = topo.product(T_G, T_X, T_X)
+    return GraphOpenness(
+        graph_open=topo.is_open(open_in, graph.gamma),
+        graph_closed=topo.is_closed(closed_in, graph.full),
+    )
+
+
+def reference_envelope_topology(E, T_G, T_M):
+    from pactkit import topology as topo
+    from pactkit.action import action_graph
+    from pactkit.envelope import ENVELOPE_TOPOLOGY_CAP, EnvelopeTopologyReport
+    from pactkit.topology import star_open_report
+
+    A = E.base
+    G = A.groupoid
+    reasons = []
+    if len(G.elements) * len(A.carrier) > ENVELOPE_TOPOLOGY_CAP:
+        reasons.append("size_cap_exceeded")
+    star = star_open_report(G, T_G)
+    if not star.star_open:
+        reasons.append("groupoid_topology_not_star_open")
+    graphs = reference_action_graphs(A, T_G, T_M)
+    if not graphs.graph_open:
+        reasons.append("base_action_not_graph_open")
+    if reasons:
+        return EnvelopeTopologyReport(
+            skipped=True,
+            reasons=tuple(reasons),
+            graph_open=graphs.graph_open,
+            star_open=star.star_open,
+            graph_closed=graphs.graph_closed,
+        )
+
+    pair_set = frozenset(E.pairs)
+    T_pairs = topo.subspace(topo.product(T_G, T_M), pair_set)
+    rep_quotient = topo.quotient(T_pairs, E.classes)
+    T_MG = topo.rename_points(
+        rep_quotient, {rep: E.class_of[rep] for rep in rep_quotient.carrier}
+    )
+    projection = {p: E.class_of[p] for p in E.pairs}
+
+    pi_open_map = topo.is_open_map(projection, T_pairs, T_MG)
+    opens_G = topo.all_opens(T_G)
+    opens_M = topo.all_opens(T_M)
+    if len(opens_G) * len(opens_M) > 4096:
+        opens_G = sorted({T_G.min_open[g] for g in T_G.carrier}, key=sorted)
+        opens_M = sorted({T_M.min_open[x] for x in T_M.carrier}, key=sorted)
+    formula_ok = True
+    for V in opens_G:
+        for U in opens_M:
+            window = [p for p in E.pairs if p[0] in V and p[1] in U]
+            hit = {projection[p] for p in window}
+            lhs = frozenset(p for p in E.pairs if projection[p] in hit)
+            rhs = set()
+            for k in G.elements:
+                left = [v for v in V if G.src[v] == G.src[k]]
+                right = [u for u in U if u in A.domains[G.inv[k]]]
+                for v in left:
+                    gv = G.mul[(v, G.inv[k])]
+                    for u in right:
+                        rhs.add((gv, A.maps[k][u]))
+            if lhs != frozenset(rhs):
+                formula_ok = False
+    pi_open = pi_open_map and formula_ok
+
+    image = frozenset(E.embedding.values())
+    T_image = topo.subspace(T_MG, image)
+    iota = dict(E.embedding)
+    iota_ok = (
+        len(set(iota.values())) == len(iota)
+        and topo.is_continuous(iota, T_M, T_MG)
+        and topo.is_open_map(iota, T_M, T_image)
+    )
+
+    fiber_ok = True
+    B = E.action
+    for e in sorted(G.identities):
+        fiber_classes = B.domains[e]
+        for U in opens_M:
+            lhs = frozenset(iota[u] for u in U) & fiber_classes
+            rhs = frozenset(iota[u] for u in U if u in A.domains[e])
+            if lhs != rhs:
+                fiber_ok = False
+
+    fp = sorted((k, c) for k in G.elements for c in B.carrier if B.anchor[c] == G.src[k])
+    T_fp = topo.subspace(topo.product(T_G, T_MG), frozenset(fp))
+    beta = {(k, c): B.maps[k][c] for k, c in fp}
+    beta_ok = topo.is_continuous(beta, T_fp, T_MG)
+
+    hausdorff = topo.is_hausdorff(T_MG)
+    relation = frozenset(
+        (p, q) for p in E.pairs for q in E.pairs if projection[p] == projection[q]
+    )
+    relation_closed = topo.is_closed(topo.product(T_pairs, T_pairs), relation)
+    graph = action_graph(A)
+    graph_closed = topo.is_closed(topo.product(T_G, T_M, T_M), graph.full)
+
+    return EnvelopeTopologyReport(
+        skipped=False,
+        reasons=(),
+        graph_open=True,
+        star_open=True,
+        pi_open=pi_open,
+        iota_open_embedding=iota_ok,
+        beta_continuous=beta_ok,
+        fiber_formula_holds=fiber_ok,
+        MG_hausdorff=hausdorff,
+        relation_closed=relation_closed,
+        graph_closed=graph_closed,
+    )

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+import helpers
 from pactkit import (
     EnvelopingAction,
     FalsificationError,
     PreconditionError,
+    action_graphs,
     build_partial_action,
     classify,
     compare_globalizations,
@@ -305,3 +307,44 @@ def test_merge_relation_errors_name_the_reference_first_witness():
             else:
                 assert raised is None or not raised.startswith("merge relation")
     assert checked == {"reflexive", "symmetric", "transitive"}
+
+
+def z18_on_one_point():
+    from pactkit.groupoid import from_group
+    from pactkit.sampling import coset_global_action, cyclic_table
+
+    G = from_group(cyclic_table(18))
+    return coset_global_action(G, "0", G.elements)
+
+
+def test_envelope_topology_reports_large_discrete_groupoid_below_the_cap():
+    # 2^18 opens on Z18 pass all_opens' default cap; the saturation identity
+    # falls back to the basis instead of enumerating them
+    A = z18_on_one_point()
+    rep = envelope_topology(globalize(A), discrete(A.groupoid.elements), discrete(A.carrier))
+    assert not rep.skipped
+    assert all(rep.booleans().values())
+
+
+def test_envelope_topology_matches_the_reference_report():
+    rng = random.Random(64)
+    cases = [random_topological_instance(rng, max_product=64) for _ in range(16)]
+    cases.append(sierp_act())
+    for A in (fix_b(), fix_c(), *(random_partial_action(rng) for _ in range(6))):
+        cases.append((A, discrete(A.groupoid.elements), indiscrete(A.carrier)))
+        cases.append((A, indiscrete(A.groupoid.elements), discrete(A.carrier)))
+    seen = set()
+    for A, T_G, T_M in cases:
+        E = globalize(A)
+        rep = envelope_topology(E, T_G, T_M)
+        ref = helpers.reference_envelope_topology(E, T_G, T_M)
+        assert (rep.skipped, rep.reasons, rep.booleans()) == (
+            ref.skipped,
+            ref.reasons,
+            ref.booleans(),
+        )
+        assert action_graphs(A, T_G, T_M) == helpers.reference_action_graphs(A, T_G, T_M)
+        seen |= {(k, v) for k, v in rep.booleans().items() if v is not None}
+        seen.add(("skipped", rep.skipped))
+    for key in ("skipped", "graph_open", "graph_closed", "MG_hausdorff", "relation_closed"):
+        assert {(key, False), (key, True)} <= seen, key

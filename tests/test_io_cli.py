@@ -204,6 +204,27 @@ def test_cli_repeated_invocations_byte_identical(capsys):
     first = run_cli(["topology-report", "sierp-act", "--json"], capsys)
     second = run_cli(["topology-report", "sierp-act", "--json"], capsys)
     assert first == second
+    # one parser serves every call in the process: alternating commands and
+    # flags, and an argparse error, must leave no trace in later calls
+    sequence = [
+        ["globalize", "fix-b", "--topology"],
+        ["topology-report", "sierp-act"],
+        ["orbits", "remark-x", "--bypass-validation", "--json"],
+        ["coset-check", "fix-c", "--at", "u", "--json"],
+        ["globalize", "fix-b", "--json"],
+        ["orbits", "remark-x"],
+    ]
+    seen = {}
+    for argv in sequence + sequence[::-1]:
+        result = run_cli(argv, capsys)
+        assert seen.setdefault(tuple(argv), result) == result, argv
+    with pytest.raises(SystemExit) as exc:
+        main(["coset-check", "fix-c", "--json"])
+    assert exc.value.code == 2
+    assert "--at" in capsys.readouterr().err
+    after_error = run_cli(["coset-check", "fix-c", "--at", "u", "--json"], capsys)
+    assert after_error == seen[("coset-check", "fix-c", "--at", "u", "--json")]
+    assert run_cli(["topology-report", "sierp-act", "--json"], capsys) == first
 
 
 def test_cli_unknown_command_exits_two():
@@ -282,3 +303,28 @@ def test_shape_errors_are_structural_and_exit_two(mutate, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_topology_report_on_large_discrete_groupoid(tmp_path, capsys):
+    from pactkit.groupoid import from_group
+    from pactkit.sampling import coset_global_action, cyclic_table
+
+    G = from_group(cyclic_table(18))
+    path = tmp_path / "z18-point.json"
+    save(str(path), action_document(coset_global_action(G, "0", G.elements), "z18-point"))
+    code, out, err = run_cli(["topology-report", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert "skipped" not in out
+
+
+def test_cli_output_matches_golden_recording(capsys):
+    import importlib.util
+
+    recorder_path = Path(__file__).resolve().parent / "data" / "record_cli_golden.py"
+    spec = importlib.util.spec_from_file_location("record_cli_golden", recorder_path)
+    recorder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recorder)
+    golden = json.loads(recorder.GOLDEN.read_text())
+    assert [r["argv"] for r in golden] == recorder.invocations()
+    for record in golden:
+        assert recorder.run(record["argv"]) == record

@@ -17,6 +17,9 @@ from pactkit import (
     is_open,
     is_open_map,
     product,
+    product_is_closed,
+    product_is_open,
+    product_subspace,
     quotient,
     star_open_report,
     subspace,
@@ -191,3 +194,34 @@ def test_star_report_indiscrete_all_false():
 def test_star_report_carrier_mismatch():
     with pytest.raises(StructuralError):
         star_open_report(pair2(), discrete(["a", "b"]))
+
+
+def test_factor_wise_product_questions_match_the_materialized_product():
+    preorders = {n: list(helpers.all_preorders(n)) for n in range(1, 5)}
+    rng = random.Random(23)
+    for case in range(400):
+        factors = []
+        for slot in range(rng.randint(2, 3)):
+            n = rng.randint(1, 4)
+            mo = rng.choice(preorders[n])
+            names = [f"{'abc'[slot]}{i}" for i in range(n)]
+            factors.append(
+                build_topology(names, {names[i]: {names[j] for j in mo[i]} for i in mo})
+            )
+        T = product(*factors)
+        S = frozenset(p for p in T.carrier if rng.random() < 0.5)
+        # random sets are rarely open or closed: also ask about the smallest
+        # open superset of S and its complement, which is closed
+        hull = frozenset().union(*(T.min_open[p] for p in S))
+        for subset in (S, hull, frozenset(T.carrier) - hull):
+            assert product_is_open(factors, subset) == is_open(T, subset), case
+            assert product_is_closed(factors, subset) == is_closed(T, subset), case
+            assert product_subspace(factors, subset) == subspace(T, subset), case
+
+
+def test_factor_wise_product_questions_reject_points_outside_the_carrier():
+    factors = (sierp(), discrete(["0", "1"]))
+    for stray in (("x", "2"), ("z", "0"), ("x",), ("x", "0", "0"), "x0"):
+        for ask in (product_is_open, product_is_closed, product_subspace):
+            with pytest.raises(StructuralError, match="subset leaves the carrier"):
+                ask(factors, {("x", "0"), stray})
