@@ -207,19 +207,50 @@ def is_global(A: PartialAction) -> bool:
     G = A.groupoid
     by_domains = all(A.domains[g] == A.domains[G.rng[g]] for g in G.elements)
     by_composition = True
-    for (g, h) in G.mul:
-        gh = G.mul[(g, h)]
-        composite = {}
-        for x in A.domains[G.inv[h]]:
-            y = A.maps[h][x]
-            if y in A.domains[G.inv[g]]:
-                composite[x] = A.maps[g][y]
+    for (g, h), gh in G.mul.items():
+        to_g = A.maps[g]  # keyed by the domain of inv(g)
+        composite = {x: to_g[y] for x, y in A.maps[h].items() if y in to_g}
         if composite != A.maps[gh]:
             by_composition = False
             break
     if not A.tainted and by_domains != by_composition:
         raise FalsificationError("the two characterizations of globality disagree on validated data")
     return by_domains and by_composition
+
+
+def quotient_action(G: Groupoid, blocks, token, unit, left, bypass: bool = False):
+    """Left multiplication induced on the classes of a verified equivalence.
+
+    ``blocks`` are classes accepted by ``core.equivalence_classes``, named by
+    ``token`` of their least member; ``unit(m)`` is the range unit of a member
+    and ``left(k, m)`` the member k·m.  Each class must have one range unit,
+    and k must send all its members into one class.  Returns the classes by
+    least member, the token of every member, and the validated global action.
+    """
+    classes = tuple(sorted(blocks, key=min))
+    class_of, anchor, at_unit = {}, {}, {}
+    for block in classes:
+        name = token(min(block))
+        units = {unit(m) for m in block}
+        if len(units) != 1:
+            raise FalsificationError(f"class {name} mixes range units {sorted(units)}")
+        anchor[name] = e = units.pop()
+        at_unit.setdefault(e, []).append((name, block))
+        class_of.update(dict.fromkeys(block, name))
+    maps = {k: {} for k in G.elements}
+    for k, table in maps.items():
+        for name, block in at_unit.get(G.src[k], ()):
+            targets = {class_of[left(k, m)] for m in block}
+            if len(targets) != 1:
+                raise FalsificationError(
+                    f"action of {k!r} is not well defined on class {name}: {sorted(targets)}"
+                )
+            table[name] = targets.pop()
+    domains = {k: frozenset(maps[G.inv[k]]) for k in G.elements}
+    action = build_partial_action(G, sorted(anchor), anchor, domains, maps, bypass=bypass)
+    if not is_global(action):
+        raise FalsificationError("induced action on the classes is not global")
+    return classes, class_of, action
 
 
 @dataclass(frozen=True)
@@ -465,9 +496,10 @@ class OrbitSpace:
 def orbit_space(A: PartialAction, T_X: FiniteTopology | None = None) -> OrbitSpace:
     """Orbit classes with projection; quotient topology when one is supplied.
 
-    For every open U the saturation identity (preimage of the image equals
-    the union of the partial translates of U) is verified, and when every
-    domain is open the projection is asserted to be an open map.
+    The saturation identity (preimage of the image equals the union of the
+    partial translates of U) is verified on every minimal open U, which
+    decides it for every open, and when every domain is open the projection
+    is asserted to be an open map.
     """
     rel = orbit_relation(A)
     projection = {}
@@ -482,7 +514,7 @@ def orbit_space(A: PartialAction, T_X: FiniteTopology | None = None) -> OrbitSpa
         if set(T_X.carrier) != set(A.carrier):
             raise StructuralError("carrier topology mismatch")
         G = A.groupoid
-        for U in topo.all_opens(T_X):
+        for U in topo.minimal_opens(T_X):
             hit = {projection[x] for x in U}
             lhs = frozenset(x for x in A.carrier if projection[x] in hit)
             rhs = set()

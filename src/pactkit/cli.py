@@ -336,7 +336,10 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    try:
+        args = _shared_parser().parse_args(argv)
+    except SystemExit as exc:  # usage errors and --help, already printed
+        return exc.code
     try:
         return args.func(args)
     except (ValidationFailed, StructuralError, CapExceededError, FileNotFoundError) as exc:

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from .core import FalsificationError, PreconditionError, defect, equivalence_classes
 from .action import (
     PartialAction,
-    build_partial_action,
     classify,
-    is_global,
+    quotient_action,
     restrict_to_isotropy,
     stabilizer,
 )
@@ -36,63 +35,58 @@ class CosetSpace:
     delta: PartialAction
 
 
+def coset_quotient(G, e: str, subgroup, token, fail):
+    """Left multiplication on the source fiber of e modulo a subgroup.
+
+    Two fiber elements are identified when they share a range unit and their
+    difference lies in ``subgroup``.  When that relation is not an
+    equivalence, ``fail(message)`` is raised for its first failing property
+    in triple-scan order; otherwise ``quotient_action`` induces the action.
+    Returns its classes, class tokens and action.
+    """
+    fiber = sorted(G.d_fiber(e))
+
+    def related(h1: str, h2: str) -> bool:
+        return G.rng[h1] == G.rng[h2] and G.mul[(G.inv[h2], h1)] in subgroup
+
+    # k ~ h exactly when k = h·s⁻¹ for an s of the subgroup fixing e, so the
+    # related sets are read off by multiplication
+    inside = [G.inv[s] for s in G.isotropy_elements(e) if s in subgroup]
+    blocks = equivalence_classes(
+        fiber, {h: frozenset(G.mul[(h, s)] for s in inside) for h in fiber}
+    )
+    if blocks is None:
+        for h1 in fiber:
+            if not related(h1, h1):
+                raise fail("coset relation is not reflexive")
+            for h2 in fiber:
+                if related(h1, h2) != related(h2, h1):
+                    raise fail("coset relation is not symmetric")
+                for h3 in fiber:
+                    if related(h1, h2) and related(h2, h3) and not related(h1, h3):
+                        raise fail("coset relation is not transitive")
+    return quotient_action(
+        G, blocks, token, unit=G.rng.__getitem__, left=lambda k, h: G.mul[(k, h)]
+    )
+
+
 def build_coset_action(A: PartialAction, x: str) -> CosetSpace:
     """Quotient the source fiber over anchor(x) by the stabilizer of x.
 
-    Two fiber elements are identified when they share a range unit and their
-    difference stabilizes x; the relation is verified to be an equivalence.
-    The induced left-multiplication action is validated and global, and for
-    free bases every class is a singleton.
+    The coset relation is verified to be an equivalence, the induced
+    left-multiplication action is validated and global, and for free bases
+    every class is a singleton.
     """
     if x not in A.carrier:
         raise PreconditionError(f"{x!r} is not a carrier point")
-    G = A.groupoid
-    stab = stabilizer(A, x)
-    hx = sorted(G.d_fiber(A.anchor[x]))
-
-    def related(h1: str, h2: str) -> bool:
-        if G.rng[h1] != G.rng[h2]:
-            return False
-        return G.mul[(G.inv[h2], h1)] in stab
-
-    related_to = {h: frozenset(k for k in hx if related(h, k)) for h in hx}
-    blocks = equivalence_classes(hx, related_to)
-    if blocks is None:
-        for h1 in hx:
-            if not related(h1, h1):
-                raise defect(A.tainted, "coset relation is not reflexive")
-            for h2 in hx:
-                if related(h1, h2) != related(h2, h1):
-                    raise defect(A.tainted, "coset relation is not symmetric")
-                for h3 in hx:
-                    if related(h1, h2) and related(h2, h3) and not related(h1, h3):
-                        raise defect(A.tainted, "coset relation is not transitive")
-    classes = tuple(sorted(blocks, key=min))
-    class_of = {h: coset_token(min(b)) for b in classes for h in b}
-
-    tokens = sorted({class_of[h] for h in hx})
-    anchor = {class_of[min(b)]: G.rng[min(b)] for b in classes}
-    domains = {g: frozenset(t for t in tokens if anchor[t] == G.rng[g]) for g in G.elements}
-    maps = {}
-    for g in G.elements:
-        table = {}
-        for b in classes:
-            token = class_of[min(b)]
-            if anchor[token] != G.src[g]:
-                continue
-            targets = {class_of[G.mul[(g, h)]] for h in b}
-            if len(targets) != 1:
-                raise FalsificationError(f"coset action of {g!r} is not well defined on {token}")
-            table[token] = next(iter(targets))
-        maps[g] = table
-    delta = build_partial_action(G, tokens, anchor, domains, maps)
-    if not is_global(delta):
-        raise FalsificationError("coset action is not global")
+    e = A.anchor[x]
+    classes, class_of, delta = coset_quotient(
+        A.groupoid, e, stabilizer(A, x), coset_token, lambda m: defect(A.tainted, m)
+    )
     if classify(A).free and any(len(b) != 1 for b in classes):
         raise FalsificationError("free base produced a non-singleton coset class")
-    return CosetSpace(
-        base=A, basepoint=x, hx=frozenset(hx), classes=classes, class_of=class_of, delta=delta
-    )
+    hx = frozenset(A.groupoid.d_fiber(e))
+    return CosetSpace(base=A, basepoint=x, hx=hx, classes=classes, class_of=class_of, delta=delta)
 
 
 def coset_envelope_isomorphism(C: CosetSpace, E: EnvelopingAction) -> GMap:

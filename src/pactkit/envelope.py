@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    CapExceededError,
     FalsificationError,
     PreconditionError,
     Violation,
@@ -21,7 +20,7 @@ from .action import (
     PartialAction,
     action_graphs,
     build_partial_action,
-    is_global,
+    quotient_action,
     restrict,
 )
 from .morphisms import GMap, build_gmap, is_isomorphism, validate_gmap
@@ -74,10 +73,10 @@ def _merge_relation_problems(pairs, rel) -> list:
 def globalize(A: PartialAction) -> EnvelopingAction:
     """Construct the enveloping action of a validated partial action.
 
-    The merge relation is verified to be an equivalence before quotienting,
-    the induced action is evaluated on every member of every class to catch
-    representative-dependent defects, and the result is validated as a global
-    action with an injective embedding.
+    The merge relation is verified to be an equivalence before quotienting;
+    ``quotient_action`` induces left multiplication on the first coordinate,
+    evaluating it on every member of every class, and validates the result as
+    a global action.  The embedding of the base must be injective.
     """
     G = A.groupoid
     pairs = tuple(
@@ -99,38 +98,14 @@ def globalize(A: PartialAction) -> EnvelopingAction:
     if blocks is None:
         kind, witness = _merge_relation_problems(pairs, rel)[0]
         raise defect(A.tainted, f"merge relation is not {kind}: witness {witness}")
-    classes = tuple(sorted(blocks, key=min))
-    class_of = {}
-    anchor_of_class = {}
-    for block in classes:
-        token = class_token(min(block))
-        ranges = {G.rng[g] for g, _ in block}
-        if len(ranges) != 1:
-            raise FalsificationError(f"class {token} mixes range units {sorted(ranges)}")
-        anchor_of_class[token] = next(iter(ranges))
-        for p in block:
-            class_of[p] = token
-
-    tokens = sorted(anchor_of_class)
-    block_of_token = {class_of[min(b)]: b for b in classes}
-    domains = {
-        k: frozenset(t for t in tokens if anchor_of_class[t] == G.rng[k]) for k in G.elements
-    }
-    maps = {}
-    for k in G.elements:
-        table = {}
-        for token in sorted(domains[G.inv[k]]):
-            targets = {class_of[(G.mul[(k, h)], x)] for h, x in block_of_token[token]}
-            if len(targets) != 1:
-                raise FalsificationError(
-                    f"action of {k!r} is not well defined on class {token}: {sorted(targets)}"
-                )
-            table[token] = next(iter(targets))
-        maps[k] = table
-    action = build_partial_action(G, tokens, anchor_of_class, domains, maps, bypass=A.tainted)
-    if not is_global(action):
-        raise FalsificationError("constructed enveloping action is not global")
-
+    classes, class_of, action = quotient_action(
+        G,
+        blocks,
+        class_token,
+        unit=lambda p: G.rng[p[0]],
+        left=lambda k, p: (G.mul[(k, p[0])], p[1]),
+        bypass=A.tainted,
+    )
     embedding = {x: class_of[(A.anchor[x], x)] for x in A.carrier}
     if len(set(embedding.values())) != len(A.carrier):
         raise FalsificationError("embedding of the base into the envelope is not injective")
@@ -314,7 +289,7 @@ def envelope_topology(
     Preconditions (graph-open base, star-open groupoid topology, size cap)
     are reported rather than raised; when they fail the checks are skipped.
     ``pi_open`` covers both openness of the projection and the explicit
-    saturation formula for every pair of basic opens.
+    saturation formula for every pair of minimal opens.
     """
     A = E.base
     G = A.groupoid
@@ -344,16 +319,10 @@ def envelope_topology(
     projection = {p: E.class_of[p] for p in E.pairs}
 
     pi_open_map = topo.is_open_map(projection, T_pairs, T_MG)
-    try:
-        # the same decision as |opens_G| * |opens_M| > 4096, without
-        # enumerating either family past that bound
-        opens_G = topo.all_opens(T_G, cap=4096)
-        opens_M = topo.all_opens(T_M, cap=4096 // len(opens_G))
-    except CapExceededError:
-        # both sides of the identity distribute over unions of basis opens,
-        # so the minimal-open pairs carry the full content
-        opens_G = sorted({T_G.min_open[g] for g in T_G.carrier}, key=sorted)
-        opens_M = sorted({T_M.min_open[x] for x in T_M.carrier}, key=sorted)
+    # both sides of the saturation identity, and of the fiber formula below,
+    # distribute over unions of opens, so the minimal opens decide them
+    opens_G = topo.minimal_opens(T_G)
+    opens_M = topo.minimal_opens(T_M)
     pairs_at = {g: [] for g in G.elements}
     for p in E.pairs:
         pairs_at[p[0]].append(p)

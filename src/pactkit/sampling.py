@@ -13,8 +13,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from .core import FalsificationError
+from .core import FalsificationError, PreconditionError
 from .action import PartialAction, build_partial_action, restrict
+from .coset import coset_quotient
 from .groupoid import (
     Groupoid,
     action_groupoid,
@@ -126,40 +127,18 @@ def random_subgroup(rng: random.Random, G: Groupoid, e: str) -> frozenset:
 
 
 def coset_global_action(G: Groupoid, e: str, subgroup, prefix: str = "w") -> PartialAction:
-    """Left multiplication of G on the source fiber of e modulo a subgroup."""
-    fiber = sorted(G.d_fiber(e))
-    class_of = {}
-    blocks = []
-    seen: set = set()
-    for h in fiber:
-        if h in seen:
-            continue
-        block = frozenset(
-            k
-            for k in fiber
-            if G.rng[k] == G.rng[h] and G.mul[(G.inv[k], h)] in subgroup
-        )
-        blocks.append(block)
-        seen |= block
-    for block in blocks:
-        token = f"{prefix}.{min(block)}"
-        for h in block:
-            class_of[h] = token
-    tokens = sorted(set(class_of.values()))
-    anchor = {class_of[h]: G.rng[h] for h in fiber}
-    domains = {g: frozenset(t for t in tokens if anchor[t] == G.rng[g]) for g in G.elements}
-    maps = {}
-    for g in G.elements:
-        maps[g] = {
-            class_of[h]: class_of[G.mul[(g, h)]]
-            for h in fiber
-            if anchor[class_of[h]] == G.src[g]
-        }
-    return build_partial_action(G, tokens, anchor, domains, maps)
+    """Left multiplication of G on the source fiber of e modulo a subgroup.
+
+    Raises ``PreconditionError`` when ``subgroup`` is not a subgroup of the
+    isotropy group at e, naming the property the coset relation lacks.
+    """
+    return coset_quotient(G, e, subgroup, lambda h: f"{prefix}.{h}", PreconditionError)[2]
 
 
 def merge_actions(parts: list[PartialAction]) -> PartialAction:
     """Disjoint union of actions of the same groupoid; tokens must not clash."""
+    if len(parts) == 1:
+        return parts[0]
     G = parts[0].groupoid
     carrier = sorted(t for A in parts for t in A.carrier)
     anchor = {t: e for A in parts for t, e in A.anchor.items()}

@@ -216,9 +216,14 @@ def rename_points(T: FiniteTopology, mapping: dict) -> FiniteTopology:
     )
 
 
+def minimal_opens(T: FiniteTopology) -> list:
+    """The distinct minimal open sets, a basis of T, in a fixed order."""
+    return sorted({T.min_open[x] for x in T.carrier}, key=sorted)
+
+
 def all_opens(T: FiniteTopology, cap: int = 200000) -> list:
     """Every open set, as the union closure of the minimal-open basis."""
-    basis = sorted({T.min_open[x] for x in T.carrier}, key=sorted)
+    basis = minimal_opens(T)
     opens = {frozenset()}
     frontier = [frozenset()]
     while frontier:

@@ -1,7 +1,9 @@
 """Record the CLI's exit code, stdout and stderr for the golden test.
 
 Every packaged fixture runs through each command in ``COMMANDS``, in text
-and ``--json`` form. The packaged fixture directory is replaced by
+and ``--json`` form; the fixture that fails validation also runs through
+the ``--bypass-validation`` form of each command in ``BYPASS_COMMANDS``.
+The packaged fixture directory is replaced by
 ``FIXTURES_PLACEHOLDER`` so the recording does not depend on where the
 package is installed. Run from the repository root, against the commit
 whose output should become the reference:
@@ -35,7 +37,18 @@ COMMANDS = {
     "globalize --topology": lambda f: ["globalize", f, "--topology"],
     "isomorphic": lambda f: ["isomorphic", f, f],
     "topology-report": lambda f: ["topology-report", f],
+    "coset-check": lambda f: ["coset-check", f, "--at", least_point(f)],
 }
+
+BYPASS_FIXTURE = "remark-x"
+BYPASS_COMMANDS = ("info", "orbits", "classify", "globalize", "globalize --topology")
+
+
+def least_point(name: str) -> str:
+    """The least carrier point of an action fixture, or the least element of
+    a groupoid fixture (which ``coset-check`` rejects before reading it)."""
+    payload = json.loads((fixtures_dir() / f"{name}.json").read_text())["payload"]
+    return min(payload.get("carrier") or payload["elements"])
 
 
 def fixture_names() -> list[str]:
@@ -48,6 +61,9 @@ def invocations() -> list[list[str]]:
         for build in COMMANDS.values():
             argv = build(name)
             out += [argv, [*argv, "--json"]]
+    for command in BYPASS_COMMANDS:
+        argv = [*COMMANDS[command](BYPASS_FIXTURE), "--bypass-validation"]
+        out += [argv, [*argv, "--json"]]
     return out
 
 

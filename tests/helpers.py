@@ -475,3 +475,71 @@ def reference_envelope_topology(E, T_G, T_M):
         relation_closed=relation_closed,
         graph_closed=graph_closed,
     )
+
+
+def reference_coset_global_action(G, e, subgroup, prefix: str = "w"):
+    """The library's earlier ``sampling.coset_global_action``, kept verbatim:
+    it neither checks the coset relation nor the induced tables."""
+    from pactkit.action import build_partial_action
+
+    fiber = sorted(G.d_fiber(e))
+    class_of = {}
+    blocks = []
+    seen: set = set()
+    for h in fiber:
+        if h in seen:
+            continue
+        block = frozenset(
+            k
+            for k in fiber
+            if G.rng[k] == G.rng[h] and G.mul[(G.inv[k], h)] in subgroup
+        )
+        blocks.append(block)
+        seen |= block
+    for block in blocks:
+        token = f"{prefix}.{min(block)}"
+        for h in block:
+            class_of[h] = token
+    tokens = sorted(set(class_of.values()))
+    anchor = {class_of[h]: G.rng[h] for h in fiber}
+    domains = {g: frozenset(t for t in tokens if anchor[t] == G.rng[g]) for g in G.elements}
+    maps = {}
+    for g in G.elements:
+        maps[g] = {
+            class_of[h]: class_of[G.mul[(g, h)]]
+            for h in fiber
+            if anchor[class_of[h]] == G.src[g]
+        }
+    return build_partial_action(G, tokens, anchor, domains, maps)
+
+
+def random_preorder_topology(rng, points):
+    """A topology on ``points`` from random arrows closed under transitivity."""
+    from pactkit.topology import build_topology
+
+    points = list(points)
+    mo = {x: {x, *rng.sample(points, rng.randint(0, len(points)) // 2)} for x in points}
+    changed = True
+    while changed:
+        changed = False
+        for x in points:
+            grown = set().union(*(mo[y] for y in mo[x]))
+            if grown != mo[x]:
+                mo[x], changed = grown, True
+    return build_topology(points, mo)
+
+
+def reference_orbit_saturation_failure(A, T_X):
+    """The first open in ``all_opens`` order whose orbit saturation differs
+    from the union of its partial translates, or None."""
+    from pactkit.action import orbit_relation
+    from pactkit.topology import all_opens
+
+    G = A.groupoid
+    orbit = {x: block for block in orbit_relation(A).classes for x in block}
+    for U in all_opens(T_X):
+        lhs = frozenset().union(*(orbit[x] for x in U))
+        rhs = {A.maps[g][x] for g in G.elements for x in U & A.domains[G.inv[g]]}
+        if lhs != rhs:
+            return U
+    return None

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from pactkit import (
+    FalsificationError,
     PreconditionError,
     ValidationFailed,
     action_graph,
@@ -449,3 +450,28 @@ def test_validation_matches_reference_on_random_and_corrupted_actions():
                 lines = "; ".join(str(v) for v in expected.violations)
                 assert str(err.value) == f"partial action validation: {lines}"
     assert labels == {"(i)", "(pre)", "(ii)", "(iii)", "(inv)"}
+
+
+def test_orbit_saturation_on_minimal_opens_matches_all_opens():
+    # corrupted actions built with the bypass break the identity on some
+    # opens; checking the minimal opens must catch exactly the same cases
+    rng = random.Random(77)
+    outcomes = set()
+    for A in helpers.cross_check_actions(rng, 30):
+        for raw in [helpers.raw_tables(A)] + [helpers.corrupt_one_entry(rng, A) for _ in range(3)]:
+            B = build_partial_action(A.groupoid, *raw.values(), bypass=True)
+            T = helpers.random_preorder_topology(rng, B.carrier)
+            failing = helpers.reference_orbit_saturation_failure(B, T)
+            try:
+                orbit_space(B, T)
+                raised = None
+            except FalsificationError as exc:
+                raised = str(exc)
+            if failing is None:
+                assert raised is None or not raised.startswith("orbit saturation")
+            else:
+                assert raised.startswith("orbit saturation identity failed for open ")
+                named = raised.rsplit("open ", 1)[1]
+                assert named in {str(sorted(T.min_open[x])) for x in B.carrier}
+            outcomes.add(failing is None)
+    assert outcomes == {True, False}

@@ -318,8 +318,8 @@ def z18_on_one_point():
 
 
 def test_envelope_topology_reports_large_discrete_groupoid_below_the_cap():
-    # 2^18 opens on Z18 pass all_opens' default cap; the saturation identity
-    # falls back to the basis instead of enumerating them
+    # the saturation identity is checked on minimal opens, so the 2^18 opens
+    # of Z18 are never enumerated
     A = z18_on_one_point()
     rep = envelope_topology(globalize(A), discrete(A.groupoid.elements), discrete(A.carrier))
     assert not rep.skipped
@@ -348,3 +348,41 @@ def test_envelope_topology_matches_the_reference_report():
         seen.add(("skipped", rep.skipped))
     for key in ("skipped", "graph_open", "graph_closed", "MG_hausdorff", "relation_closed"):
         assert {(key, False), (key, True)} <= seen, key
+
+
+def _two_classes_merged(E):
+    """E with its two classes merged into the first; the action and the
+    embedding follow the merge, so the tampered envelope stays well formed."""
+    from dataclasses import replace
+
+    first, second = E.classes
+    token = E.class_of[min(first)]
+    merged = first | second
+    return replace(
+        E,
+        classes=(merged,),
+        class_of={p: token for p in merged},
+        action=restrict(E.action, {token}),
+        embedding={x: token for x in E.embedding},
+    )
+
+
+def test_envelope_topology_matches_the_reference_on_merged_classes():
+    # two fixed points give an envelope with two fixed classes; merging them
+    # breaks the saturation identity on a discrete carrier, not an indiscrete one
+    from pactkit.sampling import coset_global_action, merge_actions, small_groups
+
+    seen = set()
+    for name in ("Z1", "Z2", "Z3", "V4"):
+        G = small_groups()[name]
+        e = min(G.identities)
+        A = merge_actions([coset_global_action(G, e, G.elements, p) for p in ("a", "b")])
+        E = _two_classes_merged(globalize(A))
+        for T_G in (discrete(G.elements), indiscrete(G.elements)):
+            for T_M in (discrete(A.carrier), indiscrete(A.carrier)):
+                rep = envelope_topology(E, T_G, T_M)
+                ref = helpers.reference_envelope_topology(E, T_G, T_M)
+                assert not rep.skipped
+                assert rep.booleans() == ref.booleans()
+                seen.add((rep.pi_open, len(T_M.min_open[A.carrier[0]]) == 1))
+    assert seen == {(False, True), (True, False)}

@@ -218,13 +218,20 @@ def test_cli_repeated_invocations_byte_identical(capsys):
     for argv in sequence + sequence[::-1]:
         result = run_cli(argv, capsys)
         assert seen.setdefault(tuple(argv), result) == result, argv
-    with pytest.raises(SystemExit) as exc:
-        main(["coset-check", "fix-c", "--json"])
-    assert exc.value.code == 2
+    assert main(["coset-check", "fix-c", "--json"]) == 2
     assert "--at" in capsys.readouterr().err
     after_error = run_cli(["coset-check", "fix-c", "--at", "u", "--json"], capsys)
     assert after_error == seen[("coset-check", "fix-c", "--at", "u", "--json")]
     assert run_cli(["topology-report", "sierp-act", "--json"], capsys) == first
+
+
+def test_cli_main_returns_argparse_exit_codes(capsys):
+    code, out, err = run_cli(["coset-check", "fix-c"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: pactkit coset-check") and "--at" in err
+    code, out, err = run_cli(["--help"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: pactkit")
 
 
 def test_cli_unknown_command_exits_two():

@@ -1,6 +1,10 @@
 import random
 
+import pytest
+
+import helpers
 from pactkit import (
+    PreconditionError,
     classify,
     is_continuous,
     is_global,
@@ -11,12 +15,16 @@ from pactkit import (
     validate_groupoid,
     validate_partial_action,
 )
+from pactkit.groupoid import from_group
 from pactkit.sampling import (
+    coset_global_action,
+    cyclic_table,
     groupoid_pool,
     mulclose,
     random_compatible_topology,
     random_global_action,
     random_partial_action,
+    random_subgroup,
     random_topological_instance,
     small_groups,
 )
@@ -104,3 +112,27 @@ def test_generator_covers_all_classification_shapes():
         cls = classify(A)
         seen.add((cls.transitive, cls.free))
     assert len(seen) >= 3
+
+
+def test_coset_global_action_matches_the_reference_on_subgroups():
+    rng = random.Random(12)
+    checked = 0
+    for G in groupoid_pool():
+        for e in sorted(G.identities):
+            for _ in range(4):
+                sub = random_subgroup(rng, G, e)
+                prefix = f"w{checked % 3}"
+                expected = helpers.reference_coset_global_action(G, e, sub, prefix)
+                assert coset_global_action(G, e, sub, prefix) == expected
+                checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize(
+    "subset, kind",
+    [({"0", "1", "2"}, "symmetric"), ({"1"}, "reflexive"), (set(), "reflexive")],
+)
+def test_coset_global_action_rejects_a_subset_that_is_not_a_subgroup(subset, kind):
+    Z4 = from_group(cyclic_table(4))
+    with pytest.raises(PreconditionError, match=f"coset relation is not {kind}"):
+        coset_global_action(Z4, "0", subset)
