@@ -15,6 +15,7 @@ from .core import (
     Report,
     StructuralError,
     Violation,
+    equivalence_classes,
 )
 from .groupoid import Groupoid, isotropy_group
 from . import topology as topo
@@ -114,7 +115,10 @@ def _semantic(G: Groupoid, points, anchor, domains, maps) -> Report:
                 Violation("(inv)", (g,) + bad[0], "stored table of the inverse is not the inverse table")
             )
 
-    if not _products_compatible(G, domains, maps):
+    # with (i), (pre) and (inv) holding and every domain full, (ii) holds
+    # by the bijections of ``_structural`` and (iii) is the composition law
+    full = not viol and all(domains[g] == domains[G.rng[g]] for g in G.elements)
+    if not (full and _composition_law(G, maps)) and not _products_compatible(G, domains, maps):
         viol += _condition_ii(G, domains, maps)
         viol += _condition_iii(G, domains, maps)
 
@@ -123,6 +127,27 @@ def _semantic(G: Groupoid, points, anchor, domains, maps) -> Report:
         notes.append(f"anchor is not surjective; unreached units: {missing}")
 
     return Report(ok=not viol, violations=tuple(viol), notes=tuple(notes))
+
+
+def _composition_law(G: Groupoid, maps) -> bool:
+    """True when maps[g]∘maps[h] == maps[gh] on every composable pair.
+
+    Decided on the pairs with h in ``G.generators``.  The h passing for
+    every g are closed under composable products: for such a, b,
+    maps[g]∘maps[ab] = maps[g]∘maps[a]∘maps[b] = maps[ga]∘maps[b] =
+    maps[(ga)b] = maps[g(ab)], by associativity of partial-map composition
+    and of G.  Every element is a product of generators, so this holds for
+    any tables, validated or not.
+    """
+    src, rng, mul = G.src, G.rng, G.mul
+    for h in G.generators:
+        to_h = maps[h]
+        for g in G.elements:
+            if src[g] == rng[h]:
+                to_g = maps[g]
+                if {x: to_g[y] for x, y in to_h.items() if y in to_g} != maps[mul[(g, h)]]:
+                    return False
+    return True
 
 
 def _products_compatible(G: Groupoid, domains, maps) -> bool:
@@ -206,13 +231,7 @@ def is_global(A: PartialAction) -> bool:
     """
     G = A.groupoid
     by_domains = all(A.domains[g] == A.domains[G.rng[g]] for g in G.elements)
-    by_composition = True
-    for (g, h), gh in G.mul.items():
-        to_g = A.maps[g]  # keyed by the domain of inv(g)
-        composite = {x: to_g[y] for x, y in A.maps[h].items() if y in to_g}
-        if composite != A.maps[gh]:
-            by_composition = False
-            break
+    by_composition = _composition_law(G, A.maps)
     if not A.tainted and by_domains != by_composition:
         raise FalsificationError("the two characterizations of globality disagree on validated data")
     return by_domains and by_composition
@@ -280,42 +299,44 @@ def orbit_relation(A: PartialAction) -> OrbitRelation:
     first non-transitivity witness (x, z) is reported instead.
     """
     rel = _one_step(A)
-    reflexive = all(x in rel[x] for x in A.carrier)
-    symmetric = all(all(x in rel[y] for y in rel[x]) for x in A.carrier)
-    witness = None
-    via = None
-    for x in A.carrier:
-        for y in sorted(rel[x]):
-            for z in sorted(rel[y]):
-                if z not in rel[x]:
-                    witness = (x, z)
-                    via = y
+    witness = via = None
+    classes = equivalence_classes(A.carrier, rel)
+    is_equiv = classes is not None
+    if classes is None:  # name the failure, then close under reachability
+        reflexive = all(x in rel[x] for x in A.carrier)
+        symmetric = all(all(x in rel[y] for y in rel[x]) for x in A.carrier)
+        for x in A.carrier:
+            for y in sorted(rel[x]):
+                for z in sorted(rel[y]):
+                    if z not in rel[x]:
+                        witness = (x, z)
+                        via = y
+                        break
+                if witness:
                     break
             if witness:
                 break
-        if witness:
-            break
-    is_equiv = reflexive and symmetric and witness is None
-    if not is_equiv and not A.tainted:
-        raise FalsificationError(
-            f"one-step orbit relation is not an equivalence on validated data: "
-            f"reflexive={reflexive} symmetric={symmetric} witness={witness}"
-        )
+        is_equiv = reflexive and symmetric and witness is None
+        if not is_equiv and not A.tainted:
+            raise FalsificationError(
+                f"one-step orbit relation is not an equivalence on validated data: "
+                f"reflexive={reflexive} symmetric={symmetric} witness={witness}"
+            )
 
-    seen: set = set()
-    classes = []
-    for x in A.carrier:
-        if x in seen:
-            continue
-        block, frontier = {x}, [x]
-        while frontier:
-            p = frontier.pop()
-            for q in rel[p]:
-                if q not in block:
-                    block.add(q)
-                    frontier.append(q)
-        classes.append(frozenset(block))
-        seen |= block
+        seen: set = set()
+        classes = []
+        for x in A.carrier:
+            if x in seen:
+                continue
+            block, frontier = {x}, [x]
+            while frontier:
+                p = frontier.pop()
+                for q in rel[p]:
+                    if q not in block:
+                        block.add(q)
+                        frontier.append(q)
+            classes.append(frozenset(block))
+            seen |= block
     return OrbitRelation(
         classes=tuple(sorted(classes, key=min)),
         one_step={x: frozenset(rel[x]) for x in A.carrier},

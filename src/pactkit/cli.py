@@ -187,6 +187,8 @@ def cmd_globalize(args) -> int:
     if args.output:
         instancefiles.save(args.output, document)
         lines = [f"classes: {len(E.classes)}", f"written: {args.output}"]
+    elif args.json:
+        lines = []  # the payload carries the document; no text is printed
     else:
         lines = [instancefiles.canonical_json(document).rstrip("\n")]
     if topo_payload is not None and not args.output:

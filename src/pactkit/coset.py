@@ -35,14 +35,14 @@ class CosetSpace:
     delta: PartialAction
 
 
-def coset_quotient(G, e: str, subgroup, token, fail):
+def coset_quotient(G, e: str, subgroup, token, fail, bypass: bool = False):
     """Left multiplication on the source fiber of e modulo a subgroup.
 
     Two fiber elements are identified when they share a range unit and their
     difference lies in ``subgroup``.  When that relation is not an
     equivalence, ``fail(message)`` is raised for its first failing property
-    in triple-scan order; otherwise ``quotient_action`` induces the action.
-    Returns its classes, class tokens and action.
+    in triple-scan order; otherwise ``quotient_action`` induces the action,
+    tainted with ``bypass``.  Returns its classes, class tokens and action.
     """
     fiber = sorted(G.d_fiber(e))
 
@@ -66,7 +66,7 @@ def coset_quotient(G, e: str, subgroup, token, fail):
                     if related(h1, h2) and related(h2, h3) and not related(h1, h3):
                         raise fail("coset relation is not transitive")
     return quotient_action(
-        G, blocks, token, unit=G.rng.__getitem__, left=lambda k, h: G.mul[(k, h)]
+        G, blocks, token, unit=G.rng.__getitem__, left=lambda k, h: G.mul[(k, h)], bypass=bypass
     )
 
 
@@ -75,13 +75,13 @@ def build_coset_action(A: PartialAction, x: str) -> CosetSpace:
 
     The coset relation is verified to be an equivalence, the induced
     left-multiplication action is validated and global, and for free bases
-    every class is a singleton.
+    every class is a singleton.  A tainted base gives a tainted ``delta``.
     """
     if x not in A.carrier:
         raise PreconditionError(f"{x!r} is not a carrier point")
     e = A.anchor[x]
     classes, class_of, delta = coset_quotient(
-        A.groupoid, e, stabilizer(A, x), coset_token, lambda m: defect(A.tainted, m)
+        A.groupoid, e, stabilizer(A, x), coset_token, lambda m: defect(A.tainted, m), A.tainted
     )
     if classify(A).free and any(len(b) != 1 for b in classes):
         raise FalsificationError("free base produced a non-singleton coset class")

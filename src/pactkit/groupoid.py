@@ -20,8 +20,11 @@ class Groupoid:
     ``mul`` holds exactly the composable pairs; looking up a non-composable
     pair yields None rather than an error, since partial definedness is
     semantic, not exceptional.  ``identities`` is derived during validation,
-    never trusted from input.  Values are immutable after construction and
-    every operation is a pure function, so concurrent reads are safe.
+    never trusted from input.  ``generators`` is a generating set picked
+    greedily in token order: every element is a composable product of
+    generators, so an identity that is closed under products is decided on
+    generators alone.  Values are immutable after construction and every
+    operation is a pure function, so concurrent reads are safe.
     """
 
     elements: tuple[str, ...]
@@ -30,6 +33,7 @@ class Groupoid:
     src: dict
     rng: dict
     identities: frozenset
+    generators: tuple[str, ...]
 
     def compose(self, g: str, h: str):
         """Product g*h, or None when the pair is not composable."""
@@ -121,11 +125,102 @@ def validate_groupoid(candidate) -> Report:
     StructuralError; genuine axiom violations come back in the report, each
     naming the axiom and a witness tuple.
     """
-    return _axioms(*_tables(candidate))
+    tables = _tables(candidate)
+    return _axioms(*tables, _generators(tables[0], tables[1]))
 
 
-def _axioms(elements, mul, inv, src, rng, declared) -> Report:
+def _generators(elements, mul) -> tuple[str, ...]:
+    """Tokens in order, each kept only when the products of the generators
+    before it have not reached it; every element is then such a product.
+
+    ``reached`` stays closed under right multiplication by the generators,
+    so each element is multiplied once by each generator: O(|G|·|S|).
+    """
+    generators: list[str] = []
+    reached: set = set()
+    for g in sorted(elements):
+        if g in reached:
+            continue
+        generators.append(g)
+        # the old products need only the new generator on the right
+        new = [g, *(mul.get((c, g)) for c in reached)]
+        while new:
+            c = new.pop()
+            if c is not None and c not in reached:
+                reached.add(c)
+                new.extend(mul.get((c, s)) for s in generators)
+    return tuple(generators)
+
+
+def _axioms(elements, mul, inv, src, rng, declared, generators) -> Report:
     """The axiom checks on tables already normalized by ``_tables``."""
+    viol = [] if _accepts(elements, mul, inv, src, rng, generators) else _axiom_scans(
+        elements, mul, inv, src, rng
+    )
+    derived = {src[g] for g in elements} | {rng[g] for g in elements}
+    for e in sorted(derived):
+        if src[e] != e or rng[e] != e:
+            viol.append(Violation("identity-set", (e,), "unit is not idempotent under src/rng"))
+    if declared is not None and declared != derived:
+        diff = tuple(sorted(declared ^ derived))
+        viol.append(Violation("identity-set", diff, "supplied identity list disagrees with the derived one"))
+
+    return Report(ok=not viol, violations=tuple(viol))
+
+
+def _accepts(elements, mul, inv, src, rng, generators) -> bool:
+    """Accept axioms 1-4 and the domain rule in O(|mul|) plus, for each
+    generator h, one lookup per pair of its left and right neighbours.
+
+    False on any miss; the ordered scans then name the violations.
+    """
+    # the domain rule on every product, and axiom 2: src(gh) = src(h) and
+    # rng(gh) = rng(g); with the count below they make (gh)k defined exactly
+    # when gh and hk are, and g(hk) too
+    rights = dict.fromkeys(elements, 0)
+    lefts = dict.fromkeys(elements, 0)
+    for (g, h), k in mul.items():
+        if src[g] != rng[h] or src[k] != src[h] or rng[k] != rng[g]:
+            return False
+        if k == g:
+            rights[g] += 1
+        if k == h:
+            lefts[h] += 1
+    # axiom 3 by the unit products counted above, and axiom 4 plus the
+    # derived inverse identities
+    for g in elements:
+        if rights[g] != 1 or lefts[g] != 1 or mul.get((g, src[g])) != g or mul.get((rng[g], g)) != g:
+            return False
+        i = inv[g]
+        if mul.get((i, g)) != src[g] or mul.get((g, i)) != rng[g] or inv[i] != g:
+            return False
+        if src[i] != rng[g] or rng[i] != src[g]:
+            return False
+    # the domain rule: as many products as pairs with src(g) = rng(h)
+    by_src, by_rng = {}, {}
+    for g in elements:
+        by_src.setdefault(src[g], []).append(g)
+        by_rng.setdefault(rng[g], []).append(g)
+    if len(mul) != sum(len(gs) * len(by_rng.get(e, ())) for e, gs in by_src.items()):
+        return False
+    # axiom 1 on middles h from the generating set (Light's test).  Let M be
+    # the h with (gh)k = g(hk) for all g, k composable with h.  For a, b in
+    # M and g, k composable with ab, every product below is defined, and
+    #   (g(ab))k = ((ga)b)k = (ga)(bk) = g(a(bk)) = g((ab)k)
+    # by a, b, a, b in M.  So M is closed under products; it holds the
+    # generators, whose products are all of G.
+    for h in generators:
+        row = [(k, mul[(h, k)]) for k in by_rng.get(src[h], ())]
+        for g in by_src.get(rng[h], ()):
+            gh = mul[(g, h)]
+            for k, hk in row:
+                if mul[(gh, k)] != mul[(g, hk)]:
+                    return False
+    return True
+
+
+def _axiom_scans(elements, mul, inv, src, rng) -> list[Violation]:
+    """Axioms 1-4 and the domain rule, scanned in order with every witness."""
     viol: list[Violation] = []
 
     # axiom 3: unique right/left units, and they agree with the declared maps
@@ -173,23 +268,15 @@ def _axioms(elements, mul, inv, src, rng, declared) -> Report:
                     viol.append(Violation("axiom1", (g, h, k), "one association defined, the other not"))
                 elif left is not None and left != right:
                     viol.append(Violation("axiom1", (g, h, k), "(gh)k != g(hk)"))
-
-    derived = {src[g] for g in elements} | {rng[g] for g in elements}
-    for e in sorted(derived):
-        if src[e] != e or rng[e] != e:
-            viol.append(Violation("identity-set", (e,), "unit is not idempotent under src/rng"))
-    if declared is not None and declared != derived:
-        diff = tuple(sorted(declared ^ derived))
-        viol.append(Violation("identity-set", diff, "supplied identity list disagrees with the derived one"))
-
-    return Report(ok=not viol, violations=tuple(viol))
+    return viol
 
 
 def build_groupoid(candidate) -> Groupoid:
     """Validate raw tables and freeze them into a Groupoid."""
     tables = _tables(candidate)
-    _axioms(*tables).raise_if_failed("groupoid validation")
     elements, mul, inv, src, rng, _ = tables
+    generators = _generators(elements, mul)
+    _axioms(*tables, generators).raise_if_failed("groupoid validation")
     identities = frozenset({src[g] for g in elements} | {rng[g] for g in elements})
     return Groupoid(
         elements=tuple(sorted(elements)),
@@ -198,6 +285,7 @@ def build_groupoid(candidate) -> Groupoid:
         src=src,
         rng=rng,
         identities=identities,
+        generators=generators,
     )
 
 

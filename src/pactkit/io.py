@@ -7,10 +7,12 @@ file reproduces it byte for byte.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, repeat
 from pathlib import Path
 
 from .core import StructuralError, ValidationFailed
@@ -32,18 +34,25 @@ class InstanceFile:
     carrier_topology: FiniteTopology | None
 
 
+@functools.cache
+def _packaged_fixtures() -> Path:
+    # the installed package does not move while the process runs
+    return Path(str(resources.files("pactkit") / "fixtures"))
+
+
 def fixtures_dir() -> Path:
     override = os.environ.get(FIXTURES_ENV)
     if override:
         return Path(override)
-    return Path(str(resources.files("pactkit") / "fixtures"))
+    return _packaged_fixtures()
 
 
 def resolve_instance_path(name: str) -> Path:
     p = Path(name)
     if p.exists():
         return p
-    for candidate in (fixtures_dir() / name, fixtures_dir() / f"{name}.json"):
+    root = fixtures_dir()
+    for candidate in (root / name, root / f"{name}.json"):
         if candidate.exists():
             return candidate
     raise FileNotFoundError(f"no such instance file or fixture: {name}")
@@ -62,14 +71,23 @@ _SETS = [(str, [str])]
 _TABLES = [(str, [(str, str)])]
 
 
-def _fits(value, shape) -> bool:
+def _fits(values: list, shape) -> bool:
+    """Whether every item of ``values`` has the JSON shape.
+
+    The items are checked together, a column at a time, so a list of rows
+    costs a few calls, not one per row or per string.
+    """
     if shape is str:
-        return isinstance(value, str)
-    if not isinstance(value, list):
+        return all(map(isinstance, values, repeat(str)))
+    if not all(map(isinstance, values, repeat(list))):
         return False
     if isinstance(shape, list):
-        return all(_fits(v, shape[0]) for v in value)
-    return len(value) == len(shape) and all(_fits(v, s) for v, s in zip(value, shape))
+        return _fits(list(chain.from_iterable(values)), shape[0])
+    if not set(map(len, values)) <= {len(shape)}:
+        return False
+    if shape.count(str) == len(shape):  # rows of strings: every cell at once
+        return all(map(isinstance, chain.from_iterable(values), repeat(str)))
+    return all(_fits(list(column), s) for column, s in zip(zip(*values), shape))
 
 
 def _describe(shape) -> str:
@@ -82,7 +100,7 @@ def _describe(shape) -> str:
 
 def _shaped(value, shape, what: str):
     """``value`` when it has the JSON shape, else StructuralError."""
-    if not _fits(value, shape):
+    if not _fits([value], shape):
         raise StructuralError(f"{what} must have the shape {_describe(shape)}")
     return value
 
@@ -115,10 +133,10 @@ def _groupoid_payload_to_tables(payload) -> dict:
         raise StructuralError(f"unknown keys in groupoid payload: {sorted(keys - {'elements','mul','inv','src','rng'})}")
     return {
         "elements": _shaped(payload.get("elements", []), _STRINGS, "groupoid elements"),
-        "mul": [tuple(t) for t in _shaped(payload.get("mul", []), _TRIPLES, "groupoid mul")],
-        "inv": [tuple(t) for t in _shaped(payload.get("inv", []), _PAIRS, "groupoid inv")],
-        "src": [tuple(t) for t in _shaped(payload.get("src", []), _PAIRS, "groupoid src")],
-        "rng": [tuple(t) for t in _shaped(payload.get("rng", []), _PAIRS, "groupoid rng")],
+        "mul": _shaped(payload.get("mul", []), _TRIPLES, "groupoid mul"),
+        "inv": _shaped(payload.get("inv", []), _PAIRS, "groupoid inv"),
+        "src": _shaped(payload.get("src", []), _PAIRS, "groupoid src"),
+        "rng": _shaped(payload.get("rng", []), _PAIRS, "groupoid rng"),
     }
 
 

@@ -543,3 +543,194 @@ def reference_orbit_saturation_failure(A, T_X):
         if lhs != rhs:
             return U
     return None
+
+
+# ---------------------------------------------------------------------------
+# reference scans for the generating-set and flat-shape passes: the
+# library's earlier implementations, kept verbatim
+
+
+def reference_axioms(elements, mul, inv, src, rng, declared):
+    """The full ordered groupoid axiom scan over every pair and triple."""
+    from pactkit.core import Report, Violation
+
+    viol = []
+
+    for g in elements:
+        rights = [u for u in elements if mul.get((g, u)) == g]
+        lefts = [u for u in elements if mul.get((u, g)) == g]
+        if len(rights) != 1:
+            viol.append(Violation("axiom3", (g,), f"right units {sorted(rights)} not unique"))
+        elif rights[0] != src[g]:
+            viol.append(Violation("axiom3", (g,), "declared src is not the right unit"))
+        if len(lefts) != 1:
+            viol.append(Violation("axiom3", (g,), f"left units {sorted(lefts)} not unique"))
+        elif lefts[0] != rng[g]:
+            viol.append(Violation("axiom3", (g,), "declared rng is not the left unit"))
+
+    for g in elements:
+        i = inv[g]
+        if mul.get((i, g)) != src[g]:
+            viol.append(Violation("axiom4", (g,), "inv(g)*g != src(g)"))
+        if mul.get((g, i)) != rng[g]:
+            viol.append(Violation("axiom4", (g,), "g*inv(g) != rng(g)"))
+        if inv[i] != g:
+            viol.append(Violation("axiom4", (g,), "inv is not an involution"))
+        if src[i] != rng[g] or rng[i] != src[g]:
+            viol.append(Violation("axiom4", (g,), "src/rng of the inverse are swapped wrongly"))
+
+    for g in elements:
+        for h in elements:
+            if ((g, h) in mul) != (src[g] == rng[h]):
+                viol.append(Violation("domain", (g, h), "mul defined iff src(g)=rng(h) fails"))
+
+    for g in elements:
+        for h in elements:
+            gh = mul.get((g, h))
+            for k in elements:
+                hk = mul.get((h, k))
+                left = mul.get((gh, k)) if gh is not None else None
+                right = mul.get((g, hk)) if hk is not None else None
+                if (left is not None) != (gh is not None and hk is not None):
+                    viol.append(Violation("axiom2", (g, h, k), "(gh)k defined iff gh and hk defined fails"))
+                if (left is None) != (right is None):
+                    viol.append(Violation("axiom1", (g, h, k), "one association defined, the other not"))
+                elif left is not None and left != right:
+                    viol.append(Violation("axiom1", (g, h, k), "(gh)k != g(hk)"))
+
+    derived = {src[g] for g in elements} | {rng[g] for g in elements}
+    for e in sorted(derived):
+        if src[e] != e or rng[e] != e:
+            viol.append(Violation("identity-set", (e,), "unit is not idempotent under src/rng"))
+    if declared is not None and declared != derived:
+        diff = tuple(sorted(declared ^ derived))
+        viol.append(Violation("identity-set", diff, "supplied identity list disagrees with the derived one"))
+
+    return Report(ok=not viol, violations=tuple(viol))
+
+
+def reference_is_global(A) -> bool:
+    """Both characterizations of globality, the composite on every pair."""
+    from pactkit.core import FalsificationError
+
+    G = A.groupoid
+    by_domains = all(A.domains[g] == A.domains[G.rng[g]] for g in G.elements)
+    by_composition = True
+    for (g, h), gh in G.mul.items():
+        to_g = A.maps[g]
+        composite = {x: to_g[y] for x, y in A.maps[h].items() if y in to_g}
+        if composite != A.maps[gh]:
+            by_composition = False
+            break
+    if not A.tainted and by_domains != by_composition:
+        raise FalsificationError("the two characterizations of globality disagree on validated data")
+    return by_domains and by_composition
+
+
+def reference_fits(value, shape) -> bool:
+    """The JSON shape check, one call per row and per string."""
+    if shape is str:
+        return isinstance(value, str)
+    if not isinstance(value, list):
+        return False
+    if isinstance(shape, list):
+        return all(reference_fits(v, shape[0]) for v in value)
+    return len(value) == len(shape) and all(reference_fits(v, s) for v, s in zip(value, shape))
+
+
+def reference_orbit_relation(A):
+    """The sorted triple scan and the reachability closure, always run."""
+    from pactkit.action import OrbitRelation, _one_step
+    from pactkit.core import FalsificationError
+
+    rel = _one_step(A)
+    reflexive = all(x in rel[x] for x in A.carrier)
+    symmetric = all(all(x in rel[y] for y in rel[x]) for x in A.carrier)
+    witness = None
+    via = None
+    for x in A.carrier:
+        for y in sorted(rel[x]):
+            for z in sorted(rel[y]):
+                if z not in rel[x]:
+                    witness = (x, z)
+                    via = y
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    is_equiv = reflexive and symmetric and witness is None
+    if not is_equiv and not A.tainted:
+        raise FalsificationError(
+            f"one-step orbit relation is not an equivalence on validated data: "
+            f"reflexive={reflexive} symmetric={symmetric} witness={witness}"
+        )
+
+    seen = set()
+    classes = []
+    for x in A.carrier:
+        if x in seen:
+            continue
+        block, frontier = {x}, [x]
+        while frontier:
+            p = frontier.pop()
+            for q in rel[p]:
+                if q not in block:
+                    block.add(q)
+                    frontier.append(q)
+        classes.append(frozenset(block))
+        seen |= block
+    return OrbitRelation(
+        classes=tuple(sorted(classes, key=min)),
+        one_step={x: frozenset(rel[x]) for x in A.carrier},
+        is_equivalence=is_equiv,
+        witness=witness,
+        via=via,
+        tainted=A.tainted,
+    )
+
+
+def raw_groupoid(G) -> dict:
+    return {
+        "elements": list(G.elements),
+        "mul": dict(G.mul),
+        "inv": dict(G.inv),
+        "src": dict(G.src),
+        "rng": dict(G.rng),
+    }
+
+
+GROUPOID_CORRUPTIONS = ("product", "drop", "add", "swap", "inv", "src", "rng")
+
+
+def corrupt_groupoid(rng, G, kind: str) -> dict:
+    """Raw tables of G with one entry changed, every reference kept inside
+    the element set so that only the axiom checks can fail.
+
+    ``product`` gives one product another value, ``drop`` removes one
+    product, ``add`` defines one non-composable pair (or, in a group,
+    changes a product), ``swap`` exchanges two products, and ``inv``,
+    ``src`` and ``rng`` retarget one entry of that map.
+    """
+    raw = raw_groupoid(G)
+    mul, tokens = raw["mul"], list(G.elements)
+    keys = sorted(mul)
+    missing = [(g, h) for g in tokens for h in tokens if (g, h) not in mul]
+    if kind == "add" and not missing:
+        kind = "product"
+    if kind == "product" and len(tokens) > 1:
+        key = rng.choice(keys)
+        mul[key] = rng.choice([t for t in tokens if t != mul[key]])
+    elif kind == "drop":
+        del mul[rng.choice(keys)]
+    elif kind == "add":
+        mul[rng.choice(missing)] = rng.choice(tokens)
+    elif kind == "swap" and len(set(mul.values())) > 1:
+        a, b = rng.sample(keys, 2)
+        while mul[a] == mul[b]:
+            a, b = rng.sample(keys, 2)
+        mul[a], mul[b] = mul[b], mul[a]
+    elif kind in ("inv", "src", "rng") and len(tokens) > 1:
+        g = rng.choice(tokens)
+        raw[kind][g] = rng.choice([t for t in tokens if t != raw[kind][g]])
+    return raw

@@ -10,9 +10,11 @@ from pactkit import (
     ValidationFailed,
     action_graph,
     action_graphs,
+    build_coset_action,
     build_partial_action,
     classify,
     discrete,
+    globalize,
     indiscrete,
     invariant_closure,
     is_global,
@@ -450,6 +452,63 @@ def test_validation_matches_reference_on_random_and_corrupted_actions():
                 lines = "; ".join(str(v) for v in expected.violations)
                 assert str(err.value) == f"partial action validation: {lines}"
     assert labels == {"(i)", "(pre)", "(ii)", "(iii)", "(inv)"}
+
+
+def same_outcome(fast, reference, A):
+    """Both calls return equal values, or both raise the same error."""
+    try:
+        expected = reference(A)
+    except FalsificationError as exc:
+        with pytest.raises(FalsificationError) as err:
+            fast(A)
+        assert str(err.value) == str(exc)
+        return None
+    assert fast(A) == expected
+    return expected
+
+
+def test_global_actions_and_their_corruptions_match_reference():
+    # envelopes and coset actions are global; one changed entry makes them
+    # invalid, partial or still global, with or without the bypass
+    rng = random.Random(606)
+    outcomes, labels = set(), set()
+    for A in helpers.cross_check_actions(rng, 25):
+        bases = [globalize(A).action]
+        if A.carrier:
+            bases.append(build_coset_action(A, A.carrier[0]).delta)
+        for B in bases:
+            assert is_global(B) and helpers.reference_is_global(B)
+            cases = [helpers.raw_tables(B)] + [helpers.corrupt_one_entry(rng, B) for _ in range(5)]
+            for raw in cases:
+                args = (B.groupoid, raw["carrier"], raw["anchor"], raw["domains"], raw["maps"])
+                expected = helpers.reference_validate_partial_action(*args)
+                assert validate_partial_action(*args) == expected
+                labels |= expected.conditions()
+                built = [build_partial_action(*args, bypass=True)]
+                if expected.ok:
+                    built.append(build_partial_action(*args))
+                for C in built:
+                    is_global_C = same_outcome(is_global, helpers.reference_is_global, C)
+                    same_outcome(orbit_relation, helpers.reference_orbit_relation, C)
+                    outcomes.add((expected.ok, C.tainted, is_global_C))
+    assert labels == {"(i)", "(pre)", "(ii)", "(iii)", "(inv)"}
+    assert {(True, False, True), (True, False, False), (False, True, False)} <= outcomes
+
+
+def test_orbit_relation_matches_reference_on_tainted_actions():
+    rng = random.Random(607)
+    non_equivalences = 0
+    for A in helpers.cross_check_actions(rng, 40):
+        for _ in range(4):
+            raw = helpers.corrupt_one_entry(rng, A)
+            T = build_partial_action(
+                A.groupoid, raw["carrier"], raw["anchor"], raw["domains"], raw["maps"], bypass=True
+            )
+            rel = same_outcome(orbit_relation, helpers.reference_orbit_relation, T)
+            non_equivalences += not rel.is_equivalence
+    T = remark_x()
+    assert orbit_relation(T) == helpers.reference_orbit_relation(T)
+    assert non_equivalences > 0
 
 
 def test_orbit_saturation_on_minimal_opens_matches_all_opens():

@@ -16,7 +16,7 @@ from pactkit import (
     stabilizer,
     validate_gmap,
 )
-from pactkit.fixtures import fix_b, fix_c, z2
+from pactkit.fixtures import fix_b, fix_c, remark_x, z2
 from pactkit.sampling import (
     coset_global_action,
     mulclose,
@@ -186,3 +186,10 @@ def test_coset_relation_errors_match_the_reference_scan():
         "coset relation is not symmetric",
         "coset relation is not transitive",
     }
+
+
+def test_tainted_base_gives_tainted_coset_space():
+    A = remark_x()
+    assert all(build_coset_action(A, x).delta.tainted for x in A.carrier)
+    B = fix_b()
+    assert not any(build_coset_action(B, x).delta.tainted for x in B.carrier)

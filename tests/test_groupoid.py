@@ -1,11 +1,15 @@
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helpers
 from pactkit import (
     PreconditionError,
     StructuralError,
+    ValidationFailed,
     action_groupoid,
     composable_pairs,
     disjoint_union,
@@ -18,6 +22,8 @@ from pactkit import (
     validate_groupoid,
 )
 from pactkit.fixtures import pair2, remark_g, z2
+from pactkit.groupoid import _tables, build_groupoid
+from pactkit.sampling import cyclic_table, groupoid_pool
 
 
 def test_z2_validates():
@@ -236,3 +242,92 @@ def test_relabeling_equivariance(rnd):
         assert moved == {
             mapping[g]: mapping[v] for g, v in translation_map(G, k, "right").items()
         }
+
+
+def corruption_bases():
+    """The sampling pool, cyclic groups and pair groupoids."""
+    return [
+        *groupoid_pool(),
+        *(from_group(cyclic_table(n)) for n in (5, 8, 12, 32)),
+        *(pair_groupoid(range(k)) for k in range(2, 6)),
+    ]
+
+
+def generated_by_products(G, generators) -> set:
+    """Every composable product of the given elements, by repeated squaring
+    of the set reached so far."""
+    reached = set(generators)
+    while True:
+        grown = reached | {G.mul[(a, b)] for a in reached for b in reached if (a, b) in G.mul}
+        if grown == reached:
+            return reached
+        reached = grown
+
+
+def test_generators_are_greedy_in_token_order_and_generate_the_groupoid():
+    for G in corruption_bases():
+        S = G.generators
+        assert list(S) == sorted(S)
+        assert generated_by_products(G, S) == set(G.elements)
+        for i, s in enumerate(S):
+            assert s not in generated_by_products(G, S[:i])
+        for g in G.elements:
+            if g < S[-1] and g not in S:
+                assert g in generated_by_products(G, [s for s in S if s < g])
+    assert from_group(cyclic_table(64)).generators == ("0", "1")
+    assert len(pair_groupoid(range(10)).generators) == 19
+
+
+def test_axioms_match_reference_on_one_entry_corruptions():
+    # the fast acceptance pass may only accept: every report, with its
+    # labels, witnesses and order, is the one the full scan gives
+    rng = random.Random(6)
+    labels, associativity_only = set(), 0
+    for G in corruption_bases():
+        rounds = 2 if len(G.elements) > 16 else 5
+        for kind in helpers.GROUPOID_CORRUPTIONS:
+            for _ in range(rounds):
+                raw = helpers.corrupt_groupoid(rng, G, kind)
+                expected = helpers.reference_axioms(*_tables(raw))
+                assert validate_groupoid(raw) == expected
+                if expected.ok:
+                    assert build_groupoid(raw).mul == raw["mul"]
+                else:
+                    with pytest.raises(ValidationFailed) as err:
+                        build_groupoid(raw)
+                    assert err.value.report == expected
+                labels |= expected.conditions()
+                associativity_only += expected.conditions() == {"axiom1"}
+    assert labels == {"axiom1", "axiom2", "axiom3", "axiom4", "domain", "identity-set"}
+    assert associativity_only > 0
+
+
+def raw_cyclic(n: int) -> dict:
+    tokens = [str(i) for i in range(n)]
+    return {
+        "elements": tokens,
+        "mul": {(tokens[a], tokens[b]): tokens[(a + b) % n] for a in range(n) for b in range(n)},
+        "inv": {tokens[a]: tokens[-a % n] for a in range(n)},
+        "src": dict.fromkeys(tokens, "0"),
+        "rng": dict.fromkeys(tokens, "0"),
+    }
+
+
+def best_of_three(build) -> float:
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        build()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+@pytest.mark.parametrize("n", [64, 96])
+def test_cyclic_group_builds_from_raw_tables_in_a_tenth_of_a_second(n):
+    # the full axiom scan is cubic; the generating-set pass is not
+    raw = raw_cyclic(n)
+    assert best_of_three(lambda: build_groupoid(raw)) < 0.1
+
+
+def test_pair_groupoid_on_ten_objects_builds_in_a_tenth_of_a_second():
+    assert best_of_three(lambda: pair_groupoid(range(10))) < 0.1

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,9 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
+import helpers
 import pactkit
+from pactkit import io as instance_io
 from pactkit import StructuralError, ValidationFailed, verify_globalization
 from pactkit.cli import main
 from pactkit.io import (
@@ -335,3 +338,62 @@ def test_cli_output_matches_golden_recording(capsys):
     assert [r["argv"] for r in golden] == recorder.invocations()
     for record in golden:
         assert recorder.run(record["argv"]) == record
+
+
+def shaped_sample(rng, shape):
+    """A random value of the JSON shape, with 0 to 3 items per list."""
+    if shape is str:
+        return rng.choice(["a", "b", ""])
+    if isinstance(shape, list):
+        return [shaped_sample(rng, shape[0]) for _ in range(rng.randint(0, 3))]
+    return [shaped_sample(rng, s) for s in shape]
+
+
+def mutate_once(rng, value):
+    """``value`` with one node replaced, or one list item dropped or added."""
+    paths = [()]
+    frontier = [((), value)]
+    while frontier:
+        path, node = frontier.pop()
+        if isinstance(node, list):
+            for i, item in enumerate(node):
+                paths.append(path + (i,))
+                frontier.append((path + (i,), item))
+    path = rng.choice(paths)
+    if not path:
+        return rng.choice([1, None, "x", ("x",), {"x": "y"}, [value], [value, 1]])
+    parent = value
+    for i in path[:-1]:
+        parent = parent[i]
+    i = path[-1]
+    change = rng.choice(["replace", "drop", "add"])
+    if change == "drop":
+        del parent[i]
+    elif change == "add":
+        parent.insert(i, rng.choice(["x", 0, [], ["x", "y"], [parent[i]]]))
+    else:
+        parent[i] = rng.choice([1, 2.5, None, True, "x", [], ["x"], ("x", "y"), {"x": "y"}, [["x"]]])
+    return value
+
+
+def test_shape_check_matches_reference():
+    # the column-wise check accepts exactly what the row-by-row check did
+    shapes = [
+        str,
+        instance_io._STRINGS,
+        instance_io._PAIRS,
+        instance_io._TRIPLES,
+        instance_io._SETS,
+        instance_io._TABLES,
+    ]
+    rng = random.Random(66)
+    fits = {}
+    for _ in range(600):
+        value = shaped_sample(rng, rng.choice(shapes))
+        if rng.random() < 0.7:
+            value = mutate_once(rng, value)
+        for i, shape in enumerate(shapes):
+            expected = helpers.reference_fits(value, shape)
+            assert instance_io._fits([value], shape) == expected
+            fits.setdefault(i, set()).add(expected)
+    assert all(seen == {True, False} for seen in fits.values())
