@@ -7,7 +7,7 @@ validation; every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     FalsificationError,
@@ -29,6 +29,8 @@ class PartialAction:
     ``domains[g]`` is the image set of the bijection ``maps[g]``, whose key
     set is ``domains[inv(g)]``.  ``tainted`` marks values built with the
     validation bypass; downstream results inherit the marker.
+    ``law_holds`` keeps the verdict of the composition law when validation
+    decided it, and is None otherwise (and after ``dataclasses.replace``).
     """
 
     groupoid: Groupoid
@@ -37,6 +39,7 @@ class PartialAction:
     domains: dict
     maps: dict
     tainted: bool = False
+    law_holds: bool | None = field(default=None, init=False, compare=False, repr=False)
 
 
 def _structural(groupoid: Groupoid, carrier, anchor, domains, maps):
@@ -75,11 +78,12 @@ def validate_partial_action(groupoid: Groupoid, carrier, anchor, domains, maps) 
     equality on composable pairs, "(iii)" for composition compatibility, and
     "(inv)" for stored tables disagreeing with inverses.
     """
-    return _semantic(groupoid, *_structural(groupoid, carrier, anchor, domains, maps))
+    return _semantic(groupoid, *_structural(groupoid, carrier, anchor, domains, maps))[0]
 
 
-def _semantic(G: Groupoid, points, anchor, domains, maps) -> Report:
-    """The semantic conditions on tables already normalized by ``_structural``."""
+def _semantic(G: Groupoid, points, anchor, domains, maps) -> tuple[Report, bool | None]:
+    """The semantic conditions on tables already normalized by ``_structural``,
+    and the verdict of ``_composition_law`` when they decided it, else None."""
     viol: list[Violation] = []
     notes: list[str] = []
     units = sorted(G.identities)
@@ -118,7 +122,8 @@ def _semantic(G: Groupoid, points, anchor, domains, maps) -> Report:
     # with (i), (pre) and (inv) holding and every domain full, (ii) holds
     # by the bijections of ``_structural`` and (iii) is the composition law
     full = not viol and all(domains[g] == domains[G.rng[g]] for g in G.elements)
-    if not (full and _composition_law(G, maps)) and not _products_compatible(G, domains, maps):
+    law = _composition_law(G, maps) if full else None
+    if not law and not _products_compatible(G, domains, maps):
         viol += _condition_ii(G, domains, maps)
         viol += _condition_iii(G, domains, maps)
 
@@ -126,7 +131,7 @@ def _semantic(G: Groupoid, points, anchor, domains, maps) -> Report:
     if missing:
         notes.append(f"anchor is not surjective; unreached units: {missing}")
 
-    return Report(ok=not viol, violations=tuple(viol), notes=tuple(notes))
+    return Report(ok=not viol, violations=tuple(viol), notes=tuple(notes)), law
 
 
 def _composition_law(G: Groupoid, maps) -> bool:
@@ -139,14 +144,13 @@ def _composition_law(G: Groupoid, maps) -> bool:
     and of G.  Every element is a product of generators, so this holds for
     any tables, validated or not.
     """
-    src, rng, mul = G.src, G.rng, G.mul
+    fibers, rng, mul = G.fibers, G.rng, G.mul
     for h in G.generators:
         to_h = maps[h]
-        for g in G.elements:
-            if src[g] == rng[h]:
-                to_g = maps[g]
-                if {x: to_g[y] for x, y in to_h.items() if y in to_g} != maps[mul[(g, h)]]:
-                    return False
+        for g in fibers[rng[h]].d:
+            to_g = maps[g]
+            if {x: to_g[y] for x, y in to_h.items() if y in to_g} != maps[mul[(g, h)]]:
+                return False
     return True
 
 
@@ -209,10 +213,10 @@ def build_partial_action(
     (broken tables, dangling references) are never bypassable.
     """
     points, anchor, domains, maps = _structural(groupoid, carrier, anchor, domains, maps)
-    report = _semantic(groupoid, points, anchor, domains, maps)
+    report, law = _semantic(groupoid, points, anchor, domains, maps)
     if not bypass:
         report.raise_if_failed("partial action validation")
-    return PartialAction(
+    out = PartialAction(
         groupoid=groupoid,
         carrier=tuple(points),
         anchor=anchor,
@@ -220,6 +224,8 @@ def build_partial_action(
         maps=maps,
         tainted=bypass,
     )
+    object.__setattr__(out, "law_holds", law)
+    return out
 
 
 def is_global(A: PartialAction) -> bool:
@@ -227,11 +233,12 @@ def is_global(A: PartialAction) -> bool:
 
     The domain characterization and the composition characterization
     (products act as composites everywhere) are both evaluated; they must
-    agree on validated data.
+    agree on validated data.  The composition law is read from
+    ``law_holds`` when validation decided it.
     """
     G = A.groupoid
     by_domains = all(A.domains[g] == A.domains[G.rng[g]] for g in G.elements)
-    by_composition = _composition_law(G, A.maps)
+    by_composition = _composition_law(G, A.maps) if A.law_holds is None else A.law_holds
     if not A.tainted and by_domains != by_composition:
         raise FalsificationError("the two characterizations of globality disagree on validated data")
     return by_domains and by_composition
@@ -245,31 +252,51 @@ def quotient_action(G: Groupoid, blocks, token, unit, left, bypass: bool = False
     and ``left(k, m)`` the member k·m.  Each class must have one range unit,
     and k must send all its members into one class.  Returns the classes by
     least member, the token of every member, and the validated global action.
+
+    Well-definedness is decided on ``G.generators``; the other k read one
+    member.  ``left`` is associative, left(ab, m) = left(a, left(b, m)), and
+    left(k, m) lies at the range unit of k.  So if b sends a class c into one
+    class c' and a sends c' into one class c'', ab sends c into c''.  Every k
+    is a composable product of generators, so every k is well defined.
     """
     classes = tuple(sorted(blocks, key=min))
     class_of, anchor, at_unit = {}, {}, {}
     for block in classes:
-        name = token(min(block))
+        first = min(block)
+        name = token(first)
         units = {unit(m) for m in block}
         if len(units) != 1:
             raise FalsificationError(f"class {name} mixes range units {sorted(units)}")
         anchor[name] = e = units.pop()
-        at_unit.setdefault(e, []).append((name, block))
+        at_unit.setdefault(e, []).append((name, block, first))
         class_of.update(dict.fromkeys(block, name))
+    try:
+        maps = _class_tables(G, at_unit, class_of, left, frozenset(G.generators))
+    except FalsificationError:  # name the first k in element order
+        maps = _class_tables(G, at_unit, class_of, left, frozenset(G.elements))
+    domains = {k: frozenset(maps[G.inv[k]]) for k in G.elements}
+    action = build_partial_action(G, sorted(anchor), anchor, domains, maps, bypass=bypass)
+    if not is_global(action):
+        raise FalsificationError("induced action on the classes is not global")
+    return classes, class_of, action
+
+
+def _class_tables(G: Groupoid, at_unit, class_of, left, checked) -> dict:
+    """The induced table of every k: all members of each class are sent
+    for k in ``checked``, the least member for the others."""
     maps = {k: {} for k in G.elements}
     for k, table in maps.items():
-        for name, block in at_unit.get(G.src[k], ()):
+        for name, block, first in at_unit.get(G.src[k], ()):
+            if k not in checked:
+                table[name] = class_of[left(k, first)]
+                continue
             targets = {class_of[left(k, m)] for m in block}
             if len(targets) != 1:
                 raise FalsificationError(
                     f"action of {k!r} is not well defined on class {name}: {sorted(targets)}"
                 )
             table[name] = targets.pop()
-    domains = {k: frozenset(maps[G.inv[k]]) for k in G.elements}
-    action = build_partial_action(G, sorted(anchor), anchor, domains, maps, bypass=bypass)
-    if not is_global(action):
-        raise FalsificationError("induced action on the classes is not global")
-    return classes, class_of, action
+    return maps
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,7 @@ def cmd_info(args) -> int:
         A = doc.payload
         rel = orbit_relation(A)
         cls = classify(A)
+        glob = is_global(A)
         payload = {
             "command": "info",
             "kind": "action",
@@ -101,7 +102,7 @@ def cmd_info(args) -> int:
             "carrier": len(A.carrier),
             "groupoid_elements": len(A.groupoid.elements),
             "orbits": len(rel.classes),
-            "global": is_global(A),
+            "global": glob,
             "transitive": cls.transitive,
             "free": cls.free,
             "tainted": A.tainted,
@@ -112,7 +113,7 @@ def cmd_info(args) -> int:
             f"carrier: {len(A.carrier)}",
             f"groupoid_elements: {len(A.groupoid.elements)}",
             f"orbits: {len(rel.classes)}",
-            f"global: {_bool(is_global(A))}",
+            f"global: {_bool(glob)}",
             f"transitive: {_bool(cls.transitive)}, free: {_bool(cls.free)}",
         ]
         if A.tainted:

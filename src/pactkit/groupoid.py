@@ -6,11 +6,20 @@ canonical representatives and deterministic iteration everywhere downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import PreconditionError, Report, StructuralError, Violation
 
 _RAW_KEYS = {"elements", "mul", "inv", "src", "rng", "identities"}
+
+
+class Fibers(NamedTuple):
+    """The elements leaving, entering and fixing one unit, in token order."""
+
+    d: tuple[str, ...]
+    r: tuple[str, ...]
+    iso: tuple[str, ...]
 
 
 @dataclass(frozen=True, eq=True)
@@ -34,6 +43,17 @@ class Groupoid:
     rng: dict
     identities: frozenset
     generators: tuple[str, ...]
+    fibers: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        index: dict = {}
+        for g in self.elements:
+            s, r = self.src[g], self.rng[g]
+            index.setdefault(s, ([], [], []))[0].append(g)
+            index.setdefault(r, ([], [], []))[1].append(g)
+            if s == r:
+                index[s][2].append(g)
+        object.__setattr__(self, "fibers", {e: Fibers(*map(tuple, v)) for e, v in index.items()})
 
     def compose(self, g: str, h: str):
         """Product g*h, or None when the pair is not composable."""
@@ -43,13 +63,13 @@ class Groupoid:
         return (g, h) in self.mul
 
     def d_fiber(self, e: str) -> frozenset:
-        return frozenset(g for g in self.elements if self.src[g] == e)
+        return frozenset(self.fibers[e].d) if e in self.fibers else frozenset()
 
     def r_fiber(self, e: str) -> frozenset:
-        return frozenset(g for g in self.elements if self.rng[g] == e)
+        return frozenset(self.fibers[e].r) if e in self.fibers else frozenset()
 
     def isotropy_elements(self, e: str) -> tuple[str, ...]:
-        return tuple(g for g in self.elements if self.src[g] == e and self.rng[g] == e)
+        return self.fibers[e].iso if e in self.fibers else ()
 
     def is_group(self) -> bool:
         return len(self.identities) == 1

@@ -365,6 +365,9 @@ def envelope_document(E: EnvelopingAction, name: str, description: str = "") -> 
     return doc
 
 
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def _render(value, indent: int) -> str:
     pad = " " * indent
     if isinstance(value, dict):
@@ -377,12 +380,15 @@ def _render(value, indent: int) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        inline = json.dumps(list(value), ensure_ascii=False)
-        if "{" not in inline and len(inline) <= 72:
-            return inline
-        items = [f"{pad}  {_render(v, indent + 2)}" for v in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    return json.dumps(value, ensure_ascii=False)
+        parts = [_render(v, indent + 2) for v in value]
+        # a part broken over lines starts with "[\n" or "{\n"; the others
+        # are their own inline form, so the list's is joined from them
+        if not any(p.startswith(("[\n", "{\n")) for p in parts):
+            inline = "[" + ", ".join(parts) + "]"
+            if "{" not in inline and len(inline) <= 72:
+                return inline
+        return "[\n" + ",\n".join(f"{pad}  {p}" for p in parts) + f"\n{pad}]"
+    return _encode(value)
 
 
 def canonical_json(doc: dict) -> str:

@@ -216,7 +216,8 @@ def reference_validate_partial_action(groupoid, carrier, anchor, domains, maps):
 
 def reference_merge_relation_problems(A) -> list:
     """Every reflexivity, symmetry and transitivity failure of the merge
-    relation of ``globalize``, in scan order; the first names its error."""
+    relation of ``globalize``, in scan order with neighbours sorted; the
+    first names its error."""
     G = A.groupoid
     pairs = tuple(
         (g, x) for g in G.elements for x in A.carrier if A.anchor[x] == G.src[g]
@@ -232,12 +233,12 @@ def reference_merge_relation_problems(A) -> list:
         if p not in rel[p]:
             problems.append(("reflexive", p))
     for p in pairs:
-        for q in rel[p]:
+        for q in sorted(rel[p]):
             if p not in rel[q]:
                 problems.append(("symmetric", (p, q)))
     for p in pairs:
-        for q in rel[p]:
-            for r in rel[q]:
+        for q in sorted(rel[p]):
+            for r in sorted(rel[q]):
                 if r not in rel[p]:
                     problems.append(("transitive", (p, q, r)))
     return problems
@@ -734,3 +735,57 @@ def corrupt_groupoid(rng, G, kind: str) -> dict:
         g = rng.choice(tokens)
         raw[kind][g] = rng.choice([t for t in tokens if t != raw[kind][g]])
     return raw
+
+
+def reference_quotient_action(G, blocks, token, unit, left, bypass: bool = False):
+    """The library's earlier ``action.quotient_action``: every k is sent
+    through every member of every class at its source."""
+    from pactkit.action import build_partial_action, is_global
+    from pactkit.core import FalsificationError
+
+    classes = tuple(sorted(blocks, key=min))
+    class_of, anchor, at_unit = {}, {}, {}
+    for block in classes:
+        name = token(min(block))
+        units = {unit(m) for m in block}
+        if len(units) != 1:
+            raise FalsificationError(f"class {name} mixes range units {sorted(units)}")
+        anchor[name] = e = units.pop()
+        at_unit.setdefault(e, []).append((name, block))
+        class_of.update(dict.fromkeys(block, name))
+    maps = {k: {} for k in G.elements}
+    for k, table in maps.items():
+        for name, block in at_unit.get(G.src[k], ()):
+            targets = {class_of[left(k, m)] for m in block}
+            if len(targets) != 1:
+                raise FalsificationError(
+                    f"action of {k!r} is not well defined on class {name}: {sorted(targets)}"
+                )
+            table[name] = targets.pop()
+    domains = {k: frozenset(maps[G.inv[k]]) for k in G.elements}
+    action = build_partial_action(G, sorted(anchor), anchor, domains, maps, bypass=bypass)
+    if not is_global(action):
+        raise FalsificationError("induced action on the classes is not global")
+    return classes, class_of, action
+
+
+def reference_render(value, indent: int) -> str:
+    """The library's earlier ``io._render``: every list is serialized inline
+    with ``json.dumps`` before it is broken over lines."""
+    import json
+
+    pad = " " * indent
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f'{pad}  "{key}": {reference_render(val, indent + 2)}' for key, val in value.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inline = json.dumps(list(value), ensure_ascii=False)
+        if "{" not in inline and len(inline) <= 72:
+            return inline
+        items = [f"{pad}  {reference_render(v, indent + 2)}" for v in value]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    return json.dumps(value, ensure_ascii=False)

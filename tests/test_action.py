@@ -534,3 +534,156 @@ def test_orbit_saturation_on_minimal_opens_matches_all_opens():
                 assert named in {str(sorted(T.min_open[x])) for x in B.carrier}
             outcomes.add(failing is None)
     assert outcomes == {True, False}
+
+
+def test_is_global_matches_reference_on_built_derived_and_corrupted_actions():
+    rng = random.Random(608)
+    verdicts = set()
+    for A in helpers.cross_check_actions(rng, 30):
+        derived = [A, restrict(A, A.carrier[: len(A.carrier) // 2]), globalize(A).action]
+        derived.append(relabel_action(A, {x: f"r{x}" for x in A.carrier}))
+        derived += [restrict_to_isotropy(A, e) for e in sorted(A.groupoid.identities)[:2]]
+        if A.carrier:
+            derived.append(build_coset_action(A, A.carrier[-1]).delta)
+        for _ in range(3):
+            raw = helpers.corrupt_one_entry(rng, A)
+            derived.append(build_partial_action(A.groupoid, *raw.values(), bypass=True))
+        for B in derived:
+            verdicts.add((B.law_holds, same_outcome(is_global, helpers.reference_is_global, B)))
+    # validation decided the law both ways, or left it to is_global
+    assert {(True, True), (False, False), (None, False), (None, True)} <= verdicts
+
+
+def test_replace_forgets_the_kept_verdict_and_equality_ignores_it():
+    from dataclasses import replace
+
+    A = fix_c()
+    assert A.law_holds is True
+    B = replace(A, tainted=False)
+    assert B.law_holds is None and B == A and repr(B) == repr(A)
+    assert is_global(B)
+    T = replace(remark_x(), tainted=False)
+    assert T.law_holds is None
+
+
+def test_is_global_reads_the_kept_verdict_on_a_fresh_global_action(monkeypatch):
+    import pactkit.action as action_module
+
+    C = fix_c()
+    calls = []
+    law = action_module._composition_law
+    monkeypatch.setattr(
+        action_module, "_composition_law", lambda G, maps: calls.append(G) or law(G, maps)
+    )
+    A = build_partial_action(C.groupoid, *helpers.raw_tables(C).values())
+    assert len(calls) == 1  # validation decides the law once
+    assert is_global(A) and len(calls) == 1
+    assert is_global(globalize(A).action) and len(calls) == 2  # the envelope's validation
+
+
+def same_quotient(*args):
+    """The generator-only kernel and the reference kernel agree on the
+    classes, tokens and action, or raise the same error."""
+    from pactkit.action import quotient_action
+
+    try:
+        expected = helpers.reference_quotient_action(*args)
+    except (FalsificationError, ValidationFailed) as exc:
+        with pytest.raises(type(exc)) as err:
+            quotient_action(*args)
+        assert str(err.value) == str(exc)
+        return str(exc)
+    assert quotient_action(*args) == expected
+    return None
+
+
+def swap_members(rng, blocks, unit):
+    """The blocks with one member exchanged between two classes at one unit."""
+    blocks = [set(block) for block in blocks]
+    at = {}
+    for i, block in enumerate(blocks):
+        at.setdefault(unit(min(block)), []).append(i)
+    crowded = [ids for ids in at.values() if len(ids) >= 2]
+    if crowded:
+        i, j = rng.sample(rng.choice(crowded), 2)
+        moved = {rng.choice(sorted(blocks[i])), rng.choice(sorted(blocks[j]))}
+        blocks[i] ^= moved
+        blocks[j] ^= moved
+    return [frozenset(block) for block in blocks]
+
+
+def late_generators(G) -> tuple:
+    """A generating set picked greedily in reverse token order."""
+    generators, reached = [], set()
+    for g in reversed(G.elements):
+        if g not in reached:
+            generators.append(g)
+            reached.add(g)
+            while True:
+                grown = reached | {G.mul[p] for p in G.mul if set(p) <= reached}
+                if grown == reached:
+                    break
+                reached = grown
+    return tuple(generators)
+
+
+def test_quotient_action_on_generators_matches_the_full_scan():
+    from dataclasses import replace
+
+    from pactkit.coset import coset_token
+    from pactkit.envelope import class_token
+
+    rng = random.Random(609)
+    messages = []
+    for A in helpers.cross_check_actions(rng, 40):
+        G = A.groupoid
+        pair_unit = lambda p: G.rng[p[0]]
+        pair_left = lambda k, p: (G.mul[(k, p[0])], p[1])
+        kernels = [(globalize(A).classes, class_token, pair_unit, pair_left)]
+        if A.carrier:
+            x = A.carrier[0]
+            kernels.append(
+                (build_coset_action(A, x).classes, coset_token, G.rng.__getitem__, lambda k, h: G.mul[(k, h)])
+            )
+        for blocks, token, unit, left in kernels:
+            for bypass in (False, True):
+                for parts in (blocks, swap_members(rng, blocks, unit)):
+                    for H in (G, replace(G, generators=late_generators(G))):
+                        message = same_quotient(H, parts, token, unit, left, bypass)
+                        messages.append((message, H.generators))
+    ill_defined = [(m, S) for m, S in messages if m and "is not well defined" in m]
+    assert len(ill_defined) >= 20 and any(m is None for m, _ in messages)
+    # with the late generators some first failures are not generators, and
+    # the rerun over all elements names them
+    assert any(m.split("'")[1] not in S for m, S in ill_defined)
+
+
+def test_quotient_action_matches_the_full_scan_on_tainted_corruptions(monkeypatch):
+    # tainted bases reach the kernel through globalize and the coset space
+    import pactkit.coset as coset_module
+    import pactkit.envelope as envelope_module
+    from pactkit.action import quotient_action
+
+    rng = random.Random(610)
+
+    def with_kernel(kernel, B):
+        monkeypatch.setattr(envelope_module, "quotient_action", kernel)
+        monkeypatch.setattr(coset_module, "quotient_action", kernel)
+        out = []
+        for build in (globalize, lambda B: build_coset_action(B, B.carrier[0])):
+            try:
+                out.append(build(B))
+            except (PreconditionError, FalsificationError) as exc:
+                out.append(str(exc))
+        return out
+
+    built = 0
+    for A in helpers.cross_check_actions(rng, 40):
+        for _ in range(4):
+            raw = helpers.corrupt_one_entry(rng, A)
+            B = build_partial_action(A.groupoid, *raw.values(), bypass=True)
+            if B.carrier:
+                expected = with_kernel(helpers.reference_quotient_action, B)
+                assert with_kernel(quotient_action, B) == expected
+                built += sum(not isinstance(v, str) for v in expected)
+    assert built >= 50

@@ -309,6 +309,40 @@ def test_merge_relation_errors_name_the_reference_first_witness():
     assert checked == {"reflexive", "symmetric", "transitive"}
 
 
+MERGE_CORPUS = """
+import random
+from helpers import corrupt_one_entry, cross_check_actions
+from pactkit import build_partial_action, globalize
+rng = random.Random(31)
+for A in cross_check_actions(rng, 60):
+    for _ in range(4):
+        B = build_partial_action(A.groupoid, *corrupt_one_entry(rng, A).values(), bypass=True)
+        try:
+            globalize(B)
+        except Exception as exc:
+            print(exc)
+"""
+
+
+def test_merge_relation_witnesses_do_not_depend_on_the_hash_seed():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        run = subprocess.run(
+            [sys.executable, "-c", MERGE_CORPUS], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("merge relation is not") > 50
+
+
 def z18_on_one_point():
     from pactkit.groupoid import from_group
     from pactkit.sampling import coset_global_action, cyclic_table

@@ -331,3 +331,37 @@ def test_cyclic_group_builds_from_raw_tables_in_a_tenth_of_a_second(n):
 
 def test_pair_groupoid_on_ten_objects_builds_in_a_tenth_of_a_second():
     assert best_of_three(lambda: pair_groupoid(range(10))) < 0.1
+
+
+def index_bases():
+    """The pool, pair groupoids, disjoint unions, action groupoids and the
+    isotropy groups of all of them."""
+    z3 = cyclic_table(3)
+    rotate = {g: {str(x): str((x + int(g)) % 3) for x in range(3)} for g in "012"}
+    fix = {g: {"p": "p", "q": "q"} for g in "012"}
+    bases = [
+        *groupoid_pool(),
+        *(pair_groupoid(range(k)) for k in range(2, 7)),
+        disjoint_union([z2(), pair2(), remark_g()]),
+        disjoint_union([pair_groupoid(range(3)), from_group(z3)]),
+        action_groupoid(z3, rotate),
+        action_groupoid(z3, fix),
+    ]
+    return bases + [isotropy_group(G, e) for G in bases for e in sorted(G.identities)]
+
+
+def test_fiber_index_matches_plain_scans():
+    for G in index_bases():
+        assert set(G.fibers) == G.identities
+        for e in G.identities:
+            d = tuple(g for g in G.elements if G.src[g] == e)
+            r = tuple(g for g in G.elements if G.rng[g] == e)
+            iso = tuple(g for g in d if G.rng[g] == e)
+            assert G.fibers[e] == (d, r, iso)
+            assert (G.d_fiber(e), G.r_fiber(e)) == (frozenset(d), frozenset(r))
+            assert G.isotropy_elements(e) == iso
+        assert G.d_fiber("not a unit") == G.r_fiber("not a unit") == frozenset()
+        assert G.isotropy_elements("not a unit") == ()
+        # the index is derived: no part of equality or repr
+        assert "fibers" not in repr(G)
+        assert G == build_groupoid(helpers.raw_groupoid(G))

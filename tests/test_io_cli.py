@@ -397,3 +397,24 @@ def test_shape_check_matches_reference():
             assert instance_io._fits([value], shape) == expected
             fits.setdefault(i, set()).add(expected)
     assert all(seen == {True, False} for seen in fits.values())
+
+
+def test_canonical_json_matches_the_reference_renderer():
+    # scalars that look like JSON punctuation, long strings, tuples and
+    # empty containers at every depth
+    rng = random.Random(77)
+    scalars = ["a", "x{y", "}", "[", "é", "q\n", "", 3, 2.5, True, None]
+
+    def value(depth):
+        r = rng.random()
+        if depth > 4 or r < 0.35:
+            return rng.choice(scalars + ["long" * rng.randint(1, 30)])
+        if r < 0.8:
+            return [value(depth + 1) for _ in range(rng.randint(0, 6))]
+        if r < 0.9:
+            return tuple(value(depth + 1) for _ in range(rng.randint(0, 4)))
+        return {f"k{i}": value(depth + 1) for i in range(rng.randint(0, 3))}
+
+    for _ in range(2000):
+        doc = {"a": value(0), "b": value(0)}
+        assert canonical_json(doc) == helpers.reference_render(doc, 0) + "\n"
