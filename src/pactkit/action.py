@@ -8,6 +8,8 @@ validation; every operation is a pure function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import ne
 
 from .core import (
     FalsificationError,
@@ -78,14 +80,93 @@ def validate_partial_action(groupoid: Groupoid, carrier, anchor, domains, maps) 
     equality on composable pairs, "(iii)" for composition compatibility, and
     "(inv)" for stored tables disagreeing with inverses.
     """
-    return _semantic(groupoid, *_structural(groupoid, carrier, anchor, domains, maps))[0]
+    return _validate(groupoid, carrier, anchor, domains, maps)[0]
+
+
+def _validate(G: Groupoid, carrier, anchor, domains, maps):
+    """Normalize and validate: (report, points, anchor, domains, maps, law).
+
+    The tables are normalized as in ``_structural`` while its checks run as
+    set comparisons, and ``_accepts`` then decides the rest.  On any miss
+    ``_structural`` and ``_semantic`` run on the tables normalized so far,
+    which normalizing again leaves unchanged, so the exceptions, violations,
+    witnesses and notes are theirs.
+    """
+    points = sorted(str(x) for x in carrier)
+    on = set(points)
+    accepted = law = None
+    if len(on) == len(points):
+        anchor = dict(anchor)
+        if anchor.keys() == on and G.identities.issuperset(anchor.values()):
+            domains = {g: frozenset(s) for g, s in dict(domains).items()}
+            elements = set(G.elements)
+            if domains.keys() == elements and on.issuperset(chain.from_iterable(domains.values())):
+                maps = {g: dict(t) for g, t in dict(maps).items()}
+                if maps.keys() == elements:
+                    accepted, law = _accepts(G, anchor, domains, maps)
+    if accepted:
+        report = Report(ok=True, notes=_anchor_notes(G, anchor))
+    else:
+        points, anchor, domains, maps = _structural(G, points, anchor, domains, maps)
+        report, law = _semantic(G, points, anchor, domains, maps)
+    return report, points, anchor, domains, maps, law
+
+
+def _accepts(G: Groupoid, anchor, domains, maps) -> tuple[bool, bool | None]:
+    """Accept tables normalized as by ``_structural``, in one walk over the
+    elements and one over the units; with the verdict of ``_composition_law``
+    as ``_semantic`` gives it.  (False, None) on any miss.
+
+    Tables are checked in pairs g <= inv(g), through the inverse dict of the
+    table of g.  It has as many entries as that table exactly when the table
+    is injective, and its keys are the values of the table.  So when the
+    table of g has the keys domains[inv g], its inverse dict has the keys
+    domains[g] and is the stored table of inv(g), both tables are bijections
+    onto their domains, and (inv) holds both ways: an inverse dict is
+    injective, and the inverse of the inverse of an injective table is the
+    table.  Unit domains equal to their anchor fibers are pairwise disjoint,
+    because the fibers partition the carrier, so (i) needs no overlap check
+    between units.
+    """
+    inv, rng = G.inv, G.rng
+    full = True
+    for g, table in maps.items():
+        ig, dom, whole = inv[g], domains[g], domains[rng[g]]
+        if not dom <= whole:
+            return False, None
+        full = full and dom == whole
+        if g <= ig:
+            try:
+                back = {y: x for x, y in table.items()}
+            except TypeError:  # an unhashable image, which _structural reports
+                return False, None
+            if (
+                len(back) != len(table)
+                or table.keys() != domains[ig]
+                or back.keys() != dom
+                or maps[ig] != back
+            ):
+                return False, None
+    fibers = {e: set() for e in G.identities}
+    for x, e in anchor.items():
+        fibers[e].add(x)
+    for e, fiber in fibers.items():
+        table = maps[e]
+        if domains[e] != fiber or any(map(ne, table, table.values())):
+            return False, None
+    law = _composition_law(G, maps) if full else None
+    return law or _products_compatible(G, domains, maps), law
+
+
+def _anchor_notes(G: Groupoid, anchor) -> tuple[str, ...]:
+    missing = sorted(G.identities - set(anchor.values()))
+    return (f"anchor is not surjective; unreached units: {missing}",) if missing else ()
 
 
 def _semantic(G: Groupoid, points, anchor, domains, maps) -> tuple[Report, bool | None]:
     """The semantic conditions on tables already normalized by ``_structural``,
     and the verdict of ``_composition_law`` when they decided it, else None."""
     viol: list[Violation] = []
-    notes: list[str] = []
     units = sorted(G.identities)
 
     for i, e in enumerate(units):
@@ -127,11 +208,7 @@ def _semantic(G: Groupoid, points, anchor, domains, maps) -> tuple[Report, bool 
         viol += _condition_ii(G, domains, maps)
         viol += _condition_iii(G, domains, maps)
 
-    missing = sorted(set(units) - {anchor[x] for x in points})
-    if missing:
-        notes.append(f"anchor is not surjective; unreached units: {missing}")
-
-    return Report(ok=not viol, violations=tuple(viol), notes=tuple(notes)), law
+    return Report(ok=not viol, violations=tuple(viol), notes=_anchor_notes(G, anchor)), law
 
 
 def _composition_law(G: Groupoid, maps) -> bool:
@@ -212,8 +289,7 @@ def build_partial_action(
     construction; the resulting value is marked tainted.  Structural defects
     (broken tables, dangling references) are never bypassable.
     """
-    points, anchor, domains, maps = _structural(groupoid, carrier, anchor, domains, maps)
-    report, law = _semantic(groupoid, points, anchor, domains, maps)
+    report, points, anchor, domains, maps, law = _validate(groupoid, carrier, anchor, domains, maps)
     if not bypass:
         report.raise_if_failed("partial action validation")
     out = PartialAction(
@@ -375,11 +451,18 @@ def orbit_relation(A: PartialAction) -> OrbitRelation:
 
 
 def moving_elements(A: PartialAction, x: str) -> frozenset:
-    """All g whose map is defined at x (x lying in the domain of the inverse)."""
+    """All g whose map is defined at x (x lying in the domain of the inverse).
+
+    On validated data only the source fiber of anchor(x) can move x: x in
+    domains[inv g] lies in the domain of rng(inv g) = src(g) by (pre), which
+    is the anchor fiber of src(g) by (i).  A tainted action may break (pre),
+    so there all of G is scanned.
+    """
     if x not in A.carrier:
         raise PreconditionError(f"{x!r} is not a carrier point")
     G = A.groupoid
-    return frozenset(g for g in G.elements if x in A.domains[G.inv[g]])
+    candidates = G.elements if A.tainted else G.fibers[A.anchor[x]].d
+    return frozenset(g for g in candidates if x in A.domains[G.inv[g]])
 
 
 def orbit_of(A: PartialAction, x: str) -> frozenset:
@@ -422,9 +505,13 @@ class Classification:
     free: bool
 
 
+def is_transitive(A: PartialAction) -> bool:
+    """One orbit, which also makes the carrier nonempty."""
+    return len(orbit_relation(A).classes) == 1
+
+
 def classify(A: PartialAction) -> Classification:
-    rel = orbit_relation(A)
-    transitive = len(rel.classes) == 1 and bool(A.carrier)
+    transitive = is_transitive(A)
     free = all(stabilizer(A, x) == frozenset({A.anchor[x]}) for x in A.carrier)
     return Classification(transitive=transitive, free=free)
 

@@ -13,6 +13,7 @@ from .core import FalsificationError, PreconditionError, defect, equivalence_cla
 from .action import (
     PartialAction,
     classify,
+    is_transitive,
     quotient_action,
     restrict_to_isotropy,
     stabilizer,
@@ -83,7 +84,7 @@ def build_coset_action(A: PartialAction, x: str) -> CosetSpace:
     classes, class_of, delta = coset_quotient(
         A.groupoid, e, stabilizer(A, x), coset_token, lambda m: defect(A.tainted, m), A.tainted
     )
-    if classify(A).free and any(len(b) != 1 for b in classes):
+    if any(len(b) != 1 for b in classes) and classify(A).free:
         raise FalsificationError("free base produced a non-singleton coset class")
     hx = frozenset(A.groupoid.d_fiber(e))
     return CosetSpace(base=A, basepoint=x, hx=hx, classes=classes, class_of=class_of, delta=delta)
@@ -99,7 +100,7 @@ def coset_envelope_isomorphism(C: CosetSpace, E: EnvelopingAction) -> GMap:
     """
     if C.base != E.base:
         raise PreconditionError("coset space and envelope are not over the same base action")
-    if not classify(C.base).transitive:
+    if not is_transitive(C.base):
         raise PreconditionError(
             "coset comparison requires a transitive base action; this base is not transitive"
         )
@@ -139,7 +140,7 @@ def isotropy_restriction_check(
         raise PreconditionError(
             "isotropy comparison is stated for one-unit groupoids (group actions) only"
         )
-    if not classify(A).transitive:
+    if not is_transitive(A):
         raise PreconditionError("isotropy comparison requires a transitive base action")
     report = verify_globalization(E)
     if not report.ok:

@@ -224,16 +224,17 @@ def relabel_envelope_base(E: EnvelopingAction, mapping: dict) -> EnvelopingActio
     """
     base = relabel_action(E.base, mapping)
     pairs = tuple(sorted((g, mapping[x]) for g, x in E.pairs))
-    classes = tuple(sorted((frozenset((g, mapping[x]) for g, x in b) for b in E.classes), key=min))
-    token_map = {}
+    token_map, renamed = {}, {}
     for block in E.classes:
-        renamed = frozenset((g, mapping[x]) for g, x in block)
-        token_map[E.class_of[min(block)]] = class_token(min(renamed))
-    class_of = {}
-    for block in classes:
-        token = class_token(min(block))
-        for p in block:
-            class_of[p] = token
+        moved = frozenset((g, mapping[x]) for g, x in block)
+        first = min(moved)
+        token_map[E.class_of[min(block)]] = token = class_token(first)
+        renamed[first] = moved, token
+    classes, class_of = [], {}
+    for first in sorted(renamed):
+        moved, token = renamed[first]
+        classes.append(moved)
+        class_of.update(dict.fromkeys(moved, token))
     action = build_partial_action(
         E.action.groupoid,
         sorted(token_map.values()),
@@ -246,7 +247,7 @@ def relabel_envelope_base(E: EnvelopingAction, mapping: dict) -> EnvelopingActio
     return EnvelopingAction(
         base=base,
         pairs=pairs,
-        classes=classes,
+        classes=tuple(classes),
         class_of=class_of,
         action=action,
         embedding=embedding,

@@ -129,9 +129,12 @@ def random_subgroup(rng: random.Random, G: Groupoid, e: str) -> frozenset:
 def coset_global_action(G: Groupoid, e: str, subgroup, prefix: str = "w") -> PartialAction:
     """Left multiplication of G on the source fiber of e modulo a subgroup.
 
-    Raises ``PreconditionError`` when ``subgroup`` is not a subgroup of the
-    isotropy group at e, naming the property the coset relation lacks.
+    Raises ``PreconditionError`` when e is not a unit, and when ``subgroup``
+    is not a subgroup of the isotropy group at e, naming the property the
+    coset relation lacks.
     """
+    if e not in G.identities:
+        raise PreconditionError(f"{e!r} is not an identity")
     return coset_quotient(G, e, subgroup, lambda h: f"{prefix}.{h}", PreconditionError)[2]
 
 

@@ -214,6 +214,55 @@ def reference_validate_partial_action(groupoid, carrier, anchor, domains, maps):
     return Report(ok=not viol, violations=tuple(viol), notes=tuple(notes))
 
 
+def reference_build_partial_action(groupoid, carrier, anchor, domains, maps, bypass: bool = False):
+    """The library's earlier ``build_partial_action``: ``_structural``, then
+    ``_semantic``, on every input."""
+    from pactkit.action import PartialAction, _semantic, _structural
+
+    points, anchor, domains, maps = _structural(groupoid, carrier, anchor, domains, maps)
+    report, law = _semantic(groupoid, points, anchor, domains, maps)
+    if not bypass:
+        report.raise_if_failed("partial action validation")
+    out = PartialAction(
+        groupoid=groupoid,
+        carrier=tuple(points),
+        anchor=anchor,
+        domains=domains,
+        maps=maps,
+        tainted=bypass,
+    )
+    object.__setattr__(out, "law_holds", law)
+    return out
+
+
+def reference_validate_gmap(f):
+    """The library's earlier ``validate_gmap``: the sorted scans, always run."""
+    from pactkit.core import Report, StructuralError, Violation
+
+    A, B = f.source, f.target
+    if A.groupoid != B.groupoid:
+        raise StructuralError("source and target are actions of different groupoids")
+    if set(f.table) != set(A.carrier):
+        raise StructuralError("map is not total on the source carrier")
+    if not set(f.table.values()) <= set(B.carrier):
+        raise StructuralError("map leaves the target carrier")
+    G = A.groupoid
+    viol = []
+    for g in G.elements:
+        for x in sorted(A.domains[g]):
+            if f.table[x] not in B.domains[g]:
+                viol.append(Violation("(i)", (g, x), "image leaves the matching domain"))
+    for g in G.elements:
+        for x in sorted(A.domains[G.inv[g]]):
+            y = f.table[x]
+            if y in B.domains[G.inv[g]] and f.table[A.maps[g][x]] != B.maps[g][y]:
+                viol.append(Violation("(ii)", (g, x), "map does not commute with the action"))
+    for x in A.carrier:
+        if B.anchor[f.table[x]] != A.anchor[x]:
+            viol.append(Violation("(anchor)", (x,), "anchors do not commute"))
+    return Report(ok=not viol, violations=tuple(viol))
+
+
 def reference_merge_relation_problems(A) -> list:
     """Every reflexivity, symmetry and transitivity failure of the merge
     relation of ``globalize``, in scan order with neighbours sorted; the
@@ -347,6 +396,50 @@ def corrupt_one_entry(rng, A) -> dict:
         raw["anchor"][x] = rng.choice(sorted(G.identities - {raw["anchor"][x]}))
     for g in G.elements:
         domains[g] = set(maps[g].values())
+    return raw
+
+
+STRUCTURE_CORRUPTIONS = (
+    "duplicate", "anchor", "unit", "domains", "escape", "maps", "keys", "collision", "unhashable"
+)
+
+
+def corrupt_structure(rng, A, kind: str) -> dict:
+    """Raw tables of A with one structural defect, which no bypass admits.
+
+    ``duplicate`` repeats a carrier point, ``anchor`` drops a point from the
+    anchor and ``unit`` anchors it at a non-unit, ``domains`` and ``maps``
+    drop an element, ``escape`` puts a foreign point in a domain, ``keys``
+    adds a key to a table, ``collision`` sends two keys to one value, and
+    ``unhashable`` wraps one image in a list.  Kinds with nothing to change
+    leave the tables as they are.
+    """
+    raw = raw_tables(A)
+    carrier, anchor, domains, maps = raw.values()
+    g = rng.choice(A.groupoid.elements)
+    movers = [h for h in A.groupoid.elements if len(maps[h]) >= 2]
+    if kind == "duplicate" and carrier:
+        carrier.append(rng.choice(carrier))
+    elif kind == "anchor" and carrier:
+        del anchor[rng.choice(carrier)]
+    elif kind == "unit" and carrier:
+        anchor[rng.choice(carrier)] = "not-a-unit"
+    elif kind == "domains":
+        del domains[g]
+    elif kind == "escape":
+        domains[g].add("not-a-point")
+    elif kind == "maps":
+        del maps[g]
+    elif kind == "keys" and carrier:
+        maps[g][rng.choice(carrier)] = rng.choice(carrier)
+    elif kind == "collision" and movers:
+        h = rng.choice(movers)
+        a, b = rng.sample(sorted(maps[h]), 2)
+        maps[h][a] = maps[h][b]
+    elif kind == "unhashable" and movers:
+        h = rng.choice(movers)
+        x = rng.choice(sorted(maps[h]))
+        maps[h][x] = [maps[h][x]]
     return raw
 
 

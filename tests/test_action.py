@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ import helpers
 from pactkit import (
     FalsificationError,
     PreconditionError,
+    StructuralError,
     ValidationFailed,
     action_graph,
     action_graphs,
@@ -30,7 +32,13 @@ from pactkit import (
     validate_partial_action,
 )
 from pactkit.fixtures import fix_b, fix_c, remark_x, remark_x_parts, sierp_act, z2
-from pactkit.sampling import random_partial_action, random_topological_instance
+from pactkit.groupoid import from_group, pair_groupoid
+from pactkit.sampling import (
+    cyclic_table,
+    random_partial_action,
+    random_relabeling,
+    random_topological_instance,
+)
 
 
 def z2_swap():
@@ -687,3 +695,110 @@ def test_quotient_action_matches_the_full_scan_on_tainted_corruptions(monkeypatc
                 assert with_kernel(quotient_action, B) == expected
                 built += sum(not isinstance(v, str) for v in expected)
     assert built >= 50
+
+
+def outcome(call, *args, **kwargs):
+    """The value of a call, or its error with the report it carries."""
+    try:
+        return call(*args, **kwargs)
+    except (StructuralError, ValidationFailed, TypeError) as exc:
+        return type(exc), str(exc), getattr(exc, "report", None)
+
+
+def built(A):
+    """A built action with its kept verdict and the order of its tables."""
+    if isinstance(A, tuple):
+        return A
+    return A, A.law_holds, [list(A.anchor.items()), list(A.domains), [list(t.items()) for t in A.maps.values()]]
+
+
+def test_accepting_pass_matches_the_two_pass_build():
+    # pool actions, their envelopes, coset spaces and relabelings, and
+    # actions of pair groupoids, each with semantic and structural defects
+    rng = random.Random(611)
+    actions = helpers.cross_check_actions(rng, 20)
+    actions += [random_partial_action(rng, pair_groupoid(range(n))) for n in range(2, 7)]
+    derived = []
+    for A in actions:
+        derived += [A, globalize(A).action, relabel_action(A, random_relabeling(rng, A))]
+        if A.carrier:
+            derived.append(build_coset_action(A, A.carrier[0]).delta)
+    seen = set()
+    for B in derived:
+        cases = [helpers.raw_tables(B)] + [helpers.corrupt_one_entry(rng, B) for _ in range(4)]
+        cases += [helpers.corrupt_structure(rng, B, k) for k in helpers.STRUCTURE_CORRUPTIONS]
+        for raw in cases:
+            carrier, anchor, domains, maps = raw.values()
+            # the carrier also as a one-shot iterator, which a miss must not lose
+            for fresh, bypass in ((list, True), (list, False), (iter, True)):
+                expected = outcome(
+                    helpers.reference_build_partial_action,
+                    B.groupoid, fresh(carrier), anchor, domains, maps, bypass=bypass,
+                )
+                got = outcome(
+                    build_partial_action,
+                    B.groupoid, fresh(carrier), anchor, domains, maps, bypass=bypass,
+                )
+                assert built(got) == built(expected)
+                seen.add(built(expected)[1])
+            args = (B.groupoid, carrier, anchor, domains, maps)
+            assert outcome(validate_partial_action, *args) == outcome(
+                helpers.reference_validate_partial_action, *args
+            )
+    # both kept verdicts, violations and every structural error were reached
+    kinds = {re.sub(r"\[.*\]|'.*'", "_", m) for m in seen if isinstance(m, str)}
+    assert {True, None} <= seen
+    assert {k for k in kinds if "validation" not in k} == {
+        "duplicate carrier points",
+        "anchor must be defined on exactly the carrier",
+        "anchor of _ is not an identity",
+        "domains must be defined on exactly the groupoid elements",
+        "domain of _ leaves the carrier",
+        "maps must be defined on exactly the groupoid elements",
+        "table of _ is not defined on the domain of its inverse",
+        "table of _ is not a bijection onto its domain",
+        "unhashable type: _",
+    }
+    assert {k.split(": ")[1] for k in kinds if "validation" in k} == {
+        "condition (i)", "condition (pre)", "condition (ii)", "condition (iii)", "condition (inv)"
+    }
+
+
+def test_moving_elements_read_the_fiber_on_validated_and_all_of_g_on_tainted_actions():
+    from pactkit.action import moving_elements
+
+    def scan(A, x):
+        G = A.groupoid
+        return frozenset(g for g in G.elements if x in A.domains[G.inv[g]])
+
+    rng = random.Random(612)
+    for A in helpers.cross_check_actions(rng, 20):
+        for x in A.carrier:
+            assert moving_elements(A, x) == scan(A, x)
+    # the domain of (1,2) escapes its range fiber, so (2,1), which leaves
+    # the unit (1,1), still moves b, anchored at (2,2)
+    G = pair_groupoid(["1", "2"])
+    A = build_partial_action(
+        G,
+        ["a", "b"],
+        {"a": "(1,1)", "b": "(2,2)"},
+        {"(1,1)": {"a"}, "(2,2)": {"b"}, "(1,2)": {"b"}, "(2,1)": {"b"}},
+        {"(1,1)": {"a": "a"}, "(2,2)": {"b": "b"}, "(1,2)": {"b": "b"}, "(2,1)": {"b": "b"}},
+        bypass=True,
+    )
+    assert "(2,1)" not in G.fibers["(2,2)"].d
+    assert moving_elements(A, "b") == scan(A, "b") == {"(1,2)", "(2,1)", "(2,2)"}
+    assert stabilizer(A, "b") == {"(1,2)", "(2,1)", "(2,2)"}
+    assert orbit_of(A, "b") == {"b"} and not classify(A).free
+
+
+def test_a_miss_leaves_the_first_defect_in_table_order_to_the_ordered_scan():
+    # the table of 2 is checked with that of its inverse 1, after the
+    # unhashable image in the table of 0; the ordered scan reaches 2 first
+    maps = {"2": {"b": "a"}, "0": {"a": ["a"]}, "1": {"a": "a"}}
+    args = (from_group(cyclic_table(3)), ["a"], {"a": "0"}, dict.fromkeys(maps, {"a"}), maps)
+    message = "table of '2' is not defined on the domain of its inverse"
+    with pytest.raises(StructuralError, match=message):
+        build_partial_action(*args, bypass=True)
+    with pytest.raises(StructuralError, match=message):
+        validate_partial_action(*args)

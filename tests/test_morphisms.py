@@ -177,3 +177,44 @@ def test_gmap_orbit_preservation_across_random_valid_maps():
 def test_groupoid_mismatch_is_structural_for_validation():
     with pytest.raises(StructuralError):
         validate_gmap(GMap(source=fix_b(), target=fix_c(), table={"a": "u", "b": "v"}))
+
+
+def test_validate_gmap_matches_the_sorted_scan_on_valid_and_perturbed_maps():
+    from pactkit import globalize
+
+    rng = random.Random(613)
+    verdicts, labels = set(), set()
+    for A in helpers.cross_check_actions(rng, 25):
+        E = globalize(A)
+        mapping = random_relabeling(rng, A)
+        inside = A.carrier[: len(A.carrier) // 2]
+        maps = [
+            (A, A, {x: x for x in A.carrier}),
+            (A, E.action, E.embedding),
+            (A, relabel_action(A, mapping), mapping),
+            (restrict(A, inside), A, {x: x for x in inside}),
+        ]
+        # a tainted end may break (i) for units, which only the anchor check sees
+        raw = helpers.corrupt_one_entry(rng, A)
+        tainted = build_partial_action(A.groupoid, *raw.values(), bypass=True)
+        maps += [(tainted, A, maps[0][2]), (A, tainted, maps[0][2])]
+        for source, target, table in maps:
+            tables = [table]
+            for _ in range(3):  # one image moved, then exchanged with another
+                changed = dict(table)
+                if changed:
+                    x, y = rng.choice(sorted(changed)), rng.choice(sorted(changed))
+                    changed[x] = rng.choice(target.carrier)
+                    changed[x], changed[y] = changed[y], changed[x]
+                tables.append(changed)
+            for t in tables:
+                f = GMap(source=source, target=target, table=t)
+                report = validate_gmap(f)
+                assert report == helpers.reference_validate_gmap(f)
+                found = [(v.condition, *v.witness) for v in report.violations]
+                scanned = helpers.gmap_condition_scan(source, target, t)
+                assert sorted(v for v in found if v[0] != "(anchor)") == sorted(scanned)
+                verdicts.add(report.ok)
+                labels.add(report.conditions())
+    assert verdicts == {True, False} and frozenset({"(anchor)"}) in labels
+    assert frozenset().union(*labels) == {"(i)", "(ii)", "(anchor)"}

@@ -136,3 +136,11 @@ def test_coset_global_action_rejects_a_subset_that_is_not_a_subgroup(subset, kin
     Z4 = from_group(cyclic_table(4))
     with pytest.raises(PreconditionError, match=f"coset relation is not {kind}"):
         coset_global_action(Z4, "0", subset)
+
+
+@pytest.mark.parametrize("e", ["1", "bogus"])
+def test_coset_global_action_rejects_a_point_that_is_not_a_unit(e):
+    # the source fiber of a non-unit is empty, which would give an empty action
+    Z4 = from_group(cyclic_table(4))
+    with pytest.raises(PreconditionError, match=f"'{e}' is not an identity"):
+        coset_global_action(Z4, e, {"0"})
