@@ -23,13 +23,18 @@ from .groupoid import Groupoid, isotropy_group
 from . import topology as topo
 from .topology import FiniteTopology
 
+# the one empty domain every validated action holds
+_EMPTY = frozenset()
+
 
 @dataclass(frozen=True, eq=True)
 class PartialAction:
     """A partial action: per-element domains and bijections between them.
 
     ``domains[g]`` is the image set of the bijection ``maps[g]``, whose key
-    set is ``domains[inv(g)]``.  ``tainted`` marks values built with the
+    set is ``domains[inv(g)]``.  Equal domains may be one shared frozenset:
+    a domain equal to that of its range unit is that set, and every empty
+    domain is one set.  ``tainted`` marks values built with the
     validation bypass; downstream results inherit the marker.
     ``law_holds`` keeps the verdict of the composition law when validation
     decided it, and is None otherwise (and after ``dataclasses.replace``).
@@ -127,6 +132,10 @@ def _accepts(G: Groupoid, anchor, domains, maps) -> tuple[bool, bool | None]:
     table.  Unit domains equal to their anchor fibers are pairwise disjoint,
     because the fibers partition the carrier, so (i) needs no overlap check
     between units.
+
+    A domain equal to that of its range unit is replaced by that set, and an
+    empty one by ``_EMPTY``, so equal domains are held once.  The sets stay
+    equal, so a miss leaves the ordered scans the same tables.
     """
     inv, rng = G.inv, G.rng
     full = True
@@ -134,7 +143,12 @@ def _accepts(G: Groupoid, anchor, domains, maps) -> tuple[bool, bool | None]:
         ig, dom, whole = inv[g], domains[g], domains[rng[g]]
         if not dom <= whole:
             return False, None
-        full = full and dom == whole
+        if dom == whole:
+            domains[g] = whole or _EMPTY
+        else:
+            full = False
+            if not dom:
+                domains[g] = _EMPTY
         if g <= ig:
             try:
                 back = {y: x for x, y in table.items()}
@@ -350,7 +364,9 @@ def quotient_action(G: Groupoid, blocks, token, unit, left, bypass: bool = False
         maps = _class_tables(G, at_unit, class_of, left, frozenset(G.generators))
     except FalsificationError:  # name the first k in element order
         maps = _class_tables(G, at_unit, class_of, left, frozenset(G.elements))
-    domains = {k: frozenset(maps[G.inv[k]]) for k in G.elements}
+    # the induced action is global: the domain of k is the class set at rng(k)
+    at = {e: frozenset(name for name, _, _ in named) for e, named in at_unit.items()}
+    domains = {k: at.get(G.rng[k], _EMPTY) for k in G.elements}
     action = build_partial_action(G, sorted(anchor), anchor, domains, maps, bypass=bypass)
     if not is_global(action):
         raise FalsificationError("induced action on the classes is not global")

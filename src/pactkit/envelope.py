@@ -223,10 +223,12 @@ def relabel_envelope_base(E: EnvelopingAction, mapping: dict) -> EnvelopingActio
     compared directly.
     """
     base = relabel_action(E.base, mapping)
-    pairs = tuple(sorted((g, mapping[x]) for g, x in E.pairs))
+    # each pair is renamed once, and pairs, classes and class_of share it
+    moved_pair = {p: (p[0], mapping[p[1]]) for p in E.pairs}
+    pairs = tuple(sorted(moved_pair.values()))
     token_map, renamed = {}, {}
     for block in E.classes:
-        moved = frozenset((g, mapping[x]) for g, x in block)
+        moved = frozenset(map(moved_pair.__getitem__, block))
         first = min(moved)
         token_map[E.class_of[min(block)]] = token = class_token(first)
         renamed[first] = moved, token

@@ -82,14 +82,25 @@ def compose_gmaps(f: GMap, g: GMap) -> GMap:
 
 
 def is_isomorphism(f: GMap) -> bool:
-    """Bijective with an inverse table that is itself a valid equivariant map."""
+    """Bijective, a valid equivariant map, and with a valid equivariant inverse.
+
+    The inverse needs no scan of its own.  Let f be bijective and pass
+    ``validate_gmap``.  By (i) it maps dom_A(g) into dom_B(g), injectively,
+    so f⁻¹ satisfies (i) exactly when |dom_A(g)| = |dom_B(g)| for every g;
+    then f(dom_A(g)) = dom_B(g).  Given that, take y in dom_B(inv g) and
+    x = f⁻¹(y) in dom_A(inv g): (ii) for f gives f(g·x) = g·y, so
+    f⁻¹(g·y) = g·f⁻¹(y), which is (ii) for f⁻¹; and the anchor condition
+    for f, read at x = f⁻¹(y), is that for f⁻¹.  The argument uses only the
+    table invariants no bypass skips (the table of g is a bijection from
+    the domain of inv(g) onto that of g), so it holds on tainted ends too.
+    """
     if not validate_gmap(f).ok:
         return False
     values = set(f.table.values())
     if len(values) != len(f.table) or values != set(f.target.carrier):
         return False
-    inverse = GMap(source=f.target, target=f.source, table={y: x for x, y in f.table.items()})
-    return validate_gmap(inverse).ok
+    A, B = f.source, f.target
+    return all(len(A.domains[g]) == len(B.domains[g]) for g in A.groupoid.elements)
 
 
 def inverse_gmap(f: GMap) -> GMap:
@@ -98,8 +109,18 @@ def inverse_gmap(f: GMap) -> GMap:
     return build_gmap(f.target, f.source, {y: x for x, y in f.table.items()})
 
 
-def _membership_profile(A: PartialAction, x: str) -> frozenset:
-    return frozenset(g for g in A.groupoid.elements if x in A.domains[g])
+def _point_keys(A: PartialAction) -> dict:
+    """Per point, in carrier order: the elements whose domain holds it, its
+    orbit size and its stabilizer, each computed once."""
+    elements = A.groupoid.elements
+    return {
+        x: (
+            frozenset(g for g in elements if x in A.domains[g]),
+            len(orbit_of(A, x)),
+            stabilizer(A, x),
+        )
+        for x in A.carrier
+    }
 
 
 def find_isomorphism(A: PartialAction, B: PartialAction):
@@ -119,25 +140,19 @@ def find_isomorphism(A: PartialAction, B: PartialAction):
     G = A.groupoid
     if Counter(A.anchor.values()) != Counter(B.anchor.values()):
         return None
-    if Counter(len(orbit_of(A, x)) for x in A.carrier) != Counter(
-        len(orbit_of(B, y)) for y in B.carrier
-    ):
+    keys_a, keys_b = _point_keys(A), _point_keys(B)
+    if Counter(k[1] for k in keys_a.values()) != Counter(k[1] for k in keys_b.values()):
         return None
-    if Counter(len(stabilizer(A, x)) for x in A.carrier) != Counter(
-        len(stabilizer(B, y)) for y in B.carrier
-    ):
+    if Counter(len(k[2]) for k in keys_a.values()) != Counter(len(k[2]) for k in keys_b.values()):
         return None
     if any(len(A.domains[g]) != len(B.domains[g]) for g in G.elements):
         return None
 
     keyed = {}
-    for y in B.carrier:
-        keyed.setdefault(
-            (_membership_profile(B, y), len(orbit_of(B, y)), stabilizer(B, y)), []
-        ).append(y)
+    for y, key in keys_b.items():
+        keyed.setdefault(key, []).append(y)
     candidates = {}
-    for x in A.carrier:
-        key = (_membership_profile(A, x), len(orbit_of(A, x)), stabilizer(A, x))
+    for x, key in keys_a.items():
         pool = keyed.get(key)
         if not pool:
             return None

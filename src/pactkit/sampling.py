@@ -130,11 +130,15 @@ def coset_global_action(G: Groupoid, e: str, subgroup, prefix: str = "w") -> Par
     """Left multiplication of G on the source fiber of e modulo a subgroup.
 
     Raises ``PreconditionError`` when e is not a unit, and when ``subgroup``
-    is not a subgroup of the isotropy group at e, naming the property the
-    coset relation lacks.
+    is not a subgroup of the isotropy group at e, naming its members outside
+    that group in sorted order, or else the property the coset relation lacks.
     """
     if e not in G.identities:
         raise PreconditionError(f"{e!r} is not an identity")
+    # the coset relation reads only the members in the isotropy group
+    stray = sorted(set(subgroup).difference(G.isotropy_elements(e)))
+    if stray:
+        raise PreconditionError(f"subgroup members {stray} are not in the isotropy group at {e!r}")
     return coset_quotient(G, e, subgroup, lambda h: f"{prefix}.{h}", PreconditionError)[2]
 
 

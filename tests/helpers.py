@@ -882,3 +882,105 @@ def reference_render(value, indent: int) -> str:
         items = [f"{pad}  {reference_render(v, indent + 2)}" for v in value]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     return json.dumps(value, ensure_ascii=False)
+
+
+# ---------------------------------------------------------------------------
+# the library's earlier isomorphism test and search, kept verbatim
+
+
+def reference_is_isomorphism(f) -> bool:
+    """Bijective with an inverse table that is itself a valid equivariant map."""
+    from pactkit.morphisms import GMap, validate_gmap
+
+    if not validate_gmap(f).ok:
+        return False
+    values = set(f.table.values())
+    if len(values) != len(f.table) or values != set(f.target.carrier):
+        return False
+    inverse = GMap(source=f.target, target=f.source, table={y: x for x, y in f.table.items()})
+    return validate_gmap(inverse).ok
+
+
+def reference_find_isomorphism(A, B):
+    """Backtracking search that recomputes each point's invariants where it
+    reads them: in the pre-filters and again in the candidate keys."""
+    from collections import Counter
+
+    from pactkit.action import classify, orbit_of, stabilizer
+    from pactkit.morphisms import GMap
+
+    def membership_profile(A, x):
+        return frozenset(g for g in A.groupoid.elements if x in A.domains[g])
+
+    if A.groupoid != B.groupoid:
+        return None
+    if len(A.carrier) != len(B.carrier):
+        return None
+    if classify(A) != classify(B):
+        return None
+    G = A.groupoid
+    if Counter(A.anchor.values()) != Counter(B.anchor.values()):
+        return None
+    if Counter(len(orbit_of(A, x)) for x in A.carrier) != Counter(
+        len(orbit_of(B, y)) for y in B.carrier
+    ):
+        return None
+    if Counter(len(stabilizer(A, x)) for x in A.carrier) != Counter(
+        len(stabilizer(B, y)) for y in B.carrier
+    ):
+        return None
+    if any(len(A.domains[g]) != len(B.domains[g]) for g in G.elements):
+        return None
+
+    keyed = {}
+    for y in B.carrier:
+        keyed.setdefault(
+            (membership_profile(B, y), len(orbit_of(B, y)), stabilizer(B, y)), []
+        ).append(y)
+    candidates = {}
+    for x in A.carrier:
+        key = (membership_profile(A, x), len(orbit_of(A, x)), stabilizer(A, x))
+        pool = keyed.get(key)
+        if not pool:
+            return None
+        candidates[x] = sorted(pool)
+
+    order = list(A.carrier)
+    assignment: dict = {}
+    used: set = set()
+
+    def consistent(x: str, y: str) -> bool:
+        for g in G.elements:
+            if x in A.domains[G.inv[g]]:
+                x2 = A.maps[g][x]
+                y2 = B.maps[g][y]
+                if x2 in assignment and assignment[x2] != y2:
+                    return False
+            if x in A.domains[g]:
+                x0 = A.maps[G.inv[g]][x]
+                y0 = B.maps[G.inv[g]][y]
+                if x0 in assignment and assignment[x0] != y0:
+                    return False
+        return True
+
+    def backtrack(i: int) -> bool:
+        if i == len(order):
+            return True
+        x = order[i]
+        for y in candidates[x]:
+            if y in used or not consistent(x, y):
+                continue
+            assignment[x] = y
+            used.add(y)
+            if backtrack(i + 1):
+                return True
+            del assignment[x]
+            used.remove(y)
+        return False
+
+    if not backtrack(0):
+        return None
+    found = GMap(source=A, target=B, table=dict(assignment))
+    if not reference_is_isomorphism(found):
+        return None
+    return found

@@ -802,3 +802,41 @@ def test_a_miss_leaves_the_first_defect_in_table_order_to_the_ordered_scan():
         build_partial_action(*args, bypass=True)
     with pytest.raises(StructuralError, match=message):
         validate_partial_action(*args)
+
+
+def test_validated_actions_hold_one_set_per_unit_domain_and_one_empty_set():
+    from pactkit import relabel_envelope_base
+    from pactkit.sampling import groupoid_pool, random_global_action
+
+    rng = random.Random(617)
+    bases = helpers.cross_check_actions(rng, 20)
+    bases += [random_partial_action(rng, pair_groupoid(range(n))) for n in range(2, 7)]
+    glob = [random_global_action(rng, G) for G in groupoid_pool()]
+    glob += [random_global_action(rng, pair_groupoid(range(n))) for n in range(2, 7)]
+    for A in bases:
+        E = globalize(A)
+        glob += [E.action, relabel_envelope_base(E, random_relabeling(rng, A)).action]
+        if A.carrier:
+            glob.append(build_coset_action(A, A.carrier[0]).delta)
+    glob += [relabel_action(B, random_relabeling(rng, B)) for B in list(glob)]
+    empties = set()
+    for B in bases + glob:
+        G = B.groupoid
+        for g in G.elements:
+            if B.domains[g] == B.domains[G.rng[g]]:
+                assert B.domains[g] is B.domains[G.rng[g]]
+        empties |= {id(s) for s in B.domains.values() if not s}
+    assert len(empties) == 1
+    for B in glob:
+        G = B.groupoid
+        assert is_global(B)
+        assert all(B.domains[g] is B.domains[G.rng[g]] for g in G.elements)
+        # sharing changes no outcome of the build, valid or corrupted
+        cases = [helpers.raw_tables(B)] + [helpers.corrupt_one_entry(rng, B) for _ in range(3)]
+        for raw in cases:
+            for bypass in (False, True):
+                expected = outcome(
+                    helpers.reference_build_partial_action, G, *raw.values(), bypass=bypass
+                )
+                got = outcome(build_partial_action, G, *raw.values(), bypass=bypass)
+                assert built(got) == built(expected)

@@ -420,3 +420,15 @@ def test_envelope_topology_matches_the_reference_on_merged_classes():
                 assert rep.booleans() == ref.booleans()
                 seen.add((rep.pi_open, len(T_M.min_open[A.carrier[0]]) == 1))
     assert seen == {(False, True), (True, False)}
+
+
+def test_envelope_documents_match_the_recorded_bytes():
+    import importlib.util
+    import json
+    from pathlib import Path
+
+    recorder_path = Path(__file__).resolve().parent / "data" / "record_envelope_documents.py"
+    spec = importlib.util.spec_from_file_location("record_envelope_documents", recorder_path)
+    recorder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recorder)
+    assert recorder.digests() == json.loads(recorder.DIGESTS.read_text())

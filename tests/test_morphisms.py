@@ -150,6 +150,25 @@ def test_bijective_gmap_without_gmap_inverse_is_not_an_isomorphism():
     assert find_isomorphism(small, big) is None
 
 
+def test_a_valid_bijective_gmap_into_larger_domains_is_not_an_isomorphism():
+    # Z2 acting trivially, s defined nowhere, into Z2 acting globally on the
+    # same two points: the identity passes, but its inverse leaves dom(s)
+    Z = z2()
+    trivial = build_partial_action(
+        Z, ["a", "b"], {"a": "e", "b": "e"}, {"e": {"a", "b"}, "s": set()},
+        {"e": {"a": "a", "b": "b"}, "s": {}},
+    )
+    for images in ({"a": "a", "b": "b"}, {"a": "b", "b": "a"}):
+        glob = build_partial_action(
+            Z, ["a", "b"], {"a": "e", "b": "e"}, {"e": {"a", "b"}, "s": {"a", "b"}},
+            {"e": {"a": "a", "b": "b"}, "s": images},
+        )
+        f = GMap(source=trivial, target=glob, table={"a": "a", "b": "b"})
+        assert validate_gmap(f).ok
+        assert not is_isomorphism(f) and not helpers.reference_is_isomorphism(f)
+        assert is_isomorphism(GMap(source=glob, target=glob, table=f.table))
+
+
 def test_gmap_sends_orbits_into_orbits():
     C = fix_c()
     S = restrict(C, {"u"})
@@ -218,3 +237,109 @@ def test_validate_gmap_matches_the_sorted_scan_on_valid_and_perturbed_maps():
                 labels.add(report.conditions())
     assert verdicts == {True, False} and frozenset({"(anchor)"}) in labels
     assert frozenset().union(*labels) == {"(i)", "(ii)", "(anchor)"}
+
+
+def test_find_isomorphism_computes_each_point_invariant_once(monkeypatch):
+    from pactkit import globalize, morphisms
+
+    calls = {"stabilizer": 0, "orbit_of": 0}
+
+    def counted(name):
+        inner = getattr(morphisms, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(morphisms, name, counted(name))
+    E = globalize(fix_b())
+    assert len(E.action.carrier) == 3
+    found = find_isomorphism(E.action, E.action)
+    assert found.table == {c: c for c in E.action.carrier}
+    assert calls == {"stabilizer": 6, "orbit_of": 6}
+
+
+def test_find_isomorphism_matches_the_reference_search():
+    # relabeled and enveloped pool actions, and pairs with the same groupoid
+    # and carrier size that are mostly not isomorphic
+    from pactkit import globalize, relabel_envelope_base
+
+    rng = random.Random(614)
+    pairs = []
+    actions = helpers.cross_check_actions(rng, 30)
+    for A in actions:
+        mapping = random_relabeling(rng, A)
+        E = globalize(A)
+        pairs += [
+            (A, relabel_action(A, mapping)),
+            (E.action, relabel_envelope_base(E, mapping).action),
+            (E.action, globalize(relabel_action(A, mapping)).action),
+            (A, E.action),
+        ]
+    for A, B in zip(actions, actions[1:]):
+        if A.groupoid == B.groupoid and len(A.carrier) == len(B.carrier):
+            pairs.append((A, B))
+    for A in actions[:30]:
+        pairs.append((A, random_partial_action(rng, A.groupoid, max_points=len(A.carrier))))
+    verdicts = set()
+    for A, B in pairs:
+        expected = helpers.reference_find_isomorphism(A, B)
+        got = find_isomorphism(A, B)
+        if expected is None:
+            assert got is None
+        else:
+            assert (got.source, got.target, got.table) == (A, B, expected.table)
+            assert list(got.table) == list(expected.table)
+        verdicts.add(expected is None)
+    assert verdicts == {True, False}
+
+
+def test_is_isomorphism_matches_the_inverse_scan():
+    from pactkit import (
+        build_coset_action,
+        coset_envelope_isomorphism,
+        compare_globalizations,
+        globalize,
+        relabel_envelope_base,
+    )
+    from pactkit.action import is_transitive
+
+    rng = random.Random(615)
+    verdicts = set()
+    for A in helpers.cross_check_actions(rng, 25):
+        mapping = random_relabeling(rng, A)
+        inverse = {y: x for x, y in mapping.items()}
+        E = globalize(A)
+        back = relabel_envelope_base(globalize(relabel_action(A, mapping)), inverse)
+        maps = [
+            (A, A, {x: x for x in A.carrier}),
+            (A, relabel_action(A, mapping), mapping),
+            (A, E.action, E.embedding),
+        ]
+        for f in (compare_globalizations(E, back), compare_globalizations(back, E)):
+            maps.append((f.source, f.target, f.table))
+        if A.carrier and is_transitive(A):
+            f = coset_envelope_isomorphism(build_coset_action(A, A.carrier[0]), E)
+            maps.append((f.source, f.target, f.table))
+        raw = helpers.corrupt_one_entry(rng, A)
+        tainted = build_partial_action(A.groupoid, *raw.values(), bypass=True)
+        maps += [(tainted, A, maps[0][2]), (A, tainted, maps[0][2]), (tainted, tainted, maps[0][2])]
+        for source, target, table in maps:
+            tables = [table]
+            for _ in range(3):  # one image moved, then exchanged with another
+                changed = dict(table)
+                if changed:
+                    x, y = rng.choice(sorted(changed)), rng.choice(sorted(changed))
+                    changed[x] = rng.choice(target.carrier)
+                    changed[x], changed[y] = changed[y], changed[x]
+                tables.append(changed)
+            for t in tables:
+                f = GMap(source=source, target=target, table=t)
+                expected = helpers.reference_is_isomorphism(f)
+                assert is_isomorphism(f) == expected
+                verdicts.add(expected)
+    assert verdicts == {True, False}
+

@@ -15,7 +15,7 @@ from pactkit import (
     validate_groupoid,
     validate_partial_action,
 )
-from pactkit.groupoid import from_group
+from pactkit.groupoid import from_group, pair_groupoid
 from pactkit.sampling import (
     coset_global_action,
     cyclic_table,
@@ -144,3 +144,18 @@ def test_coset_global_action_rejects_a_point_that_is_not_a_unit(e):
     Z4 = from_group(cyclic_table(4))
     with pytest.raises(PreconditionError, match=f"'{e}' is not an identity"):
         coset_global_action(Z4, e, {"0"})
+
+
+@pytest.mark.parametrize(
+    "G, e, subset, stray",
+    [
+        (pair_groupoid(["1", "2"]), "(1,1)", {"(1,1)", "(1,2)"}, ["(1,2)"]),
+        (from_group(cyclic_table(4)), "0", {"0", "2", "bogus"}, ["bogus"]),
+        (from_group(cyclic_table(4)), "0", {"zz", "0", "aa"}, ["aa", "zz"]),
+    ],
+)
+def test_coset_global_action_rejects_members_outside_the_isotropy_group(G, e, subset, stray):
+    # the coset relation never reads such a member, so it was silently dropped
+    with pytest.raises(PreconditionError) as err:
+        coset_global_action(G, e, subset)
+    assert str(err.value) == f"subgroup members {stray} are not in the isotropy group at {e!r}"
