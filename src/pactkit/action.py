@@ -25,6 +25,8 @@ from .topology import FiniteTopology
 
 # the one empty domain every validated action holds
 _EMPTY = frozenset()
+# a value no table holds, for lookups that must tell a missing key apart
+_MISSING = object()
 
 
 @dataclass(frozen=True, eq=True)
@@ -88,25 +90,28 @@ def validate_partial_action(groupoid: Groupoid, carrier, anchor, domains, maps) 
     return _validate(groupoid, carrier, anchor, domains, maps)[0]
 
 
-def _validate(G: Groupoid, carrier, anchor, domains, maps):
+def _validate(G: Groupoid, carrier, anchor, domains, maps, owned: bool = False):
     """Normalize and validate: (report, points, anchor, domains, maps, law).
 
     The tables are normalized as in ``_structural`` while its checks run as
     set comparisons, and ``_accepts`` then decides the rest.  On any miss
     ``_structural`` and ``_semantic`` run on the tables normalized so far,
     which normalizing again leaves unchanged, so the exceptions, violations,
-    witnesses and notes are theirs.
+    witnesses and notes are theirs.  ``owned`` tables are already in normal
+    form and no caller keeps them (see ``_adopt``), so they are not copied.
     """
     points = sorted(str(x) for x in carrier)
     on = set(points)
     accepted = law = None
     if len(on) == len(points):
-        anchor = dict(anchor)
+        anchor = anchor if owned else dict(anchor)
         if anchor.keys() == on and G.identities.issuperset(anchor.values()):
-            domains = {g: frozenset(s) for g, s in dict(domains).items()}
+            if not owned:
+                domains = {g: frozenset(s) for g, s in dict(domains).items()}
             elements = set(G.elements)
             if domains.keys() == elements and on.issuperset(chain.from_iterable(domains.values())):
-                maps = {g: dict(t) for g, t in dict(maps).items()}
+                if not owned:
+                    maps = {g: dict(t) for g, t in dict(maps).items()}
                 if maps.keys() == elements:
                     accepted, law = _accepts(G, anchor, domains, maps)
     if accepted:
@@ -228,20 +233,31 @@ def _semantic(G: Groupoid, points, anchor, domains, maps) -> tuple[Report, bool 
 def _composition_law(G: Groupoid, maps) -> bool:
     """True when maps[g]∘maps[h] == maps[gh] on every composable pair.
 
-    Decided on the pairs with h in ``G.generators``.  The h passing for
-    every g are closed under composable products: for such a, b,
-    maps[g]∘maps[ab] = maps[g]∘maps[a]∘maps[b] = maps[ga]∘maps[b] =
+    Decided on the pairs with h in ``G.generators`` (``G.plan.law``).  The
+    h passing for every g are closed under composable products: for such
+    a, b, maps[g]∘maps[ab] = maps[g]∘maps[a]∘maps[b] = maps[ga]∘maps[b] =
     maps[(ga)b] = maps[g(ab)], by associativity of partial-map composition
     and of G.  Every element is a product of generators, so this holds for
     any tables, validated or not.
+
+    No composite is built.  Each x whose image under maps[h] is a key of
+    maps[g] must be a key of maps[gh] with the composite's value there, and
+    the count of such x must be len(maps[gh]): the composite's entries are
+    then entries of maps[gh], as many as it has, so the two tables are
+    equal.  Without the count a key of maps[gh] outside the composite's
+    domain would pass.
     """
-    fibers, rng, mul = G.fibers, G.rng, G.mul
-    for h in G.generators:
-        to_h = maps[h]
-        for g in fibers[rng[h]].d:
-            to_g = maps[g]
-            if {x: to_g[y] for x, y in to_h.items() if y in to_g} != maps[mul[(g, h)]]:
-                return False
+    for h, g, gh in G.plan.law:
+        to_g, to_gh = maps[g], maps[gh]
+        count = 0
+        for x, y in maps[h].items():
+            z = to_g.get(y, _MISSING)
+            if z is not _MISSING:
+                if to_gh.get(x, _MISSING) != z:
+                    return False
+                count += 1
+        if count != len(to_gh):
+            return False
     return True
 
 
@@ -254,10 +270,9 @@ def _products_compatible(G: Groupoid, domains, maps) -> bool:
     the two equal.  False on any miss; the ordered scans then name the
     witnesses.
     """
-    inv = G.inv
-    for (g, h), gh in G.mul.items():
-        overlap = domains[inv[g]] & domains[h]
-        to_g, back, to_gh = maps[g], maps[inv[h]], maps[gh]
+    for ig, h, g, ih, gh in G.plan.products:
+        overlap = domains[ig] & domains[h]
+        to_g, back, to_gh = maps[g], maps[ih], maps[gh]
         for y in overlap:
             x = back.get(y)
             if x is None or to_gh.get(x) != to_g[y]:
@@ -301,13 +316,21 @@ def build_partial_action(
 
     With ``bypass`` the semantic checks still run but do not block
     construction; the resulting value is marked tainted.  Structural defects
-    (broken tables, dangling references) are never bypassable.
+    (broken tables, dangling references) are never bypassable.  The tables
+    are copied, so the caller may change its containers afterwards.
     """
-    report, points, anchor, domains, maps, law = _validate(groupoid, carrier, anchor, domains, maps)
+    return _adopt(groupoid, carrier, anchor, domains, maps, bypass, owned=False)
+
+
+def _adopt(G: Groupoid, carrier, anchor, domains, maps, bypass: bool, owned: bool = True):
+    """``build_partial_action`` on tables its caller has just built in normal
+    form (a dict of frozensets, a dict of dicts, an anchor dict) and hands
+    over: the action keeps those containers instead of copies."""
+    report, points, anchor, domains, maps, law = _validate(G, carrier, anchor, domains, maps, owned)
     if not bypass:
         report.raise_if_failed("partial action validation")
     out = PartialAction(
-        groupoid=groupoid,
+        groupoid=G,
         carrier=tuple(points),
         anchor=anchor,
         domains=domains,
@@ -367,7 +390,7 @@ def quotient_action(G: Groupoid, blocks, token, unit, left, bypass: bool = False
     # the induced action is global: the domain of k is the class set at rng(k)
     at = {e: frozenset(name for name, _, _ in named) for e, named in at_unit.items()}
     domains = {k: at.get(G.rng[k], _EMPTY) for k in G.elements}
-    action = build_partial_action(G, sorted(anchor), anchor, domains, maps, bypass=bypass)
+    action = _adopt(G, sorted(anchor), anchor, domains, maps, bypass)
     if not is_global(action):
         raise FalsificationError("induced action on the classes is not global")
     return classes, class_of, action
@@ -549,15 +572,7 @@ def restrict(B: PartialAction, S) -> PartialAction:
     maps = {}
     for g in G.elements:
         maps[g] = {x: B.maps[g][x] for x in domains[G.inv[g]]}
-    out = build_partial_action(
-        G,
-        sorted(S),
-        {x: B.anchor[x] for x in S},
-        domains,
-        maps,
-        bypass=B.tainted,
-    )
-    return out
+    return _adopt(G, sorted(S), {x: B.anchor[x] for x in S}, domains, maps, B.tainted)
 
 
 def invariant_closure(B: PartialAction, S) -> frozenset:
@@ -589,13 +604,13 @@ def restrict_to_isotropy(A: PartialAction, e: str) -> PartialAction:
         raise PreconditionError(f"{e!r} is not an identity")
     H = isotropy_group(A.groupoid, e)
     carrier = sorted(A.domains[e])
-    return build_partial_action(
+    return _adopt(
         H,
         carrier,
         {x: e for x in carrier},
         {g: A.domains[g] for g in H.elements},
-        {g: dict(A.maps[g]) for g in H.elements},
-        bypass=A.tainted,
+        {g: A.maps[g] for g in H.elements},
+        A.tainted,
     )
 
 
@@ -709,11 +724,11 @@ def relabel_action(A: PartialAction, mapping: dict) -> PartialAction:
     """Transport a partial action along a bijective renaming of carrier points."""
     if set(mapping) != set(A.carrier) or len(set(mapping.values())) != len(A.carrier):
         raise StructuralError("relabeling must be a bijection on the carrier")
-    return build_partial_action(
+    return _adopt(
         A.groupoid,
         sorted(mapping.values()),
         {mapping[x]: e for x, e in A.anchor.items()},
         {g: frozenset(mapping[x] for x in s) for g, s in A.domains.items()},
         {g: {mapping[x]: mapping[y] for x, y in t.items()} for g, t in A.maps.items()},
-        bypass=A.tainted,
+        A.tainted,
     )

@@ -18,8 +18,8 @@ from .core import (
 )
 from .action import (
     PartialAction,
+    _adopt,
     action_graphs,
-    build_partial_action,
     quotient_action,
     relabel_action,
     restrict,
@@ -45,12 +45,34 @@ class EnvelopingAction:
     embedding: dict
 
 
-def _pair_neighbours(A: PartialAction, g: str, x: str):
-    """Pairs identified with (g, x): one per l with src(l)=src(g) acting at x."""
-    G = A.groupoid
-    for l in G.fibers[G.src[g]].d:
-        if x in A.domains[G.inv[l]]:
-            yield (G.mul[(g, G.inv[l])], A.maps[l][x])
+def _merge_relation(A: PartialAction, pairs) -> dict:
+    """The pairs identified with each pair (g, x): (g·inv l, l·x) for every l
+    with src(l) = src(g) acting at x, read from ``G.plan.merge``.
+
+    A built action's table of l has the keys domains[inv l], so ``x in
+    maps[l]`` is the test ``x in domains[inv l]``.  Neighbours are stored as
+    the pair objects themselves, so that the classes built from them hold no
+    second copy of each pair.  A neighbour that is no pair raises the merge
+    defect, named by the first such pair and its least stray neighbour.
+    """
+    merge, maps = A.groupoid.plan.merge, A.maps
+    canonical = {p: p for p in pairs}
+    rel = {}
+    for p in pairs:
+        g, x = p
+        related, stray = set(), []
+        for l, gl in merge[g]:
+            y = maps[l].get(x)  # table values are carrier points, never None
+            if y is not None:
+                q = canonical.get((gl, y))
+                if q is None:
+                    stray.append((gl, y))
+                else:
+                    related.add(q)
+        if stray:
+            raise defect(A.tainted, f"merge relation leaves the pair set: witness {(p, min(stray))}")
+        rel[p] = related
+    return rel
 
 
 def _merge_relation_problems(pairs, rel) -> list:
@@ -85,19 +107,7 @@ def globalize(A: PartialAction) -> EnvelopingAction:
     for x in A.carrier:
         points_at.setdefault(A.anchor[x], []).append(x)
     pairs = tuple((g, x) for g in G.elements for x in points_at.get(G.src[g], ()))
-    # neighbours are stored as the pair objects themselves, so that the
-    # classes built from them hold no second copy of each pair
-    canonical = {p: p for p in pairs}
-    rel = {p: set() for p in pairs}
-    for g, x in pairs:
-        for q in _pair_neighbours(A, g, x):
-            rel[(g, x)].add(canonical.get(q, q))
-    if any(q not in rel for qs in rel.values() for q in qs):
-        for p in pairs:
-            stray = sorted(q for q in rel[p] if q not in rel)
-            if stray:
-                raise defect(A.tainted, f"merge relation leaves the pair set: witness {(p, stray[0])}")
-
+    rel = _merge_relation(A, pairs)
     blocks = equivalence_classes(pairs, rel)
     if blocks is None:
         kind, witness = _merge_relation_problems(pairs, rel)[0]
@@ -237,13 +247,13 @@ def relabel_envelope_base(E: EnvelopingAction, mapping: dict) -> EnvelopingActio
         moved, token = renamed[first]
         classes.append(moved)
         class_of.update(dict.fromkeys(moved, token))
-    action = build_partial_action(
+    action = _adopt(
         E.action.groupoid,
         sorted(token_map.values()),
         {token_map[t]: e for t, e in E.action.anchor.items()},
         {g: frozenset(token_map[t] for t in s) for g, s in E.action.domains.items()},
         {g: {token_map[a]: token_map[b] for a, b in t.items()} for g, t in E.action.maps.items()},
-        bypass=E.action.tainted,
+        E.action.tainted,
     )
     embedding = {mapping[x]: token_map[t] for x, t in E.embedding.items()}
     return EnvelopingAction(

@@ -7,6 +7,7 @@ canonical representatives and deterministic iteration everywhere downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .core import PreconditionError, Report, StructuralError, Violation
@@ -22,6 +23,38 @@ class Fibers(NamedTuple):
     iso: tuple[str, ...]
 
 
+class Plan:
+    """Walks over composable pairs that depend on the groupoid alone, so that
+    every action over it reads them instead of the tables.
+
+    Each walk is built on first use and then kept: many groupoids (a loaded
+    file's, an isotropy group) serve only a few actions, and most of those
+    need one or two of the walks.  A walk is a pure function of the tables,
+    so concurrent first uses at worst build it twice.
+    """
+
+    def __init__(self, elements, mul, inv, src, rng, generators, fibers):
+        self._tables = elements, mul, inv, src, rng, generators, fibers
+
+    @cached_property
+    def law(self) -> tuple:
+        """(h, g, gh) for h in generators and g in the source fiber of rng(h)."""
+        _, mul, _, _, rng, generators, fibers = self._tables
+        return tuple((h, g, mul[(g, h)]) for h in generators for g in fibers[rng[h]].d)
+
+    @cached_property
+    def products(self) -> tuple:
+        """(inv g, h, g, inv h, gh) for each entry (g, h) -> gh of mul."""
+        _, mul, inv, _, _, _, _ = self._tables
+        return tuple([(inv[g], h, g, inv[h], gh) for (g, h), gh in mul.items()])
+
+    @cached_property
+    def merge(self) -> dict:
+        """g -> ((l, g·inv l), ...) for l in the source fiber of src(g)."""
+        elements, mul, inv, src, _, _, fibers = self._tables
+        return {g: tuple([(l, mul[(g, inv[l])]) for l in fibers[src[g]].d]) for g in elements}
+
+
 @dataclass(frozen=True, eq=True)
 class Groupoid:
     """A finite groupoid described by explicit tables.
@@ -32,8 +65,11 @@ class Groupoid:
     never trusted from input.  ``generators`` is a generating set picked
     greedily in token order: every element is a composable product of
     generators, so an identity that is closed under products is decided on
-    generators alone.  Values are immutable after construction and every
-    operation is a pure function, so concurrent reads are safe.
+    generators alone.  ``fibers`` and ``plan`` are indexes derived from the
+    tables whenever a value is made, also by ``dataclasses.replace``, and
+    take no part in equality or repr.  Values are immutable after
+    construction and every operation is a pure function, so concurrent reads
+    are safe.
     """
 
     elements: tuple[str, ...]
@@ -44,6 +80,7 @@ class Groupoid:
     identities: frozenset
     generators: tuple[str, ...]
     fibers: dict = field(init=False, compare=False, repr=False)
+    plan: Plan = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         index: dict = {}
@@ -54,6 +91,9 @@ class Groupoid:
             if s == r:
                 index[s][2].append(g)
         object.__setattr__(self, "fibers", {e: Fibers(*map(tuple, v)) for e, v in index.items()})
+        # the plan holds the tables, not the groupoid, so that no cycle keeps it
+        tables = self.elements, self.mul, self.inv, self.src, self.rng, self.generators, self.fibers
+        object.__setattr__(self, "plan", Plan(*tables))
 
     def compose(self, g: str, h: str):
         """Product g*h, or None when the pair is not composable."""

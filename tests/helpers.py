@@ -830,6 +830,21 @@ def corrupt_groupoid(rng, G, kind: str) -> dict:
     return raw
 
 
+def late_generators(G) -> tuple:
+    """A generating set picked greedily in reverse token order."""
+    generators, reached = [], set()
+    for g in reversed(G.elements):
+        if g not in reached:
+            generators.append(g)
+            reached.add(g)
+            while True:
+                grown = reached | {G.mul[p] for p in G.mul if set(p) <= reached}
+                if grown == reached:
+                    break
+                reached = grown
+    return tuple(generators)
+
+
 def reference_quotient_action(G, blocks, token, unit, left, bypass: bool = False):
     """The library's earlier ``action.quotient_action``: every k is sent
     through every member of every class at its source."""
@@ -984,3 +999,60 @@ def reference_find_isomorphism(A, B):
     if not reference_is_isomorphism(found):
         return None
     return found
+
+
+# ---------------------------------------------------------------------------
+# the library's earlier kernels, which walk the groupoid's tables on every
+# call instead of its plan, kept verbatim
+
+
+def reference_composition_law(G, maps) -> bool:
+    """The earlier ``action._composition_law``: one composite dict per pair
+    (g, h) with h a generator, compared with maps[gh]."""
+    fibers, rng, mul = G.fibers, G.rng, G.mul
+    for h in G.generators:
+        to_h = maps[h]
+        for g in fibers[rng[h]].d:
+            to_g = maps[g]
+            if {x: to_g[y] for x, y in to_h.items() if y in to_g} != maps[mul[(g, h)]]:
+                return False
+    return True
+
+
+def reference_products_compatible(G, domains, maps) -> bool:
+    """The earlier ``action._products_compatible``, over ``G.mul``."""
+    inv = G.inv
+    for (g, h), gh in G.mul.items():
+        overlap = domains[inv[g]] & domains[h]
+        to_g, back, to_gh = maps[g], maps[inv[h]], maps[gh]
+        for y in overlap:
+            x = back.get(y)
+            if x is None or to_gh.get(x) != to_g[y]:
+                return False
+        if len(overlap) != len(domains[g] & domains[gh]):
+            return False
+    return True
+
+
+def reference_merge_relation(A, pairs) -> dict:
+    """The earlier merge-relation build of ``envelope.globalize``: neighbours
+    from the domains, then a second pass for neighbours that are no pair."""
+    from pactkit.core import defect
+
+    def pair_neighbours(g, x):
+        G = A.groupoid
+        for l in G.fibers[G.src[g]].d:
+            if x in A.domains[G.inv[l]]:
+                yield (G.mul[(g, G.inv[l])], A.maps[l][x])
+
+    canonical = {p: p for p in pairs}
+    rel = {p: set() for p in pairs}
+    for g, x in pairs:
+        for q in pair_neighbours(g, x):
+            rel[(g, x)].add(canonical.get(q, q))
+    if any(q not in rel for qs in rel.values() for q in qs):
+        for p in pairs:
+            stray = sorted(q for q in rel[p] if q not in rel)
+            if stray:
+                raise defect(A.tainted, f"merge relation leaves the pair set: witness {(p, stray[0])}")
+    return rel

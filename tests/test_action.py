@@ -620,21 +620,6 @@ def swap_members(rng, blocks, unit):
     return [frozenset(block) for block in blocks]
 
 
-def late_generators(G) -> tuple:
-    """A generating set picked greedily in reverse token order."""
-    generators, reached = [], set()
-    for g in reversed(G.elements):
-        if g not in reached:
-            generators.append(g)
-            reached.add(g)
-            while True:
-                grown = reached | {G.mul[p] for p in G.mul if set(p) <= reached}
-                if grown == reached:
-                    break
-                reached = grown
-    return tuple(generators)
-
-
 def test_quotient_action_on_generators_matches_the_full_scan():
     from dataclasses import replace
 
@@ -656,7 +641,7 @@ def test_quotient_action_on_generators_matches_the_full_scan():
         for blocks, token, unit, left in kernels:
             for bypass in (False, True):
                 for parts in (blocks, swap_members(rng, blocks, unit)):
-                    for H in (G, replace(G, generators=late_generators(G))):
+                    for H in (G, replace(G, generators=helpers.late_generators(G))):
                         message = same_quotient(H, parts, token, unit, left, bypass)
                         messages.append((message, H.generators))
     ill_defined = [(m, S) for m, S in messages if m and "is not well defined" in m]
@@ -840,3 +825,52 @@ def test_validated_actions_hold_one_set_per_unit_domain_and_one_empty_set():
                 )
                 got = outcome(build_partial_action, G, *raw.values(), bypass=bypass)
                 assert built(got) == built(expected)
+
+
+def test_derived_actions_keep_the_tables_their_builders_made(monkeypatch):
+    import pactkit.action as action_module
+    from pactkit import relabel_envelope_base
+
+    handed = []
+    validate = action_module._validate
+
+    def spy(G, carrier, anchor, domains, maps, owned=False):
+        handed.append((owned, anchor, maps))
+        return validate(G, carrier, anchor, domains, maps, owned)
+
+    monkeypatch.setattr(action_module, "_validate", spy)
+    A = fix_b()
+    E = globalize(A)
+    mapping = {x: f"r{x}" for x in A.carrier}
+    e = A.anchor[A.carrier[0]]
+    isotropic = restrict_to_isotropy(A, e)
+    derived = {
+        "quotient_action": E.action,
+        "restrict": restrict(A, A.carrier[:2]),
+        "relabel_action": relabel_action(A, mapping),
+        "relabel_envelope_base": relabel_envelope_base(E, mapping).action,
+        "restrict_to_isotropy": isotropic,
+        "coset": build_coset_action(A, A.carrier[0]).delta,
+    }
+    kept = {id(anchor): (owned, anchor, maps) for owned, anchor, maps in handed}
+    for name, B in derived.items():
+        owned, anchor, maps = kept[id(B.anchor)]
+        assert owned and B.anchor is anchor and B.maps is maps, name
+    # the isotropy action shares the base's tables, which no one changes
+    assert all(isotropic.maps[g] is A.maps[g] for g in isotropic.maps)
+    assert not handed[0][0]  # fix_b's own tables come from its caller
+
+
+def test_build_partial_action_copies_the_callers_tables():
+    for A in (fix_b(), fix_c(), remark_x()):
+        raw = helpers.raw_tables(A)
+        B = build_partial_action(A.groupoid, *raw.values(), bypass=A.tainted)
+        g = next(g for g, t in raw["maps"].items() if t)
+        x = next(iter(raw["maps"][g]))
+        raw["carrier"].append("new")
+        raw["anchor"][x] = "moved"
+        raw["domains"][g].add("new")
+        raw["maps"][g][x] = "moved"
+        raw["maps"][g]["new"] = "new"
+        raw["maps"].clear()
+        assert B == A and B.maps[g][x] == A.maps[g][x]

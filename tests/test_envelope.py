@@ -241,15 +241,15 @@ def test_merge_relation_matches_pairwise_definition():
             return False
         return A.maps[G.mul[(G.inv[h], g)]][x] == y
 
-    from pactkit.envelope import _pair_neighbours
+    from pactkit.envelope import _merge_relation
 
     rng = random.Random(777)
     for A in (fix_b(), fix_c(), *(random_partial_action(rng) for _ in range(20))):
         E = globalize(A)
+        rel = _merge_relation(A, E.pairs)
+        assert set(rel) == set(E.pairs)
         for p in E.pairs:
-            assert set(_pair_neighbours(A, *p)) == {
-                q for q in E.pairs if related(A, p, q)
-            }
+            assert rel[p] == {q for q in E.pairs if related(A, p, q)}
 
 
 def test_hausdorff_iff_relation_closed_on_random_instances():

@@ -1,0 +1,97 @@
+"""The kernels that read ``Groupoid.plan`` against the earlier kernels kept in
+helpers: the composition law, the product pass and the merge relation."""
+
+import random
+from dataclasses import replace
+
+import helpers
+from pactkit import FalsificationError, PreconditionError, build_partial_action, restrict
+from pactkit.action import _composition_law, _products_compatible
+from pactkit.envelope import _merge_relation
+from pactkit.groupoid import from_group, pair_groupoid
+from pactkit.sampling import coset_global_action, cyclic_table, groupoid_pool, random_partial_action
+
+
+def outcome(call, *args):
+    """The value of a call, or the type and message of its error."""
+    try:
+        return call(*args)
+    except (PreconditionError, FalsificationError, KeyError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def pairs_of(A) -> tuple:
+    """The pairs of ``globalize``, in its order."""
+    G = A.groupoid
+    return tuple((g, x) for g in G.elements for x in A.carrier if A.anchor[x] == G.src[g])
+
+
+def same_merge_relation(A, seen: set) -> None:
+    pairs = pairs_of(A)
+    got = outcome(_merge_relation, A, pairs)
+    assert got == outcome(helpers.reference_merge_relation, A, pairs)
+    seen.add(("merge", got[0].__name__ if isinstance(got, tuple) else "built"))
+    if isinstance(got, tuple) and A.tainted:  # the same defect on validated input
+        same_merge_relation(replace(A, tainted=False), seen)
+
+
+def same_kernels(G, raw, seen: set) -> None:
+    """The three kernels agree with their references on the raw tables and
+    on the action built from them with the bypass.  Built without it the
+    tables are the same and only the type of a merge defect changes, so a
+    failing merge relation is also compared on the action marked untainted."""
+    A = build_partial_action(G, *raw.values(), bypass=True)
+    for domains, maps in ((raw["domains"], raw["maps"]), (A.domains, A.maps)):
+        law = outcome(_composition_law, G, maps)
+        assert law == outcome(helpers.reference_composition_law, G, maps)
+        products = outcome(_products_compatible, G, domains, maps)
+        assert products == outcome(helpers.reference_products_compatible, G, domains, maps)
+        seen.update({("law", law), ("products", products)})
+    same_merge_relation(A, seen)
+
+
+def test_plan_kernels_match_the_table_walks_on_pool_and_pair_groupoids():
+    rng = random.Random(1010)
+    bases = groupoid_pool() + [pair_groupoid(range(n)) for n in range(2, 7)]
+    seen: set = set()
+    for G in bases:
+        for _ in range(3):
+            A = random_partial_action(rng, G)
+            raws = [helpers.raw_tables(A)] + [helpers.corrupt_one_entry(rng, A) for _ in range(4)]
+            for raw in raws:
+                same_kernels(G, raw, seen)
+    # both verdicts of both passes, relations built, and each merge defect
+    assert {("law", True), ("law", False), ("products", True), ("products", False)} <= seen
+    assert {("merge", "built"), ("merge", "PreconditionError"), ("merge", "FalsificationError")} <= seen
+
+
+def test_composition_law_counts_the_keys_of_the_product_table():
+    # Z2 on {a, b}: maps[1] = {a: a} agrees with every product table where
+    # the composite is defined, but 1∘1 is {a: a} while maps[0] also has b,
+    # a key outside the composite's domain that only the key count sees
+    G = from_group(cyclic_table(2))
+    assert "1" in G.generators
+    maps = {"0": {"a": "a", "b": "b"}, "1": {"a": "a"}}
+    assert helpers.reference_composition_law(G, maps) is False
+    assert _composition_law(G, maps) is False
+    maps["1"] = {"a": "b", "b": "a"}
+    assert helpers.reference_composition_law(G, maps) is True
+    assert _composition_law(G, maps) is True
+
+
+def test_plan_kernels_match_the_table_walks_at_scale():
+    # |G| up to 64: Z_n acting regularly and on n/2 of its points, and the
+    # pair groupoid on 8 objects on one source fiber and on half of it
+    rng = random.Random(1011)
+    instances = []
+    bases = [(from_group(cyclic_table(n)), "0") for n in (32, 48, 64)]
+    for G, e in bases + [(pair_groupoid(range(8)), "(0,0)")]:
+        whole = coset_global_action(G, e, {e})
+        instances += [whole, restrict(whole, rng.sample(whole.carrier, len(whole.carrier) // 2))]
+    seen: set = set()
+    for A in instances:
+        raws = [helpers.raw_tables(A)] + [helpers.corrupt_one_entry(rng, A) for _ in range(2)]
+        for raw in raws:
+            same_kernels(A.groupoid, raw, seen)
+    assert {("law", True), ("law", False), ("products", True), ("products", False)} <= seen
+    assert ("merge", "built") in seen
