@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import ne
+from operator import itemgetter
 
 from .core import (
     FalsificationError,
@@ -18,6 +18,7 @@ from .core import (
     StructuralError,
     Violation,
     equivalence_classes,
+    relation_failures,
 )
 from .groupoid import Groupoid, isotropy_group
 from . import topology as topo
@@ -51,34 +52,6 @@ class PartialAction:
     law_holds: bool | None = field(default=None, init=False, compare=False, repr=False)
 
 
-def _structural(groupoid: Groupoid, carrier, anchor, domains, maps):
-    points = sorted(str(x) for x in carrier)
-    if len(set(points)) != len(points):
-        raise StructuralError("duplicate carrier points")
-    anchor = dict(anchor)
-    if set(anchor) != set(points):
-        raise StructuralError("anchor must be defined on exactly the carrier")
-    bad = sorted(x for x, e in anchor.items() if e not in groupoid.identities)
-    if bad:
-        raise StructuralError(f"anchor of {bad} is not an identity")
-    domains = {g: frozenset(s) for g, s in dict(domains).items()}
-    if set(domains) != set(groupoid.elements):
-        raise StructuralError("domains must be defined on exactly the groupoid elements")
-    for g, s in domains.items():
-        if not s <= set(points):
-            raise StructuralError(f"domain of {g!r} leaves the carrier")
-    maps = {g: dict(t) for g, t in dict(maps).items()}
-    if set(maps) != set(groupoid.elements):
-        raise StructuralError("maps must be defined on exactly the groupoid elements")
-    for g, table in maps.items():
-        expected_keys = domains[groupoid.inv[g]]
-        if set(table) != expected_keys:
-            raise StructuralError(f"table of {g!r} is not defined on the domain of its inverse")
-        if set(table.values()) != domains[g] or len(set(table.values())) != len(table):
-            raise StructuralError(f"table of {g!r} is not a bijection onto its domain")
-    return points, anchor, domains, maps
-
-
 def validate_partial_action(groupoid: Groupoid, carrier, anchor, domains, maps) -> Report:
     """Check the partial-action conditions; violations carry a label and witness.
 
@@ -93,141 +66,140 @@ def validate_partial_action(groupoid: Groupoid, carrier, anchor, domains, maps) 
 def _validate(G: Groupoid, carrier, anchor, domains, maps, owned: bool = False):
     """Normalize and validate: (report, points, anchor, domains, maps, law).
 
-    The tables are normalized as in ``_structural`` while its checks run as
-    set comparisons, and ``_accepts`` then decides the rest.  On any miss
-    ``_structural`` and ``_semantic`` run on the tables normalized so far,
-    which normalizing again leaves unchanged, so the exceptions, violations,
-    witnesses and notes are theirs.  ``owned`` tables are already in normal
-    form and no caller keeps them (see ``_adopt``), so they are not copied.
+    Structural defects are never bypassable: the first one in the order of
+    these checks is raised.  The tables are checked last, by ``_structural``
+    and only when ``_conditions`` met a table that is not a bijection
+    between its domains.  ``owned`` tables are already in normal form and
+    no caller keeps them (see ``_adopt``), so they are not copied.
     """
     points = sorted(str(x) for x in carrier)
     on = set(points)
-    accepted = law = None
-    if len(on) == len(points):
-        anchor = anchor if owned else dict(anchor)
-        if anchor.keys() == on and G.identities.issuperset(anchor.values()):
-            if not owned:
-                domains = {g: frozenset(s) for g, s in dict(domains).items()}
-            elements = set(G.elements)
-            if domains.keys() == elements and on.issuperset(chain.from_iterable(domains.values())):
-                if not owned:
-                    maps = {g: dict(t) for g, t in dict(maps).items()}
-                if maps.keys() == elements:
-                    accepted, law = _accepts(G, anchor, domains, maps)
-    if accepted:
-        report = Report(ok=True, notes=_anchor_notes(G, anchor))
-    else:
-        points, anchor, domains, maps = _structural(G, points, anchor, domains, maps)
-        report, law = _semantic(G, points, anchor, domains, maps)
-    return report, points, anchor, domains, maps, law
+    if len(on) != len(points):
+        raise StructuralError("duplicate carrier points")
+    anchor = anchor if owned else dict(anchor)
+    if anchor.keys() != on:
+        raise StructuralError("anchor must be defined on exactly the carrier")
+    if not G.identities.issuperset(anchor.values()):
+        bad = sorted(x for x, e in anchor.items() if e not in G.identities)
+        raise StructuralError(f"anchor of {bad} is not an identity")
+    if not owned:
+        domains = {g: frozenset(s) for g, s in dict(domains).items()}
+    elements = set(G.elements)
+    if domains.keys() != elements:
+        raise StructuralError("domains must be defined on exactly the groupoid elements")
+    if not on.issuperset(chain.from_iterable(domains.values())):
+        g = next(g for g, s in domains.items() if not s <= on)
+        raise StructuralError(f"domain of {g!r} leaves the carrier")
+    if not owned:
+        maps = {g: dict(t) for g, t in dict(maps).items()}
+    if maps.keys() != elements:
+        raise StructuralError("maps must be defined on exactly the groupoid elements")
+    checked = _conditions(G, anchor, domains, maps)
+    if checked is None:
+        _structural(G, domains, maps)
+    violations, law = checked
+    missing = sorted(G.identities - set(anchor.values()))
+    notes = (f"anchor is not surjective; unreached units: {missing}",) if missing else ()
+    return Report(not violations, violations, notes), points, anchor, domains, maps, law
 
 
-def _accepts(G: Groupoid, anchor, domains, maps) -> tuple[bool, bool | None]:
-    """Accept tables normalized as by ``_structural``, in one walk over the
-    elements and one over the units; with the verdict of ``_composition_law``
-    as ``_semantic`` gives it.  (False, None) on any miss.
-
-    Tables are checked in pairs g <= inv(g), through the inverse dict of the
-    table of g.  It has as many entries as that table exactly when the table
-    is injective, and its keys are the values of the table.  So when the
-    table of g has the keys domains[inv g], its inverse dict has the keys
-    domains[g] and is the stored table of inv(g), both tables are bijections
-    onto their domains, and (inv) holds both ways: an inverse dict is
-    injective, and the inverse of the inverse of an injective table is the
-    table.  Unit domains equal to their anchor fibers are pairwise disjoint,
-    because the fibers partition the carrier, so (i) needs no overlap check
-    between units.
-
-    A domain equal to that of its range unit is replaced by that set, and an
-    empty one by ``_EMPTY``, so equal domains are held once.  The sets stay
-    equal, so a miss leaves the ordered scans the same tables.
-    """
-    inv, rng = G.inv, G.rng
-    full = True
+def _structural(G: Groupoid, domains, maps) -> None:
+    """Raise for the first table, in the order of ``maps``, that is not a
+    bijection from the domain of its inverse onto its own domain."""
     for g, table in maps.items():
+        if set(table) != domains[G.inv[g]]:
+            raise StructuralError(f"table of {g!r} is not defined on the domain of its inverse")
+        if set(table.values()) != domains[g] or len(set(table.values())) != len(table):
+            raise StructuralError(f"table of {g!r} is not a bijection onto its domain")
+
+
+def _conditions(G: Groupoid, anchor, domains, maps):
+    """The semantic conditions on tables that pass the set checks of
+    ``_validate``: (violations, the verdict of ``_composition_law`` when
+    they decided it, else None), or None when some table is not a
+    bijection from the domain of its inverse onto its own domain.
+
+    Each violation is collected with its place in the ordered scan as a
+    key, and the list is sorted only when it is not empty.  That order is
+    unit overlaps, then each unit in token order with its fiber and then
+    its identity (points sorted), then (pre) and (inv) in element order,
+    then (ii) and (iii) in ``mul`` order.
+
+    Tables are checked in pairs g <= inv(g): when the table of g is a
+    bijection from domains[inv g] onto domains[g] and its inverse dict is
+    the stored table of inv(g), that table is a bijection too and (inv)
+    holds both ways.  Unit domains equal to their anchor fibers are
+    pairwise disjoint, because the fibers partition the carrier, so
+    overlaps are looked for only when some unit domain is not its fiber.
+    A domain equal to that of its range unit is stored as that set, and
+    an empty one as ``_EMPTY``, so equal domains are held once.
+    """
+    inv, rng, elements = G.inv, G.rng, G.elements
+    found = []
+    full = True
+    for i, g in enumerate(elements):
         ig, dom, whole = inv[g], domains[g], domains[rng[g]]
-        if not dom <= whole:
-            return False, None
         if dom == whole:
             domains[g] = whole or _EMPTY
         else:
             full = False
             if not dom:
                 domains[g] = _EMPTY
+            elif not dom <= whole:
+                escape = Violation("(pre)", (g, min(dom - whole)), "domain escapes the range fiber")
+                found.append(((2, i), escape))
         if g <= ig:
-            try:
-                back = {y: x for x, y in table.items()}
-            except TypeError:  # an unhashable image, which _structural reports
-                return False, None
-            if (
-                len(back) != len(table)
-                or table.keys() != domains[ig]
-                or back.keys() != dom
-                or maps[ig] != back
-            ):
-                return False, None
+            back = _inverse(maps[g], domains[ig], dom)
+            if back is None:
+                return None
+            if maps[ig] != back:  # then neither table is the other's inverse
+                for k in {g, ig}:
+                    back = _inverse(maps[k], domains[inv[k]], domains[k])
+                    if back is None:
+                        return None
+                    bad = min(set(maps[inv[k]].items()) ^ set(back.items()))
+                    detail = "stored table of the inverse is not the inverse table"
+                    found.append(((3, elements.index(k)), Violation("(inv)", (k,) + bad, detail)))
     fibers = {e: set() for e in G.identities}
     for x, e in anchor.items():
         fibers[e].add(x)
-    for e, fiber in fibers.items():
-        table = maps[e]
-        if domains[e] != fiber or any(map(ne, table, table.values())):
-            return False, None
-    law = _composition_law(G, maps) if full else None
-    return law or _products_compatible(G, domains, maps), law
-
-
-def _anchor_notes(G: Groupoid, anchor) -> tuple[str, ...]:
-    missing = sorted(G.identities - set(anchor.values()))
-    return (f"anchor is not surjective; unreached units: {missing}",) if missing else ()
-
-
-def _semantic(G: Groupoid, points, anchor, domains, maps) -> tuple[Report, bool | None]:
-    """The semantic conditions on tables already normalized by ``_structural``,
-    and the verdict of ``_composition_law`` when they decided it, else None."""
-    viol: list[Violation] = []
-    units = sorted(G.identities)
-
-    for i, e in enumerate(units):
-        for f in units[i + 1 :]:
-            overlap = domains[e] & domains[f]
-            if overlap:
-                viol.append(
-                    Violation("(i)", (min(overlap),), f"domains of units {e!r} and {f!r} overlap")
-                )
+    units = sorted(fibers)
+    partition = True
     for e in units:
-        fiber = frozenset(x for x in points if anchor[x] == e)
-        if domains[e] != fiber:
-            witness = min(domains[e] ^ fiber)
-            viol.append(
-                Violation("(i)", (witness,), f"domain of unit {e!r} differs from its anchor fiber")
-            )
-        for x in sorted(domains[e] & frozenset(maps[e])):
-            if maps[e][x] != x:
-                viol.append(Violation("(i)", (e, x), "unit does not act as the identity"))
-
-    for g in G.elements:
-        extra = domains[g] - domains[G.rng[g]]
-        if extra:
-            viol.append(Violation("(pre)", (g, min(extra)), "domain escapes the range fiber"))
-
-    for g in G.elements:
-        inverse_table = {y: x for x, y in maps[g].items()}
-        if maps[G.inv[g]] != inverse_table:
-            bad = sorted(set(maps[G.inv[g]].items()) ^ set(inverse_table.items()))
-            viol.append(
-                Violation("(inv)", (g,) + bad[0], "stored table of the inverse is not the inverse table")
-            )
-
+        dom, fiber = domains[e], fibers[e]
+        if dom != fiber:
+            partition = False
+            detail = f"domain of unit {e!r} differs from its anchor fiber"
+            found.append(((1, e, 0), Violation("(i)", (min(dom ^ fiber),), detail)))
+        for x, y in maps[e].items():
+            if x != y:
+                moved = Violation("(i)", (e, x), "unit does not act as the identity")
+                found.append(((1, e, 1, x), moved))
+    if not partition:
+        for i, e in enumerate(units):
+            for f in units[i + 1 :]:
+                overlap = domains[e] & domains[f]
+                if overlap:
+                    detail = f"domains of units {e!r} and {f!r} overlap"
+                    found.append(((0, e, f), Violation("(i)", (min(overlap),), detail)))
     # with (i), (pre) and (inv) holding and every domain full, (ii) holds
-    # by the bijections of ``_structural`` and (iii) is the composition law
-    full = not viol and all(domains[g] == domains[G.rng[g]] for g in G.elements)
-    law = _composition_law(G, maps) if full else None
-    if not law and not _products_compatible(G, domains, maps):
-        viol += _condition_ii(G, domains, maps)
-        viol += _condition_iii(G, domains, maps)
+    # by the bijections and (iii) is the composition law
+    law = _composition_law(G, maps) if full and not found else None
+    if not law:
+        found += _products(G, domains, maps)
+    return tuple(v for _, v in sorted(found, key=itemgetter(0))), law
 
-    return Report(ok=not viol, violations=tuple(viol), notes=_anchor_notes(G, anchor)), law
+
+def _inverse(table: dict, keys, values) -> dict | None:
+    """The inverse dict of a table that is a bijection from ``keys`` onto
+    ``values``, else None."""
+    try:
+        back = {y: x for x, y in table.items()}
+    except TypeError:  # an unhashable image, which _structural reports
+        return None
+    if len(back) == len(table) and table.keys() == keys and back.keys() == values:
+        return back
+    return None
 
 
 def _composition_law(G: Groupoid, maps) -> bool:
@@ -261,52 +233,37 @@ def _composition_law(G: Groupoid, maps) -> bool:
     return True
 
 
-def _products_compatible(G: Groupoid, domains, maps) -> bool:
-    """Accept conditions (ii) and (iii) together in one unsorted pass.
+def _products(G: Groupoid, domains, maps) -> list:
+    """Conditions (ii) and (iii) on tables that ``_structural`` accepts, as
+    pairs (key, violation) keyed as in ``_conditions``.
 
-    Relies on ``_structural``: each table of g is a bijection from the domain
-    of inv(g) onto the domain of g.  Then g(h(x)) = gh(x) on the overlap puts
-    the image of the overlap inside the target overlap, and equal sizes make
-    the two equal.  False on any miss; the ordered scans then name the
-    witnesses.
+    The point check of (iii) runs on every row of ``G.plan.products``, and
+    (ii) is scanned only when that check missed somewhere.  Each table of g
+    is a bijection from the domain of inv(g) onto the domain of g.  Let the
+    point check hold on every pair.  On (g, h) it gives g(y) = gh(inv h(y))
+    for each y in the overlap dom(inv g) ∩ dom(h), so g maps the overlap
+    injectively into dom(g) ∩ dom(gh).  The pair (inv g, gh) is composable,
+    with product h, and its check maps dom(g) ∩ dom(gh) injectively back
+    into dom(inv g) ∩ dom(h).  So the two sets have one size, and g maps
+    the overlap onto dom(g) ∩ dom(gh), which is (ii).
     """
-    for ig, h, g, ih, gh in G.plan.products:
-        overlap = domains[ig] & domains[h]
+    rows = G.plan.products
+    found = []
+    for r, (ig, h, g, ih, gh) in enumerate(rows):
         to_g, back, to_gh = maps[g], maps[ih], maps[gh]
-        for y in overlap:
-            x = back.get(y)
-            if x is None or to_gh.get(x) != to_g[y]:
-                return False
-        if len(overlap) != len(domains[g] & domains[gh]):
-            return False
-    return True
-
-
-def _condition_ii(G: Groupoid, domains, maps) -> list[Violation]:
-    viol = []
-    for (g, h) in G.mul:
-        gh = G.mul[(g, h)]
-        lhs = frozenset(maps[g][x] for x in domains[G.inv[g]] & domains[h] if x in maps[g])
-        rhs = domains[g] & domains[gh]
-        if lhs != rhs:
-            viol.append(
-                Violation("(ii)", (g, h, min(lhs ^ rhs)), "image of the overlap misses the target overlap")
-            )
-    return viol
-
-
-def _condition_iii(G: Groupoid, domains, maps) -> list[Violation]:
-    viol = []
-    for (g, h) in G.mul:
-        gh = G.mul[(g, h)]
-        for y in sorted(domains[G.inv[g]] & domains[h]):
-            x = maps[G.inv[h]].get(y)
-            if x is None:
-                continue  # already reported as a table defect
-            expected = maps[gh].get(x)
-            if expected is None or maps[g][y] != expected:
-                viol.append(Violation("(iii)", (g, h, x), "composite map disagrees with the product"))
-    return viol
+        for y in domains[ig] & domains[h]:
+            x = back[y]
+            if to_gh.get(x) != to_g[y]:
+                detail = "composite map disagrees with the product"
+                found.append(((5, r, y), Violation("(iii)", (g, h, x), detail)))
+    if found:
+        for r, (ig, h, g, _, gh) in enumerate(rows):
+            image = frozenset(map(maps[g].__getitem__, domains[ig] & domains[h]))
+            target = domains[g] & domains[gh]
+            if image != target:
+                detail = "image of the overlap misses the target overlap"
+                found.append(((4, r), Violation("(ii)", (g, h, min(image ^ target)), detail)))
+    return found
 
 
 def build_partial_action(
@@ -445,24 +402,14 @@ def orbit_relation(A: PartialAction) -> OrbitRelation:
     classes = equivalence_classes(A.carrier, rel)
     is_equiv = classes is not None
     if classes is None:  # name the failure, then close under reachability
-        reflexive = all(x in rel[x] for x in A.carrier)
-        symmetric = all(all(x in rel[y] for y in rel[x]) for x in A.carrier)
-        for x in A.carrier:
-            for y in sorted(rel[x]):
-                for z in sorted(rel[y]):
-                    if z not in rel[x]:
-                        witness = (x, z)
-                        via = y
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        is_equiv = reflexive and symmetric and witness is None
-        if not is_equiv and not A.tainted:
+        reflexive, symmetric, transitive = relation_failures(A.carrier, rel)
+        if transitive:
+            x, via, z = transitive
+            witness = (x, z)
+        if not A.tainted:
             raise FalsificationError(
                 f"one-step orbit relation is not an equivalence on validated data: "
-                f"reflexive={reflexive} symmetric={symmetric} witness={witness}"
+                f"reflexive={reflexive is None} symmetric={symmetric is None} witness={witness}"
             )
 
         seen: set = set()

@@ -88,3 +88,18 @@ def equivalence_classes(items, rel: dict) -> list | None:
         classes.append(frozenset(block))
         seen |= block
     return classes
+
+
+def relation_failures(items, rel: dict) -> tuple:
+    """The first reflexive, symmetric and transitive failure of ``rel`` on
+    ``items``, each None when that property holds: p not in rel[p], (p, q)
+    with q in rel[p] but p not in rel[q], and (p, q, r) with q in rel[p] and
+    r in rel[q] but not in rel[p].  First in a scan over ``items`` with the
+    related items sorted, so the witnesses do not depend on set order.
+    """
+    reflexive = next((p for p in items if p not in rel[p]), None)
+    symmetric = next(((p, q) for p in items for q in sorted(rel[p]) if p not in rel[q]), None)
+    transitive = (
+        (p, q, r) for p in items for q in sorted(rel[p]) for r in sorted(rel[q]) if r not in rel[p]
+    )
+    return reflexive, symmetric, next(transitive, None)

@@ -15,6 +15,7 @@ from .core import (
     Violation,
     defect,
     equivalence_classes,
+    relation_failures,
 )
 from .action import (
     PartialAction,
@@ -75,25 +76,6 @@ def _merge_relation(A: PartialAction, pairs) -> dict:
     return rel
 
 
-def _merge_relation_problems(pairs, rel) -> list:
-    """Every reflexivity, symmetry and transitivity failure, in scan order
-    (neighbours sorted, so the witnesses do not depend on set order)."""
-    problems = []
-    for p in pairs:
-        if p not in rel[p]:
-            problems.append(("reflexive", p))
-    for p in pairs:
-        for q in sorted(rel[p]):
-            if p not in rel[q]:
-                problems.append(("symmetric", (p, q)))
-    for p in pairs:
-        for q in sorted(rel[p]):
-            for r in sorted(rel[q]):
-                if r not in rel[p]:
-                    problems.append(("transitive", (p, q, r)))
-    return problems
-
-
 def globalize(A: PartialAction) -> EnvelopingAction:
     """Construct the enveloping action of a validated partial action.
 
@@ -110,7 +92,8 @@ def globalize(A: PartialAction) -> EnvelopingAction:
     rel = _merge_relation(A, pairs)
     blocks = equivalence_classes(pairs, rel)
     if blocks is None:
-        kind, witness = _merge_relation_problems(pairs, rel)[0]
+        failures = zip(("reflexive", "symmetric", "transitive"), relation_failures(pairs, rel))
+        kind, witness = next(failure for failure in failures if failure[1] is not None)
         raise defect(A.tainted, f"merge relation is not {kind}: witness {witness}")
     classes, class_of, action = quotient_action(
         G,

@@ -524,7 +524,7 @@ def action_groupoid(table: dict, action: dict) -> Groupoid:
     mul = {}
     for g in group.elements:
         for h in group.elements:
-            for x in points:
+            for x in sorted(points):
                 # (g, h*x) composes with (h, x) to give (g*h, x)
                 mul[(tok(g, action[h][x]), tok(h, x))] = tok(group.mul[(g, h)], x)
     return build_groupoid({"elements": elements, "mul": mul, "inv": inv, "src": src, "rng": rng})

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import PreconditionError, Report, StructuralError, Violation
 from .action import PartialAction, classify, orbit_of, stabilizer
@@ -19,7 +20,15 @@ class GMap:
 
 
 def validate_gmap(f: GMap) -> Report:
-    """Check domain preservation and equivariance; witnesses are (g, x) pairs."""
+    """Check domain preservation and equivariance; witnesses are (g, x) pairs.
+
+    One walk over the table of each g checks (i) for inv(g), since the
+    table's keys are the domain of inv(g) and every element is inv(g) for
+    one g, and (ii) for g.  Each violation is kept with its place in the
+    ordered scans (elements in order, points sorted, (i) before (ii)), and
+    they are sorted only when there are any; the anchor violations follow
+    in carrier order.
+    """
     A, B = f.source, f.target
     if A.groupoid != B.groupoid:
         raise StructuralError("source and target are actions of different groupoids")
@@ -27,41 +36,24 @@ def validate_gmap(f: GMap) -> Report:
         raise StructuralError("map is not total on the source carrier")
     if not set(f.table.values()) <= set(B.carrier):
         raise StructuralError("map leaves the target carrier")
-    G = A.groupoid
-    if _gmap_accepts(A, B, f.table):
-        return Report(ok=True)
-    viol: list[Violation] = []
-    for g in G.elements:
-        for x in sorted(A.domains[g]):
-            if f.table[x] not in B.domains[g]:
-                viol.append(Violation("(i)", (g, x), "image leaves the matching domain"))
-    for g in G.elements:
-        for x in sorted(A.domains[G.inv[g]]):
-            y = f.table[x]
-            if y in B.domains[G.inv[g]] and f.table[A.maps[g][x]] != B.maps[g][y]:
-                viol.append(Violation("(ii)", (g, x), "map does not commute with the action"))
-    for x in A.carrier:
-        if B.anchor[f.table[x]] != A.anchor[x]:
-            viol.append(Violation("(anchor)", (x,), "anchors do not commute"))
-    return Report(ok=not viol, violations=tuple(viol))
-
-
-def _gmap_accepts(A: PartialAction, B: PartialAction, table: dict) -> bool:
-    """Accept (i), (ii) and the anchor condition in one unsorted pass.
-
-    Walking the table of each g covers x in the domain of inv(g), which is
-    (i) for inv(g); every element is inv(g) for one g.  With table[x] in
-    the domain of inv(g) on the target side, (ii) compares the images.
-    False on any miss; the ordered scans then name the witnesses.
-    """
-    G, anchor = A.groupoid, B.anchor
-    for g in G.elements:
-        into, to_b = B.domains[G.inv[g]], B.maps[g]
+    G, table = A.groupoid, f.table
+    found = []
+    for i, g in enumerate(G.elements):
+        ig = G.inv[g]
+        into, to_b = B.domains[ig], B.maps[g]
         for x, y in A.maps[g].items():
             fx = table[x]
-            if fx not in into or table[y] != to_b[fx]:
-                return False
-    return all(anchor[table[x]] == e for x, e in A.anchor.items())
+            if fx not in into:
+                leaves = Violation("(i)", (ig, x), "image leaves the matching domain")
+                found.append(((0, G.elements.index(ig), x), leaves))
+            elif table[y] != to_b[fx]:
+                commutes = Violation("(ii)", (g, x), "map does not commute with the action")
+                found.append(((1, i, x), commutes))
+    viol = [v for _, v in sorted(found, key=itemgetter(0))]
+    for x in A.carrier:
+        if B.anchor[table[x]] != A.anchor[x]:
+            viol.append(Violation("(anchor)", (x,), "anchors do not commute"))
+    return Report(ok=not viol, violations=tuple(viol))
 
 
 def build_gmap(source: PartialAction, target: PartialAction, table: dict) -> GMap:
@@ -191,8 +183,11 @@ def find_isomorphism(A: PartialAction, B: PartialAction):
             used.remove(y)
         return False
 
-    if not backtrack(0):
-        return None
+    try:
+        if not backtrack(0):
+            return None
+    finally:
+        del backtrack  # its closure holds it, which would keep A and B in cyclic garbage
     found = GMap(source=A, target=B, table=dict(assignment))
     if not is_isomorphism(found):
         return None

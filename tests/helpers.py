@@ -215,12 +215,12 @@ def reference_validate_partial_action(groupoid, carrier, anchor, domains, maps):
 
 
 def reference_build_partial_action(groupoid, carrier, anchor, domains, maps, bypass: bool = False):
-    """The library's earlier ``build_partial_action``: ``_structural``, then
-    ``_semantic``, on every input."""
-    from pactkit.action import PartialAction, _semantic, _structural
+    """The library's earlier ``build_partial_action``: ``reference_structural``,
+    then ``reference_semantic``, on every input."""
+    from pactkit.action import PartialAction
 
-    points, anchor, domains, maps = _structural(groupoid, carrier, anchor, domains, maps)
-    report, law = _semantic(groupoid, points, anchor, domains, maps)
+    points, anchor, domains, maps = reference_structural(groupoid, carrier, anchor, domains, maps)
+    report, law = reference_semantic(groupoid, points, anchor, domains, maps)
     if not bypass:
         report.raise_if_failed("partial action validation")
     out = PartialAction(
@@ -276,21 +276,7 @@ def reference_merge_relation_problems(A) -> list:
         for l in G.d_fiber(G.src[g]):
             if x in A.domains[G.inv[l]]:
                 rel[(g, x)].add((G.mul[(g, G.inv[l])], A.maps[l][x]))
-
-    problems = []
-    for p in pairs:
-        if p not in rel[p]:
-            problems.append(("reflexive", p))
-    for p in pairs:
-        for q in sorted(rel[p]):
-            if p not in rel[q]:
-                problems.append(("symmetric", (p, q)))
-    for p in pairs:
-        for q in sorted(rel[p]):
-            for r in sorted(rel[q]):
-                if r not in rel[p]:
-                    problems.append(("transitive", (p, q, r)))
-    return problems
+    return reference_relation_problems(pairs, rel)
 
 
 def reference_coset_relation_failure(A, x):
@@ -353,19 +339,22 @@ def raw_tables(A) -> dict:
     }
 
 
-def corrupt_one_entry(rng, A) -> dict:
+CORRUPTIONS = ("swap", "swap-one", "drop", "add", "anchor")
+
+
+def corrupt_one_entry(rng, A, kind: str | None = None) -> dict:
     """Raw tables of A with one entry changed, keeping every table a bijection
     between the domains so that only semantic conditions can fail.
 
     ``swap`` exchanges two images of one table and mirrors the change in the
     inverse table; ``swap-one`` leaves the inverse table stale; ``drop`` and
     ``add`` remove or add one arrow and its inverse; ``anchor`` moves one
-    point to another unit.
+    point to another unit.  The kind is drawn when none is given.
     """
     G = A.groupoid
     raw = raw_tables(A)
     maps, domains = raw["maps"], raw["domains"]
-    kind = rng.choice(["swap", "swap-one", "drop", "add", "anchor"])
+    kind = kind or rng.choice(CORRUPTIONS)
     if kind in ("swap", "swap-one"):
         movers = [g for g in G.elements if len(maps[g]) >= 2]
         if movers:
@@ -1056,3 +1045,200 @@ def reference_merge_relation(A, pairs) -> dict:
             if stray:
                 raise defect(A.tainted, f"merge relation leaves the pair set: witness {(p, stray[0])}")
     return rel
+
+
+# ---------------------------------------------------------------------------
+# the library's earlier validation kernels: an accepting pass beside each
+# ordered scan, which ran only when the accepting pass missed, kept verbatim
+
+
+def reference_structural(groupoid, carrier, anchor, domains, maps):
+    """The earlier ``action._structural``: the structural checks, and the
+    tables normalized."""
+    from pactkit.core import StructuralError
+
+    points = sorted(str(x) for x in carrier)
+    if len(set(points)) != len(points):
+        raise StructuralError("duplicate carrier points")
+    anchor = dict(anchor)
+    if set(anchor) != set(points):
+        raise StructuralError("anchor must be defined on exactly the carrier")
+    bad = sorted(x for x, e in anchor.items() if e not in groupoid.identities)
+    if bad:
+        raise StructuralError(f"anchor of {bad} is not an identity")
+    domains = {g: frozenset(s) for g, s in dict(domains).items()}
+    if set(domains) != set(groupoid.elements):
+        raise StructuralError("domains must be defined on exactly the groupoid elements")
+    for g, s in domains.items():
+        if not s <= set(points):
+            raise StructuralError(f"domain of {g!r} leaves the carrier")
+    maps = {g: dict(t) for g, t in dict(maps).items()}
+    if set(maps) != set(groupoid.elements):
+        raise StructuralError("maps must be defined on exactly the groupoid elements")
+    for g, table in maps.items():
+        expected_keys = domains[groupoid.inv[g]]
+        if set(table) != expected_keys:
+            raise StructuralError(f"table of {g!r} is not defined on the domain of its inverse")
+        if set(table.values()) != domains[g] or len(set(table.values())) != len(table):
+            raise StructuralError(f"table of {g!r} is not a bijection onto its domain")
+    return points, anchor, domains, maps
+
+
+def reference_accepts(G, anchor, domains, maps):
+    """The earlier ``action._accepts``: (accepted, law) on tables normalized
+    as by ``reference_structural``'s set comparisons; (False, None) on any
+    miss."""
+    from operator import ne
+
+    inv, rng = G.inv, G.rng
+    full = True
+    for g, table in maps.items():
+        ig, dom, whole = inv[g], domains[g], domains[rng[g]]
+        if not dom <= whole:
+            return False, None
+        if dom == whole:
+            domains[g] = whole or frozenset()
+        else:
+            full = False
+            if not dom:
+                domains[g] = frozenset()
+        if g <= ig:
+            try:
+                back = {y: x for x, y in table.items()}
+            except TypeError:  # an unhashable image, which _structural reports
+                return False, None
+            if (
+                len(back) != len(table)
+                or table.keys() != domains[ig]
+                or back.keys() != dom
+                or maps[ig] != back
+            ):
+                return False, None
+    fibers = {e: set() for e in G.identities}
+    for x, e in anchor.items():
+        fibers[e].add(x)
+    for e, fiber in fibers.items():
+        table = maps[e]
+        if domains[e] != fiber or any(map(ne, table, table.values())):
+            return False, None
+    law = reference_composition_law(G, maps) if full else None
+    return law or reference_products_compatible(G, domains, maps), law
+
+
+def reference_semantic(G, points, anchor, domains, maps):
+    """The earlier ``action._semantic``: the ordered condition scans on
+    tables normalized by ``reference_structural``, and the composition-law
+    verdict when they decided it."""
+    from pactkit.core import Report, Violation
+
+    viol = []
+    units = sorted(G.identities)
+
+    for i, e in enumerate(units):
+        for f in units[i + 1 :]:
+            overlap = domains[e] & domains[f]
+            if overlap:
+                viol.append(
+                    Violation("(i)", (min(overlap),), f"domains of units {e!r} and {f!r} overlap")
+                )
+    for e in units:
+        fiber = frozenset(x for x in points if anchor[x] == e)
+        if domains[e] != fiber:
+            witness = min(domains[e] ^ fiber)
+            viol.append(
+                Violation("(i)", (witness,), f"domain of unit {e!r} differs from its anchor fiber")
+            )
+        for x in sorted(domains[e] & frozenset(maps[e])):
+            if maps[e][x] != x:
+                viol.append(Violation("(i)", (e, x), "unit does not act as the identity"))
+
+    for g in G.elements:
+        extra = domains[g] - domains[G.rng[g]]
+        if extra:
+            viol.append(Violation("(pre)", (g, min(extra)), "domain escapes the range fiber"))
+
+    for g in G.elements:
+        inverse_table = {y: x for x, y in maps[g].items()}
+        if maps[G.inv[g]] != inverse_table:
+            bad = sorted(set(maps[G.inv[g]].items()) ^ set(inverse_table.items()))
+            viol.append(
+                Violation("(inv)", (g,) + bad[0], "stored table of the inverse is not the inverse table")
+            )
+
+    # with (i), (pre) and (inv) holding and every domain full, (ii) holds
+    # by the bijections of ``_structural`` and (iii) is the composition law
+    full = not viol and all(domains[g] == domains[G.rng[g]] for g in G.elements)
+    law = reference_composition_law(G, maps) if full else None
+    if not law and not reference_products_compatible(G, domains, maps):
+        viol += reference_condition_ii(G, domains, maps)
+        viol += reference_condition_iii(G, domains, maps)
+
+    missing = sorted(G.identities - set(anchor.values()))
+    notes = (f"anchor is not surjective; unreached units: {missing}",) if missing else ()
+    return Report(ok=not viol, violations=tuple(viol), notes=notes), law
+
+
+def reference_condition_ii(G, domains, maps) -> list:
+    """The earlier ``action._condition_ii``: the ordered (ii) scan."""
+    from pactkit.core import Violation
+
+    viol = []
+    for (g, h) in G.mul:
+        gh = G.mul[(g, h)]
+        lhs = frozenset(maps[g][x] for x in domains[G.inv[g]] & domains[h] if x in maps[g])
+        rhs = domains[g] & domains[gh]
+        if lhs != rhs:
+            viol.append(
+                Violation("(ii)", (g, h, min(lhs ^ rhs)), "image of the overlap misses the target overlap")
+            )
+    return viol
+
+
+def reference_condition_iii(G, domains, maps) -> list:
+    """The earlier ``action._condition_iii``: the ordered (iii) scan."""
+    from pactkit.core import Violation
+
+    viol = []
+    for (g, h) in G.mul:
+        gh = G.mul[(g, h)]
+        for y in sorted(domains[G.inv[g]] & domains[h]):
+            x = maps[G.inv[h]].get(y)
+            if x is None:
+                continue  # already reported as a table defect
+            expected = maps[gh].get(x)
+            if expected is None or maps[g][y] != expected:
+                viol.append(Violation("(iii)", (g, h, x), "composite map disagrees with the product"))
+    return viol
+
+
+def reference_gmap_accepts(A, B, table) -> bool:
+    """The earlier ``morphisms._gmap_accepts``: (i), (ii) and the anchor
+    condition accepted in one unsorted pass."""
+    G, anchor = A.groupoid, B.anchor
+    for g in G.elements:
+        into, to_b = B.domains[G.inv[g]], B.maps[g]
+        for x, y in A.maps[g].items():
+            fx = table[x]
+            if fx not in into or table[y] != to_b[fx]:
+                return False
+    return all(anchor[table[x]] == e for x, e in A.anchor.items())
+
+
+def reference_relation_problems(pairs, rel) -> list:
+    """The earlier ``envelope._merge_relation_problems``: every reflexivity,
+    symmetry and transitivity failure, in scan order (neighbours sorted, so
+    the witnesses do not depend on set order)."""
+    problems = []
+    for p in pairs:
+        if p not in rel[p]:
+            problems.append(("reflexive", p))
+    for p in pairs:
+        for q in sorted(rel[p]):
+            if p not in rel[q]:
+                problems.append(("symmetric", (p, q)))
+    for p in pairs:
+        for q in sorted(rel[p]):
+            for r in sorted(rel[q]):
+                if r not in rel[p]:
+                    problems.append(("transitive", (p, q, r)))
+    return problems

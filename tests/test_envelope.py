@@ -309,14 +309,37 @@ def test_merge_relation_errors_name_the_reference_first_witness():
     assert checked == {"reflexive", "symmetric", "transitive"}
 
 
+def test_relation_failures_name_the_first_failure_of_each_property():
+    # random relations on up to six items, against the earlier scan that
+    # listed every failure of the merge relation in order
+    from pactkit.core import equivalence_classes, relation_failures
+
+    rng = random.Random(1101)
+    kinds = ("reflexive", "symmetric", "transitive")
+    seen = set()
+    for _ in range(400):
+        items = rng.sample(range(9), rng.randint(1, 6))
+        rel = {p: {q for q in items if rng.random() < (0.9 if q == p else 0.3)} for p in items}
+        problems = helpers.reference_relation_problems(items, rel)
+        failures = relation_failures(items, rel)
+        assert failures == tuple(next((w for k, w in problems if k == kind), None) for kind in kinds)
+        assert (failures == (None, None, None)) == (equivalence_classes(items, rel) is not None)
+        seen |= {k for k, _ in problems} | {failures == (None, None, None)}
+    assert seen == {*kinds, True, False}
+
+
 MERGE_CORPUS = """
 import random
 from helpers import corrupt_one_entry, cross_check_actions
-from pactkit import build_partial_action, globalize
+from pactkit import GMap, build_partial_action, globalize, validate_gmap, validate_partial_action
 rng = random.Random(31)
 for A in cross_check_actions(rng, 60):
+    identity = {x: x for x in A.carrier}
     for _ in range(4):
-        B = build_partial_action(A.groupoid, *corrupt_one_entry(rng, A).values(), bypass=True)
+        raw = corrupt_one_entry(rng, A)
+        print(validate_partial_action(A.groupoid, *raw.values()))
+        B = build_partial_action(A.groupoid, *raw.values(), bypass=True)
+        print(validate_gmap(GMap(A, B, identity)), validate_gmap(GMap(B, A, identity)))
         try:
             globalize(B)
         except Exception as exc:
@@ -341,6 +364,9 @@ def test_merge_relation_witnesses_do_not_depend_on_the_hash_seed():
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].count("merge relation is not") > 50
+    # validation and equivariance reports walk dicts and sets unsorted
+    for label in ("(i)", "(pre)", "(ii)", "(iii)", "(inv)", "(anchor)"):
+        assert outputs[0].count(f"condition='{label}'") > 10, label
 
 
 def z18_on_one_point():

@@ -262,6 +262,30 @@ def test_find_isomorphism_computes_each_point_invariant_once(monkeypatch):
     assert calls == {"stabilizer": 6, "orbit_of": 6}
 
 
+def test_find_isomorphism_leaves_no_cyclic_garbage():
+    # a search drops its actions and groupoids as soon as it returns: with
+    # DEBUG_SAVEALL the collector keeps whatever only a cycle held
+    import gc
+
+    from pactkit import PartialAction, globalize
+    from pactkit.groupoid import Groupoid
+
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for make in (fix_b, fix_c):
+            E = globalize(make())
+            assert find_isomorphism(E.action, E.action) is not None
+            find_isomorphism(E.base, E.action)
+        del E
+        gc.collect()
+        left = [type(o).__name__ for o in gc.garbage if isinstance(o, (Groupoid, PartialAction))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []
+
+
 def test_find_isomorphism_matches_the_reference_search():
     # relabeled and enveloped pool actions, and pairs with the same groupoid
     # and carrier size that are mostly not isomorphic
