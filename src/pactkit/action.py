@@ -125,20 +125,27 @@ def _conditions(G: Groupoid, anchor, domains, maps):
     its identity (points sorted), then (pre) and (inv) in element order,
     then (ii) and (iii) in ``mul`` order.
 
-    Tables are checked in pairs g <= inv(g): when the table of g is a
-    bijection from domains[inv g] onto domains[g] and its inverse dict is
-    the stored table of inv(g), that table is a bijection too and (inv)
-    holds both ways.  Unit domains equal to their anchor fibers are
-    pairwise disjoint, because the fibers partition the carrier, so
-    overlaps are looked for only when some unit domain is not its fiber.
-    A domain equal to that of its range unit is stored as that set, and
-    an empty one as ``_EMPTY``, so equal domains are held once.
+    When every domain is full and the units pass, each unit table keyed by
+    its domain, the composition law decides first.  Holding on all pairs,
+    it gives maps[inv g]∘maps[g] = maps[src g], the identity on dom(src g),
+    and maps[g]∘maps[src g] = maps[g]: maps[g] is injective on exactly
+    dom(src g), into the keys of maps[inv g], and by the same for inv g it
+    reaches dom(rng g) = dom(g).  Each table is a bijection whose inverse
+    is the stored table, and nothing fails.  A miss walks the tables in
+    pairs g <= inv(g): when the table of g is a bijection from the domain
+    of inv(g) onto that of g and its inverse dict is the stored table of
+    inv(g), that table is a bijection too and (inv) holds both ways.  Unit
+    domains equal to their anchor fibers are pairwise disjoint, because
+    the fibers partition the carrier, so overlaps are looked for only when
+    some unit domain is not its fiber.  A domain equal to that of its range
+    unit is stored as that set, and an empty one as ``_EMPTY``, so equal
+    domains are held once.
     """
     inv, rng, elements = G.inv, G.rng, G.elements
     found = []
     full = True
     for i, g in enumerate(elements):
-        ig, dom, whole = inv[g], domains[g], domains[rng[g]]
+        dom, whole = domains[g], domains[rng[g]]
         if dom == whole:
             domains[g] = whole or _EMPTY
         else:
@@ -148,18 +155,6 @@ def _conditions(G: Groupoid, anchor, domains, maps):
             elif not dom <= whole:
                 escape = Violation("(pre)", (g, min(dom - whole)), "domain escapes the range fiber")
                 found.append(((2, i), escape))
-        if g <= ig:
-            back = _inverse(maps[g], domains[ig], dom)
-            if back is None:
-                return None
-            if maps[ig] != back:  # then neither table is the other's inverse
-                for k in {g, ig}:
-                    back = _inverse(maps[k], domains[inv[k]], domains[k])
-                    if back is None:
-                        return None
-                    bad = min(set(maps[inv[k]].items()) ^ set(back.items()))
-                    detail = "stored table of the inverse is not the inverse table"
-                    found.append(((3, elements.index(k)), Violation("(inv)", (k,) + bad, detail)))
     fibers = {e: set() for e in G.identities}
     for x, e in anchor.items():
         fibers[e].add(x)
@@ -175,6 +170,28 @@ def _conditions(G: Groupoid, anchor, domains, maps):
             if x != y:
                 moved = Violation("(i)", (e, x), "unit does not act as the identity")
                 found.append(((1, e, 1, x), moved))
+    law = None
+    if full and not found and all(maps[e].keys() == domains[e] for e in units):
+        try:
+            law = _composition_law(G, maps)
+        except TypeError:  # an unhashable image, which _structural reports
+            pass
+        if law:
+            return (), law
+    for g in elements:
+        ig = inv[g]
+        if g <= ig:
+            back = _inverse(maps[g], domains[ig], domains[g])
+            if back is None:
+                return None
+            if maps[ig] != back:  # then neither table is the other's inverse
+                for k in {g, ig}:
+                    back = _inverse(maps[k], domains[inv[k]], domains[k])
+                    if back is None:
+                        return None
+                    bad = min(set(maps[inv[k]].items()) ^ set(back.items()))
+                    detail = "stored table of the inverse is not the inverse table"
+                    found.append(((3, elements.index(k)), Violation("(inv)", (k,) + bad, detail)))
     if not partition:
         for i, e in enumerate(units):
             for f in units[i + 1 :]:
@@ -184,7 +201,7 @@ def _conditions(G: Groupoid, anchor, domains, maps):
                     found.append(((0, e, f), Violation("(i)", (min(overlap),), detail)))
     # with (i), (pre) and (inv) holding and every domain full, (ii) holds
     # by the bijections and (iii) is the composition law
-    law = _composition_law(G, maps) if full and not found else None
+    law = None if found else law
     if not law:
         found += _products(G, domains, maps)
     return tuple(v for _, v in sorted(found, key=itemgetter(0))), law
@@ -468,18 +485,20 @@ def orbit_map(A: PartialAction, x: str) -> OrbitMap:
 
 
 def stabilizer(A: PartialAction, x: str) -> frozenset:
-    """Elements fixing x; always a subgroup of the isotropy group at the anchor."""
+    """Elements fixing x; always a subgroup of the isotropy group at the
+    anchor, a verdict kept on ``G.plan.subgroups`` per (anchor, stab)."""
     stab = frozenset(g for g in moving_elements(A, x) if A.maps[g][x] == x)
     if not A.tainted:
         G = A.groupoid
         e = A.anchor[x]
-        iso = set(G.isotropy_elements(e))
-        closed = (
-            stab <= iso
-            and e in stab
-            and all(G.inv[g] in stab for g in stab)
-            and all(G.mul[(g, h)] in stab for g in stab for h in stab)
-        )
+        closed = G.plan.subgroups.get((e, stab))
+        if closed is None:
+            G.plan.subgroups[(e, stab)] = closed = (
+                stab.issubset(G.isotropy_elements(e))
+                and e in stab
+                and all(G.inv[g] in stab for g in stab)
+                and all(G.mul[(g, h)] in stab for g in stab for h in stab)
+            )
         if not closed:
             raise FalsificationError(f"stabilizer of {x!r} is not a subgroup of its isotropy group")
     return stab
@@ -675,7 +694,13 @@ def relabel_action(A: PartialAction, mapping: dict) -> PartialAction:
         A.groupoid,
         sorted(mapping.values()),
         {mapping[x]: e for x, e in A.anchor.items()},
-        {g: frozenset(mapping[x] for x in s) for g, s in A.domains.items()},
+        _renamed_domains(A.domains, mapping),
         {g: {mapping[x]: mapping[y] for x, y in t.items()} for g, t in A.maps.items()},
         A.tainted,
     )
+
+
+def _renamed_domains(domains: dict, mapping: dict) -> dict:
+    """The domains renamed along ``mapping``, each shared set once."""
+    renamed = {s: frozenset(map(mapping.__getitem__, s)) for s in dict.fromkeys(domains.values())}
+    return {g: renamed[s] for g, s in domains.items()}

@@ -31,9 +31,24 @@ def _bool(b) -> str:
     return "true" if b else "false"
 
 
+_leaf = json.JSONEncoder().encode
+
+
+def _dumps(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` from leaves that the C
+    encoder writes: the indenting encoder leaves a reference cycle."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        items = [(_leaf(k if isinstance(k, str) else _leaf(k)), v) for k, v in sorted(value.items())]
+        return "{" + ",".join(f"{inner}{k}: {_dumps(v, inner)}" for k, v in items) + pad + "}"
+    if isinstance(value, (list, tuple)) and value:
+        return "[" + ",".join(inner + _dumps(v, inner) for v in value) + pad + "]"
+    return _leaf(value)
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
     else:
         for line in text_lines:
             print(line)

@@ -36,15 +36,25 @@ class CosetSpace:
     delta: PartialAction
 
 
-def coset_quotient(G, e: str, subgroup, token, fail, bypass: bool = False):
+def coset_quotient(G, e: str, subgroup, naming, fail, bypass: bool = False):
     """Left multiplication on the source fiber of e modulo a subgroup.
 
     Two fiber elements are identified when they share a range unit and their
     difference lies in ``subgroup``.  When that relation is not an
     equivalence, ``fail(message)`` is raised for its first failing property
     in triple-scan order; otherwise ``quotient_action`` induces the action,
-    tainted with ``bypass``.  Returns its classes, class tokens and action.
+    tainted with ``bypass``, naming the class of h ``[h]`` when ``naming``
+    is None and ``naming.h`` otherwise.  Returns its classes, class tokens
+    and action.  ``G.plan.cosets`` keeps the tables of each success, which
+    a later call wraps in a new action; a failure is raised on every call.
     """
+    key = (e, frozenset(subgroup), naming, bypass)
+    kept = G.plan.cosets.get(key)
+    if kept is not None:
+        classes, class_of, *tables, law = kept
+        action = PartialAction(G, *tables, tainted=bypass)
+        object.__setattr__(action, "law_holds", law)
+        return classes, class_of, action
     fiber = sorted(G.d_fiber(e))
 
     def related(h1: str, h2: str) -> bool:
@@ -66,9 +76,12 @@ def coset_quotient(G, e: str, subgroup, token, fail, bypass: bool = False):
                 for h3 in fiber:
                     if related(h1, h2) and related(h2, h3) and not related(h1, h3):
                         raise fail("coset relation is not transitive")
-    return quotient_action(
+    token = coset_token if naming is None else (lambda h: f"{naming}.{h}")
+    classes, class_of, A = quotient_action(
         G, blocks, token, unit=G.rng.__getitem__, left=lambda k, h: G.mul[(k, h)], bypass=bypass
     )
+    G.plan.cosets[key] = classes, class_of, A.carrier, A.anchor, A.domains, A.maps, A.law_holds
+    return classes, class_of, A
 
 
 def build_coset_action(A: PartialAction, x: str) -> CosetSpace:
@@ -82,7 +95,7 @@ def build_coset_action(A: PartialAction, x: str) -> CosetSpace:
         raise PreconditionError(f"{x!r} is not a carrier point")
     e = A.anchor[x]
     classes, class_of, delta = coset_quotient(
-        A.groupoid, e, stabilizer(A, x), coset_token, lambda m: defect(A.tainted, m), A.tainted
+        A.groupoid, e, stabilizer(A, x), None, lambda m: defect(A.tainted, m), A.tainted
     )
     if any(len(b) != 1 for b in classes) and classify(A).free:
         raise FalsificationError("free base produced a non-singleton coset class")

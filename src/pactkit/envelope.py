@@ -20,6 +20,7 @@ from .core import (
 from .action import (
     PartialAction,
     _adopt,
+    _renamed_domains,
     action_graphs,
     quotient_action,
     relabel_action,
@@ -155,14 +156,14 @@ def verify_globalization(E: EnvelopingAction) -> GlobalizationReport:
                 viol.append(Violation("(ii)", (g, x), "embedding does not intertwine the actions"))
 
     ok_iii = True
+    unions = {}  # the translate union of g depends on rng(g) alone
     for g in G.elements:
-        union = set()
-        for h in G.fibers[G.rng[g]].r:
-            for x in A.domains[G.src[h]]:
-                union.add(B.maps[h][emb[x]])
-        if frozenset(union) != B.domains[g]:
+        e = G.rng[g]
+        if e not in unions:
+            unions[e] = frozenset(B.maps[h][emb[x]] for h in G.fibers[e].r for x in A.domains[G.src[h]])
+        if unions[e] != B.domains[g]:
             ok_iii = False
-            witness = min(frozenset(union) ^ B.domains[g])
+            witness = min(unions[e] ^ B.domains[g])
             viol.append(Violation("(iii)", (g, witness), "translate union misses the domain"))
 
     return GlobalizationReport(
@@ -234,7 +235,7 @@ def relabel_envelope_base(E: EnvelopingAction, mapping: dict) -> EnvelopingActio
         E.action.groupoid,
         sorted(token_map.values()),
         {token_map[t]: e for t, e in E.action.anchor.items()},
-        {g: frozenset(token_map[t] for t in s) for g, s in E.action.domains.items()},
+        _renamed_domains(E.action.domains, token_map),
         {g: {token_map[a]: token_map[b] for a, b in t.items()} for g, t in E.action.maps.items()},
         E.action.tainted,
     )

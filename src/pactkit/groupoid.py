@@ -29,12 +29,15 @@ class Plan:
 
     Each walk is built on first use and then kept: many groupoids (a loaded
     file's, an isotropy group) serve only a few actions, and most of those
-    need one or two of the walks.  A walk is a pure function of the tables,
-    so concurrent first uses at worst build it twice.
+    need one or two of the walks.  ``subgroups`` and ``cosets`` keep what
+    ``action.stabilizer`` and ``coset.coset_quotient`` decide per unit and
+    subgroup, in tokens only.  A walk or fact is a pure function of the
+    tables, so concurrent first uses at worst build it twice.
     """
 
     def __init__(self, elements, mul, inv, src, rng, generators, fibers):
         self._tables = elements, mul, inv, src, rng, generators, fibers
+        self.subgroups, self.cosets = {}, {}
 
     @cached_property
     def law(self) -> tuple:

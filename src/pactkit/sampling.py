@@ -139,7 +139,7 @@ def coset_global_action(G: Groupoid, e: str, subgroup, prefix: str = "w") -> Par
     stray = sorted(set(subgroup).difference(G.isotropy_elements(e)))
     if stray:
         raise PreconditionError(f"subgroup members {stray} are not in the isotropy group at {e!r}")
-    return coset_quotient(G, e, subgroup, lambda h: f"{prefix}.{h}", PreconditionError)[2]
+    return coset_quotient(G, e, subgroup, prefix, PreconditionError)[2]
 
 
 def merge_actions(parts: list[PartialAction]) -> PartialAction:

@@ -1242,3 +1242,99 @@ def reference_relation_problems(pairs, rel) -> list:
                 if r not in rel[p]:
                     problems.append(("transitive", (p, q, r)))
     return problems
+
+
+# ---------------------------------------------------------------------------
+# the library's earlier per-call (unit, subgroup) kernels, kept verbatim:
+# they decide every call afresh, where the library keeps what it decided
+# per groupoid
+
+
+def reference_coset_quotient(G, e: str, subgroup, token, fail, bypass: bool = False):
+    """The library's earlier ``coset.coset_quotient``, which names classes by
+    the callable ``token``."""
+    from pactkit.action import quotient_action
+    from pactkit.core import equivalence_classes
+
+    fiber = sorted(G.d_fiber(e))
+
+    def related(h1: str, h2: str) -> bool:
+        return G.rng[h1] == G.rng[h2] and G.mul[(G.inv[h2], h1)] in subgroup
+
+    # k ~ h exactly when k = h·s⁻¹ for an s of the subgroup fixing e, so the
+    # related sets are read off by multiplication
+    inside = [G.inv[s] for s in G.isotropy_elements(e) if s in subgroup]
+    blocks = equivalence_classes(
+        fiber, {h: frozenset(G.mul[(h, s)] for s in inside) for h in fiber}
+    )
+    if blocks is None:
+        for h1 in fiber:
+            if not related(h1, h1):
+                raise fail("coset relation is not reflexive")
+            for h2 in fiber:
+                if related(h1, h2) != related(h2, h1):
+                    raise fail("coset relation is not symmetric")
+                for h3 in fiber:
+                    if related(h1, h2) and related(h2, h3) and not related(h1, h3):
+                        raise fail("coset relation is not transitive")
+    return quotient_action(
+        G, blocks, token, unit=G.rng.__getitem__, left=lambda k, h: G.mul[(k, h)], bypass=bypass
+    )
+
+
+def reference_stabilizer(A, x: str) -> frozenset:
+    """The library's earlier ``action.stabilizer``."""
+    from pactkit.action import moving_elements
+    from pactkit.core import FalsificationError
+
+    stab = frozenset(g for g in moving_elements(A, x) if A.maps[g][x] == x)
+    if not A.tainted:
+        G = A.groupoid
+        e = A.anchor[x]
+        iso = set(G.isotropy_elements(e))
+        closed = (
+            stab <= iso
+            and e in stab
+            and all(G.inv[g] in stab for g in stab)
+            and all(G.mul[(g, h)] in stab for g in stab for h in stab)
+        )
+        if not closed:
+            raise FalsificationError(f"stabilizer of {x!r} is not a subgroup of its isotropy group")
+    return stab
+
+
+# ---------------------------------------------------------------------------
+# JSON output of the command line
+
+
+def reference_emit(payload) -> str:
+    """What ``pactkit --json`` prints for a payload (before the newline)."""
+    import json
+
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def random_payload(rng, depth: int = 3):
+    """A JSON value like the command payloads: nested dicts and lists, with
+    non-ASCII and escaped text, empty containers, floats (signed zero,
+    tiny, huge and infinite), ints, booleans and None.  A few dicts have
+    int keys, which json writes as strings."""
+    texts = ["", "a", "[0,1]", "é", "☃ snow", "tab\there", 'q"uote', "\\", "\x00", "𝔾"]
+    leaves = [
+        lambda: rng.choice(texts),
+        lambda: rng.choice([0.0, -0.0, 1.5, 1e-9, 2.0**70, 1 / 3, float("inf"), -float("inf")]),
+        lambda: rng.randint(-10**12, 10**12),
+        lambda: rng.choice([True, False, None]),
+        lambda: rng.choice([{}, [], ()]),
+    ]
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(leaves)()
+    size = rng.randint(0, 4)
+    if rng.random() < 0.5:
+        names = ["command", "ok", "é", "a b", "Z", "", "[x]", "☃"]
+        keys = [rng.choice(names) + str(i) for i in range(size)]
+        if rng.random() < 0.2:
+            keys = rng.sample(range(-5, 50), size)
+        return {k: random_payload(rng, depth - 1) for k in keys}
+    items = [random_payload(rng, depth - 1) for _ in range(size)]
+    return tuple(items) if rng.random() < 0.2 else items

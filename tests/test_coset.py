@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import helpers
+
 from pactkit import (
     PreconditionError,
     build_coset_action,
@@ -19,6 +21,7 @@ from pactkit import (
 from pactkit.fixtures import fix_b, fix_c, remark_x, z2
 from pactkit.sampling import (
     coset_global_action,
+    groupoid_pool,
     mulclose,
     random_partial_action,
     small_groups,
@@ -193,3 +196,200 @@ def test_tainted_base_gives_tainted_coset_space():
     assert all(build_coset_action(A, x).delta.tainted for x in A.carrier)
     B = fix_b()
     assert not any(build_coset_action(B, x).delta.tainted for x in B.carrier)
+
+
+def quotient_outcome(call, G, e, subgroup, naming, bypass):
+    """The classes, class tokens, action and law verdict of a coset quotient,
+    or the type and message of its error."""
+    from pactkit import FalsificationError
+
+    try:
+        classes, class_of, action = call(G, e, subgroup, naming, PreconditionError, bypass)
+    except (PreconditionError, FalsificationError) as exc:
+        return type(exc), str(exc)
+    return classes, class_of, action, action.law_holds
+
+
+def reference_quotient(G, e, subgroup, naming, fail, bypass):
+    """The earlier kernel, with ``naming`` turned into its token callable."""
+    from pactkit.coset import coset_token
+
+    token = coset_token if naming is None else (lambda h: f"{naming}.{h}")
+    return helpers.reference_coset_quotient(G, e, subgroup, token, fail, bypass)
+
+
+def subsets_and_closures(G, e) -> set:
+    """The subsets of at most two isotropy elements at e, with and without e,
+    and their closures."""
+    from itertools import combinations
+
+    iso = G.isotropy_elements(e)
+    picks = [frozenset(c) for r in range(3) for c in combinations(iso, r)]
+    return set(picks) | {s | {e} for s in picks} | {mulclose(G, s) for s in picks}
+
+
+def test_coset_quotients_kept_per_groupoid_match_the_earlier_kernel():
+    # every pool groupoid, unit and subset of at most two isotropy elements
+    # with its closure, both namings and both bypass settings: the first
+    # call and the kept answer equal the earlier kernel's, law verdict
+    # included, and a relation that is not an equivalence raises twice
+    from pactkit.coset import coset_quotient
+
+    seen = set()
+    for G in groupoid_pool():
+        for e in sorted(G.identities):
+            for subgroup in sorted(subsets_and_closures(G, e), key=sorted):
+                for naming in (None, "w1"):
+                    for bypass in (False, True):
+                        args = (G, e, subgroup, naming, bypass)
+                        expected = quotient_outcome(reference_quotient, *args)
+                        for _ in range(2):
+                            got = quotient_outcome(coset_quotient, *args)
+                            assert got == expected
+                            if len(got) == 4:
+                                assert got[2].law_holds is expected[3] and got[2].tainted is bypass
+                        seen.add(expected[1] if len(expected) == 2 else "built")
+        # only what was built is kept, one entry per key
+        assert all(kept[-1] is True for kept in G.plan.cosets.values())
+    assert "built" in seen
+    assert {m for m in seen if m != "built"} == {
+        "coset relation is not reflexive",
+        "coset relation is not symmetric",
+        "coset relation is not transitive",
+    }
+
+
+def test_stabilizer_verdicts_kept_per_groupoid_match_the_earlier_check():
+    # stabilizers of coset actions and of bypass-built corruptions marked
+    # untainted, whose stabilizers need not be subgroups: every call, first
+    # or kept, returns or raises as the earlier check does
+    from dataclasses import replace
+
+    from helpers import corrupt_one_entry
+
+    from pactkit import FalsificationError
+
+    def outcome(call, A, x):
+        try:
+            return call(A, x)
+        except FalsificationError as exc:
+            return str(exc)
+
+    rng = random.Random(1313)
+    verdicts = set()
+    for G in groupoid_pool():
+        for e in sorted(G.identities):
+            for subgroup in sorted(subsets_and_closures(G, e), key=sorted):
+                if not subgroup or mulclose(G, subgroup) != subgroup:
+                    continue
+                A = coset_global_action(G, e, subgroup)
+                raw = corrupt_one_entry(rng, A)
+                B = replace(build_partial_action(G, *raw.values(), bypass=True), tainted=False)
+                for C in (A, B):
+                    for x in C.carrier:
+                        expected = outcome(helpers.reference_stabilizer, C, x)
+                        assert outcome(stabilizer, C, x) == expected
+                        assert outcome(stabilizer, C, x) == expected
+                        verdicts.add(isinstance(expected, str))
+    assert verdicts == {True, False}
+
+
+def test_kept_coset_facts_belong_to_one_groupoid_value():
+    # equal groupoids that are distinct values, and dataclasses.replace(G),
+    # start with nothing kept and share no kept object; a kept quotient is
+    # a new action around the same tables
+    from dataclasses import replace
+
+    from pactkit.groupoid import from_group
+    from pactkit.sampling import cyclic_table
+
+    G = from_group(cyclic_table(4))
+    twin, copy = from_group(cyclic_table(4)), replace(G)
+    assert G == twin == copy
+    A = coset_global_action(G, "0", {"0", "2"})
+    stabilizer(A, min(A.carrier))
+    assert G.plan.cosets and G.plan.subgroups
+    for other in (twin, copy):
+        assert not other.plan.cosets and not other.plan.subgroups
+    again = coset_global_action(G, "0", {"0", "2"})
+    assert again == A and again is not A and again.maps is A.maps
+    assert again.law_holds is A.law_holds is True
+    B = coset_global_action(twin, "0", {"0", "2"})
+    assert B == A and B.maps is not A.maps
+    kept = [list(v) for v in G.plan.cosets.values()] + [list(v) for v in twin.plan.cosets.values()]
+    ids = [id(part) for parts in kept for part in parts if isinstance(part, (dict, tuple))]
+    assert len(ids) == len(set(ids))
+
+
+def test_dropping_a_groupoid_leaves_no_cyclic_garbage():
+    # what the plan keeps refers to no groupoid or action, so a groupoid
+    # and every action over it go as soon as they are dropped
+    import gc
+    import weakref
+
+    from pactkit import PartialAction, globalize
+    from pactkit.groupoid import Groupoid, from_group
+    from pactkit.sampling import symmetric3_table
+
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        G = from_group(symmetric3_table())
+        for subgroup in sorted(subsets_and_closures(G, "abc"), key=sorted):
+            if subgroup and mulclose(G, subgroup) == subgroup:
+                A = coset_global_action(G, "abc", subgroup, prefix="v")
+                for x in A.carrier:
+                    build_coset_action(A, x)
+                classify(globalize(A).action)
+        assert G.plan.cosets and G.plan.subgroups
+        gone = weakref.ref(G)
+        del G, A
+        gc.collect()
+        left = [type(o).__name__ for o in gc.garbage if isinstance(o, (Groupoid, PartialAction))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []
+    assert gone() is None
+
+
+def test_threads_sharing_a_groupoid_get_the_earlier_kernels_answers():
+    # eight threads, more than the cores, race to decide the same facts on
+    # one fresh groupoid with a short switch interval: a race may decide a
+    # fact twice, but every answer equals the earlier kernels'
+    import sys
+    import threading
+
+    from pactkit.groupoid import from_group
+    from pactkit.sampling import symmetric3_table
+
+    G = from_group(symmetric3_table())
+    subgroups = sorted(
+        (s for s in subsets_and_closures(G, "abc") if s and mulclose(G, s) == s), key=sorted
+    )
+    expected = [helpers.reference_coset_global_action(G, "abc", s, "t") for s in subgroups]
+    stabilizers = [[helpers.reference_stabilizer(A, x) for x in A.carrier] for A in expected]
+    results, errors = [], []
+
+    def work():
+        try:
+            for _ in range(20):
+                actions = [coset_global_action(G, "abc", s, "t") for s in subgroups]
+                stabs = [[stabilizer(A, x) for x in A.carrier] for A in actions]
+                results.append(actions == expected and stabs == stabilizers)
+        except Exception as exc:  # reported below, with the thread's result missing
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == [True] * 160

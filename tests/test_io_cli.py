@@ -418,3 +418,45 @@ def test_canonical_json_matches_the_reference_renderer():
     for _ in range(2000):
         doc = {"a": value(0), "b": value(0)}
         assert canonical_json(doc) == helpers.reference_render(doc, 0) + "\n"
+
+
+def test_json_output_matches_json_dumps_on_a_seeded_corpus():
+    # the renderer behind --json against json.dumps(indent=2, sort_keys=True)
+    from pactkit.cli import _dumps
+
+    rng = random.Random(1313)
+    corpus = [helpers.random_payload(rng) for _ in range(600)]
+    for payload in corpus:
+        assert _dumps(payload) == helpers.reference_emit(payload)
+    text = "\n".join(map(helpers.reference_emit, corpus))
+    needles = ("\\u00e9", "\\ud835", '""', "[]", "{}", "1e-09", "-0.0", "-Infinity", "null", '"7"')
+    assert all(needle in text for needle in needles)
+
+
+def test_json_commands_leave_no_cyclic_garbage():
+    # with the shared parser built, whose help formatters hold cycles once,
+    # every recorded --json command leaves nothing for the collector: with
+    # DEBUG_SAVEALL it would keep whatever only a cycle held
+    import gc
+    import importlib.util
+
+    from pactkit.cli import _shared_parser
+
+    recorder_path = Path(__file__).resolve().parent / "data" / "record_cli_golden.py"
+    spec = importlib.util.spec_from_file_location("record_cli_golden", recorder_path)
+    recorder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recorder)
+    commands = [argv for argv in recorder.invocations() if "--json" in argv]
+    assert len(commands) > 50
+    _shared_parser()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in commands:
+            recorder.run(argv)
+        gc.collect()
+        left = sorted({type(o).__name__ for o in gc.garbage})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []

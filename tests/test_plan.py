@@ -12,6 +12,8 @@ from pactkit import (
     FalsificationError,
     GMap,
     PreconditionError,
+    StructuralError,
+    ValidationFailed,
     build_partial_action,
     restrict,
     validate_gmap,
@@ -19,8 +21,16 @@ from pactkit import (
 )
 from pactkit.action import _composition_law, _products
 from pactkit.envelope import _merge_relation
-from pactkit.groupoid import from_group, pair_groupoid
-from pactkit.sampling import coset_global_action, cyclic_table, groupoid_pool, random_partial_action
+from pactkit.groupoid import action_groupoid, disjoint_union, from_group, pair_groupoid
+from pactkit.sampling import (
+    coset_global_action,
+    cyclic_table,
+    groupoid_pool,
+    merge_actions,
+    random_global_action,
+    random_partial_action,
+    symmetric3_table,
+)
 
 
 def outcome(call, *args):
@@ -150,3 +160,79 @@ def test_reports_match_the_ordered_scans_at_scale():
                 gmap_labels |= report.conditions()
     assert labels == {"(i)", "(pre)", "(ii)", "(iii)", "(inv)"}
     assert gmap_labels == {"(i)", "(ii)", "(anchor)"}
+
+
+def build_outcome(call, G, raw, bypass):
+    """The action a builder makes with its law verdict, or the type,
+    message and report of its error."""
+    try:
+        A = call(G, *raw.values(), bypass=bypass)
+    except (StructuralError, ValidationFailed, TypeError) as exc:
+        return type(exc), str(exc), getattr(exc, "report", None)
+    return A, A.law_holds
+
+
+def test_full_domain_validation_matches_the_ordered_scans_at_scale():
+    # global actions, where every domain is full and the composition law
+    # decides first: Z_n regular up to Z64, the pair groupoid on 8 objects
+    # on two source fibers, a disjoint union and an action groupoid, each
+    # as is and with one corruption of each kind, one exchange in the
+    # stored table of inv(g) alone, and one unhashable image
+    rng = random.Random(1313)
+    pairs = pair_groupoid(range(8))
+    union = disjoint_union([from_group(symmetric3_table()), from_group(cyclic_table(6))])
+    shifts = {str(k): {str(p): str((p + k) % 3) for p in range(3)} for k in range(6)}
+    bases = regular_at_scale()[:3] + [
+        merge_actions([coset_global_action(pairs, e, {e}, e) for e in ("(0,0)", "(5,5)")]),
+        random_global_action(random.Random(1), union),
+        random_global_action(random.Random(2), action_groupoid(cyclic_table(6), shifts)),
+    ]
+    labels, laws, errors = set(), set(), set()
+    for A in bases:
+        G = A.groupoid
+        assert all(A.domains[g] == A.domains[G.rng[g]] for g in G.elements)
+        raws = [helpers.raw_tables(A)]
+        raws += [helpers.corrupt_one_entry(rng, A, kind) for kind in helpers.CORRUPTIONS]
+        raw = helpers.raw_tables(A)
+        g = next(g for g in G.elements if G.inv[g] != g and len(raw["maps"][G.inv[g]]) >= 2)
+        table = raw["maps"][G.inv[g]]
+        y1, y2 = rng.sample(sorted(table), 2)
+        table[y1], table[y2] = table[y2], table[y1]
+        raws.append(raw)
+        raw = helpers.raw_tables(A)
+        g = rng.choice([g for g in G.elements if raw["maps"][g]])
+        x = rng.choice(sorted(raw["maps"][g]))
+        raw["maps"][g][x] = [raw["maps"][g][x]]
+        raws.append(raw)
+        for raw in raws:
+            for bypass in (False, True):
+                got = build_outcome(build_partial_action, G, raw, bypass)
+                assert got == build_outcome(helpers.reference_build_partial_action, G, raw, bypass)
+                if isinstance(got[0], type):
+                    errors.add(got[0].__name__)
+                    labels |= got[2].conditions() if got[2] else set()
+                else:
+                    laws.add(got[1])
+    assert labels == {"(i)", "(pre)", "(inv)", "(ii)", "(iii)"}
+    assert laws == {True, False, None}
+    assert errors == {"ValidationFailed", "TypeError"}
+
+
+def test_full_domain_acceptance_leaves_table_defects_to_the_table_scan():
+    # Z3 acting regularly with full domains: unit tables that are empty pass
+    # the unit identity check and the composition law, and an unhashable
+    # image met by the law comes after a table with a missing key in the
+    # order of ``maps``; both raise what the ordered structural scan raises
+    G = from_group(cyclic_table(3))
+    carrier = ["a", "b", "c"]
+    step = {"1": {"a": "b", "b": "c", "c": "a"}, "2": {"b": "a", "c": "b", "a": "c"}}
+    domains = dict.fromkeys(G.elements, set(carrier))
+    anchor = dict.fromkeys(carrier, "0")
+    empty = {"0": {}, "1": {}, "2": {}}
+    broken = {"2": {"b": "a", "c": "b"}, "0": {x: x for x in carrier}, "1": {**step["1"], "c": ["a"]}}
+    for maps in (empty, broken):
+        raw = {"carrier": carrier, "anchor": anchor, "domains": domains, "maps": maps}
+        for bypass in (False, True):
+            got = build_outcome(build_partial_action, G, raw, bypass)
+            assert got == build_outcome(helpers.reference_build_partial_action, G, raw, bypass)
+            assert got[0] is StructuralError

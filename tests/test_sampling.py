@@ -159,3 +159,25 @@ def test_coset_global_action_rejects_members_outside_the_isotropy_group(G, e, su
     with pytest.raises(PreconditionError) as err:
         coset_global_action(G, e, subset)
     assert str(err.value) == f"subgroup members {stray} are not in the isotropy group at {e!r}"
+
+
+def test_random_partial_actions_match_a_run_on_the_earlier_coset_builder(monkeypatch):
+    # the sampler over one pool, whose groupoids keep their coset quotients
+    # from seed to seed, draws the same actions, table for table, as a run
+    # in which every coset component is built afresh by the earlier builder
+    from pactkit import sampling
+
+    def draw(pool) -> list:
+        out = []
+        for seed in range(300):
+            rng = random.Random(seed)
+            out.append(random_partial_action(rng, rng.choice(pool)))
+        return out
+
+    pool = groupoid_pool()
+    got = draw(pool)
+    assert sum(len(G.plan.cosets) for G in pool) < 300
+    monkeypatch.setattr(sampling, "coset_global_action", helpers.reference_coset_global_action)
+    expected = draw(groupoid_pool())
+    assert got == expected
+    assert [A.law_holds for A in got] == [B.law_holds for B in expected]
