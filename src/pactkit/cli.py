@@ -1,8 +1,8 @@
 """Command-line surface tying the modules together.
 
 Exit codes: 0 when the command succeeds and every checked property holds,
-1 when a property does not hold or no witness exists, 2 on input errors.
-Output is a pure function of the input files.
+1 when a property does not hold or no witness exists, 2 on input or output
+errors.  Output is a pure function of the input files.
 """
 
 from __future__ import annotations
@@ -54,13 +54,13 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _load_action(args, path):
+def _load(args, name: str, action: bool = True):
+    """The instance file or fixture ``name``; an action unless ``action`` is false."""
     doc = instancefiles.load(
-        str(instancefiles.resolve_instance_path(path)),
-        bypass=getattr(args, "bypass_validation", False),
+        str(instancefiles.resolve_instance_path(name)), bypass=args.bypass_validation
     )
-    if doc.kind != "action":
-        raise StructuralError(f"{path}: expected an action instance, found {doc.kind}")
+    if action and doc.kind != "action":
+        raise StructuralError(f"{name}: expected an action instance, found {doc.kind}")
     return doc
 
 
@@ -85,7 +85,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_info(args) -> int:
-    doc = _load_action_or_groupoid(args)
+    doc = _load(args, args.instance, action=False)
     if doc.kind == "groupoid":
         G = doc.payload
         payload = {
@@ -137,15 +137,8 @@ def cmd_info(args) -> int:
     return 0
 
 
-def _load_action_or_groupoid(args):
-    return instancefiles.load(
-        str(instancefiles.resolve_instance_path(args.instance)),
-        bypass=getattr(args, "bypass_validation", False),
-    )
-
-
 def cmd_classify(args) -> int:
-    doc = _load_action(args, args.instance)
+    doc = _load(args, args.instance)
     cls = classify(doc.payload)
     payload = {
         "command": "classify",
@@ -161,7 +154,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    doc = _load_action(args, args.instance)
+    doc = _load(args, args.instance)
     rel = orbit_relation(doc.payload)
     payload = {
         "command": "orbits",
@@ -181,7 +174,7 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_globalize(args) -> int:
-    doc = _load_action(args, args.instance)
+    doc = _load(args, args.instance)
     E = globalize(doc.payload)
     report = verify_globalization(E)
     if not report.ok:
@@ -214,8 +207,8 @@ def cmd_globalize(args) -> int:
 
 
 def cmd_isomorphic(args) -> int:
-    doc_a = _load_action(args, args.first)
-    doc_b = _load_action(args, args.second)
+    doc_a = _load(args, args.first)
+    doc_b = _load(args, args.second)
     witness = find_isomorphism(doc_a.payload, doc_b.payload)
     payload = {
         "command": "isomorphic",
@@ -230,7 +223,7 @@ def cmd_isomorphic(args) -> int:
 
 
 def cmd_coset_check(args) -> int:
-    doc = _load_action(args, args.instance)
+    doc = _load(args, args.instance)
     A = doc.payload
     if args.at not in A.carrier:
         raise StructuralError(f"--at {args.at!r} is not a carrier point")
@@ -269,7 +262,7 @@ def cmd_coset_check(args) -> int:
 
 
 def cmd_topology_report(args) -> int:
-    doc = _load_action(args, args.instance)
+    doc = _load(args, args.instance)
     A = doc.payload
     T_G = doc.groupoid_topology or discrete(A.groupoid.elements)
     T_M = doc.carrier_topology or discrete(A.carrier)
@@ -360,7 +353,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except (ValidationFailed, StructuralError, CapExceededError, FileNotFoundError) as exc:
+    except (ValidationFailed, StructuralError, CapExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:

@@ -1,27 +1,34 @@
 """Canonical named instances shared by the test suites and the CLI.
 
-Z2 and PAIR2 are the smallest one-unit and two-unit groupoids of interest;
-REMARK-G is the six-element two-component groupoid whose isotropy tables are
-forced by the distinctness of the inverse tokens.  FIX-B and FIX-C are the
-standard partial/global action pair, REMARK-X is the deliberately invalid
+Each is its packaged document in ``pactkit/fixtures/``, read through the
+parser behind ``io.load`` (from the package, whatever ``PACT_FIXTURES``
+names), so the JSON file is the one definition.  Z2 and PAIR2 are the
+smallest one-unit and two-unit groupoids of interest; REMARK-G is the
+six-element two-component groupoid whose isotropy tables are forced by the
+distinctness of the inverse tokens.  FIX-B and FIX-C are the standard
+partial/global action pair, REMARK-X is the deliberately invalid
 overlapping-fiber instance kept for the non-transitivity regression, and
 SIERP-ACT pairs FIX-B-shaped data with a Sierpinski carrier topology.
 """
 
 from __future__ import annotations
 
-from .action import PartialAction, build_partial_action
-from .groupoid import Groupoid, build_groupoid, from_group, pair_groupoid
-from .topology import FiniteTopology, build_topology, discrete
+from .action import PartialAction
+from .groupoid import Groupoid
+from .io import InstanceFile, _packaged_fixtures, _parse, load
+from .topology import FiniteTopology, build_topology
+
+
+def _load(name: str, bypass: bool = False) -> InstanceFile:
+    return load(str(_packaged_fixtures() / f"{name}.json"), bypass)
 
 
 def z2() -> Groupoid:
-    table = {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "e"}
-    return from_group(table)
+    return _load("z2").payload
 
 
 def pair2() -> Groupoid:
-    return pair_groupoid(["1", "2"])
+    return _load("pair2").payload
 
 
 def remark_g() -> Groupoid:
@@ -30,96 +37,26 @@ def remark_g() -> Groupoid:
     Six distinct tokens force g*g = g_inv within each component: were g*g the
     unit, g and g_inv would denote the same element.
     """
-    elements = ["e", "f", "g", "g_inv", "h", "h_inv"]
-    mul = {}
-    for u, a, b in (("e", "g", "g_inv"), ("f", "h", "h_inv")):
-        mul.update(
-            {
-                (u, u): u,
-                (u, a): a,
-                (u, b): b,
-                (a, u): a,
-                (b, u): b,
-                (a, a): b,
-                (a, b): u,
-                (b, a): u,
-                (b, b): a,
-            }
-        )
-    src = {"e": "e", "g": "e", "g_inv": "e", "f": "f", "h": "f", "h_inv": "f"}
-    return build_groupoid(
-        {
-            "elements": elements,
-            "mul": mul,
-            "inv": {"e": "e", "f": "f", "g": "g_inv", "g_inv": "g", "h": "h_inv", "h_inv": "h"},
-            "src": src,
-            "rng": dict(src),
-        }
-    )
+    return _load("remark-g").payload
 
 
 def fix_b() -> PartialAction:
     """Partial (non-global) two-point instance: s moves only the point a."""
-    return build_partial_action(
-        z2(),
-        ["a", "b"],
-        {"a": "e", "b": "e"},
-        {"e": {"a", "b"}, "s": {"a"}},
-        {"e": {"a": "a", "b": "b"}, "s": {"a": "a"}},
-    )
+    return _load("fix-b").payload
 
 
 def fix_c() -> PartialAction:
     """Global transitive free action of the two-object pair groupoid."""
-    return build_partial_action(
-        pair2(),
-        ["u", "v"],
-        {"u": "(1,1)", "v": "(2,2)"},
-        {"(1,1)": {"u"}, "(2,2)": {"v"}, "(1,2)": {"u"}, "(2,1)": {"v"}},
-        {
-            "(1,1)": {"u": "u"},
-            "(2,2)": {"v": "v"},
-            "(1,2)": {"v": "u"},
-            "(2,1)": {"u": "v"},
-        },
-    )
+    return _load("fix-c").payload
 
 
 def remark_x_parts() -> dict:
     """Raw data whose unit domains overlap at x2; rejected by validation."""
-    return {
-        "groupoid": remark_g(),
-        "carrier": ["x1", "x2", "x3"],
-        "anchor": {"x1": "e", "x2": "e", "x3": "f"},
-        "domains": {
-            "e": {"x1", "x2"},
-            "g": {"x2"},
-            "g_inv": {"x1"},
-            "f": {"x2", "x3"},
-            "h": {"x3"},
-            "h_inv": {"x2"},
-        },
-        "maps": {
-            "e": {"x1": "x1", "x2": "x2"},
-            "g": {"x1": "x2"},
-            "g_inv": {"x2": "x1"},
-            "f": {"x2": "x2", "x3": "x3"},
-            "h": {"x2": "x3"},
-            "h_inv": {"x3": "x2"},
-        },
-    }
+    return _parse(str(_packaged_fixtures() / "remark-x.json"))[1].payload
 
 
 def remark_x(bypass: bool = True) -> PartialAction:
-    parts = remark_x_parts()
-    return build_partial_action(
-        parts["groupoid"],
-        parts["carrier"],
-        parts["anchor"],
-        parts["domains"],
-        parts["maps"],
-        bypass=bypass,
-    )
+    return _load("remark-x", bypass).payload
 
 
 def sierpinski(open_point: str, closed_point: str) -> FiniteTopology:
@@ -131,11 +68,5 @@ def sierpinski(open_point: str, closed_point: str) -> FiniteTopology:
 
 def sierp_act() -> tuple[PartialAction, FiniteTopology, FiniteTopology]:
     """FIX-B-shaped action on a Sierpinski carrier with a discrete group topology."""
-    A = build_partial_action(
-        z2(),
-        ["x", "y"],
-        {"x": "e", "y": "e"},
-        {"e": {"x", "y"}, "s": {"x"}},
-        {"e": {"x": "x", "y": "y"}, "s": {"x": "x"}},
-    )
-    return A, discrete(A.groupoid.elements), sierpinski("x", "y")
+    doc = _load("sierp-act")
+    return doc.payload, doc.groupoid_topology, doc.carrier_topology

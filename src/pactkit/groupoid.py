@@ -66,9 +66,9 @@ class Groupoid:
     pair yields None rather than an error, since partial definedness is
     semantic, not exceptional.  ``identities`` is derived during validation,
     never trusted from input.  ``generators`` is a generating set picked
-    greedily in token order: every element is a composable product of
-    generators, so an identity that is closed under products is decided on
-    generators alone.  ``fibers`` and ``plan`` are indexes derived from the
+    greedily in token order, units last: each element is a composable
+    product of generators, so an identity closed under products is decided
+    on generators alone.  ``fibers`` and ``plan`` are indexes derived from the
     tables whenever a value is made, also by ``dataclasses.replace``, and
     take no part in equality or repr.  Values are immutable after
     construction and every operation is a pure function, so concurrent reads
@@ -193,15 +193,17 @@ def validate_groupoid(candidate) -> Report:
 
 
 def _generators(elements, mul) -> tuple[str, ...]:
-    """Tokens in order, each kept only when the products of the generators
-    before it have not reached it; every element is then such a product.
+    """Tokens in order, idempotent ones (the units) last, each kept only when
+    the products of the generators before it have not reached it; every
+    element is then such a product, and a unit joins only when no product of
+    the other elements reaches it.
 
     ``reached`` stays closed under right multiplication by the generators,
     so each element is multiplied once by each generator: O(|G|·|S|).
     """
     generators: list[str] = []
     reached: set = set()
-    for g in sorted(elements):
+    for g in sorted(elements, key=lambda g: (mul.get((g, g)) == g, g)):
         if g in reached:
             continue
         generators.append(g)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from itertools import chain, repeat
 from pathlib import Path
@@ -105,32 +105,46 @@ def _shaped(value, shape, what: str):
     return value
 
 
-def _object(value, what: str) -> dict:
+def _object(value, what: str, allowed: set | None = None) -> dict:
+    """``value`` when it is a JSON object with no key outside ``allowed``."""
     if not isinstance(value, dict):
         raise StructuralError(f"{what} must be a JSON object")
+    if allowed is not None and not value.keys() <= allowed:
+        raise StructuralError(f"{what} has unknown keys: {sorted(value.keys() - allowed)}")
     return value
 
 
 def _read(path: str):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise StructuralError(f"{path}: unreadable: {getattr(exc, 'strerror', None) or exc}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise StructuralError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
 
 
-def _parse_topology(block) -> FiniteTopology:
-    if set(_object(block, "topology block")) != {"carrier", "min_open"}:
+def _topology(blocks: dict, key: str, points, mismatch: str) -> FiniteTopology | None:
+    """The topology block ``blocks[key]`` when there is one; its carrier
+    must be the set ``points``."""
+    if key not in blocks:
+        return None
+    block = _object(blocks[key], "topology block")
+    if set(block) != {"carrier", "min_open"}:
         raise StructuralError("topology block must have exactly carrier and min_open")
     carrier = _shaped(block["carrier"], _STRINGS, "topology carrier")
     min_open = _shaped(block["min_open"], _SETS, "topology min_open")
-    return build_topology(carrier, {x: set(s) for x, s in min_open})
+    T = build_topology(carrier, {x: set(s) for x, s in min_open})
+    if set(T.carrier) != set(points):
+        raise StructuralError(mismatch)
+    return T
 
 
-def _groupoid_payload_to_tables(payload) -> dict:
-    keys = set(_object(payload, "groupoid payload"))
-    if not keys <= {"elements", "mul", "inv", "src", "rng"}:
-        raise StructuralError(f"unknown keys in groupoid payload: {sorted(keys - {'elements','mul','inv','src','rng'})}")
+def _groupoid_tables(payload) -> dict:
+    _object(payload, "groupoid payload", {"elements", "mul", "inv", "src", "rng"})
     return {
         "elements": _shaped(payload.get("elements", []), _STRINGS, "groupoid elements"),
         "mul": _shaped(payload.get("mul", []), _TRIPLES, "groupoid mul"),
@@ -142,7 +156,7 @@ def _groupoid_payload_to_tables(payload) -> dict:
 
 def _resolve_groupoid(ref) -> Groupoid:
     if isinstance(ref, dict):
-        return build_groupoid(_groupoid_payload_to_tables(ref))
+        return build_groupoid(_groupoid_tables(ref))
     if isinstance(ref, str):
         doc = load(str(resolve_instance_path(ref)))
         if doc.kind != "groupoid":
@@ -151,37 +165,33 @@ def _resolve_groupoid(ref) -> Groupoid:
     raise StructuralError("groupoid must be inline or a fixture/path reference")
 
 
-def _action_tables(payload) -> tuple[Groupoid, dict]:
+def _action_tables(payload) -> dict:
+    """The arguments of ``build_partial_action``, with the groupoid built."""
     allowed = {"groupoid", "carrier", "anchor", "domains", "maps", "topology"}
-    unknown = set(_object(payload, "action payload")) - allowed
-    if unknown:
-        raise StructuralError(f"unknown keys in action payload: {sorted(unknown)}")
+    _object(payload, "action payload", allowed)
     for key in ("groupoid", "carrier", "anchor", "domains", "maps"):
         if key not in payload:
             raise StructuralError(f"action payload is missing {key!r}")
-    G = _resolve_groupoid(payload["groupoid"])
-    parts = {
+    return {
+        "groupoid": _resolve_groupoid(payload["groupoid"]),
         "carrier": _shaped(payload["carrier"], _STRINGS, "carrier"),
         "anchor": {x: e for x, e in _shaped(payload["anchor"], _PAIRS, "anchor")},
         "domains": {g: frozenset(s) for g, s in _shaped(payload["domains"], _SETS, "domains")},
         "maps": {g: {x: y for x, y in t} for g, t in _shaped(payload["maps"], _TABLES, "maps")},
     }
-    return G, parts
 
 
-def load(path: str, bypass: bool = False) -> InstanceFile:
-    """Parse and validate an instance document; invalid payloads raise.
+def _parse(path: str) -> tuple[dict, InstanceFile]:
+    """The JSON document at ``path`` and its instance with the payload as
+    tables, not yet validated.
 
-    With ``bypass`` the semantic action checks are skipped and the loaded
-    value is tainted; structural defects still raise.
+    Every reader of instance files starts here, so each runs every
+    document-level check: a malformed or unreadable document raises
+    StructuralError (a missing one FileNotFoundError), whatever it is read
+    for.  An action's groupoid is built, so a bad one raises.
     """
-    doc = _read(path)
-    if not isinstance(doc, dict):
-        raise StructuralError(f"{path}: document must be a JSON object")
     allowed = {"kind", "meta", "payload", "topology", "classes", "embedding"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise StructuralError(f"{path}: unknown document keys: {sorted(unknown)}")
+    doc = _object(_read(path), f"{path}: document", allowed)
     kind = doc.get("kind")
     meta = _object(doc.get("meta", {}), f"{path}: meta")
     name = _shaped(meta.get("name", Path(path).stem), str, f"{path}: meta name")
@@ -191,40 +201,40 @@ def load(path: str, bypass: bool = False) -> InstanceFile:
         raise StructuralError(f"{path}: missing payload")
 
     if kind == "groupoid":
-        try:
-            G = build_groupoid(_groupoid_payload_to_tables(payload))
-        except ValidationFailed as exc:  # the same report, labelled with the file
-            exc.report.raise_if_failed(f"{path}: groupoid payload")
-        T = _parse_topology(doc["topology"]) if "topology" in doc else None
-        if T is not None and set(T.carrier) != set(G.elements):
-            raise StructuralError(f"{path}: topology carrier does not match the elements")
-        return InstanceFile(kind, name, description, G, T, None)
+        tables = _groupoid_tables(payload)
+        T = _topology(doc, "topology", tables["elements"], f"{path}: topology carrier does not match the elements")
+        return doc, InstanceFile(kind, name, description, tables, T, None)
 
     if kind == "action":
-        G, parts = _action_tables(payload)
-        try:
-            A = build_partial_action(
-                G, parts["carrier"], parts["anchor"], parts["domains"], parts["maps"], bypass=bypass
-            )
-        except ValidationFailed as exc:  # the same report, labelled with the file
-            exc.report.raise_if_failed(f"{path}: action payload")
-        T_G = T_M = None
-        topo_block = payload.get("topology", doc.get("topology"))
-        if topo_block is not None:
-            unknown_t = set(_object(topo_block, f"{path}: topology")) - {"groupoid", "carrier"}
-            if unknown_t:
-                raise StructuralError(f"{path}: unknown topology keys: {sorted(unknown_t)}")
-            if "groupoid" in topo_block:
-                T_G = _parse_topology(topo_block["groupoid"])
-                if set(T_G.carrier) != set(G.elements):
-                    raise StructuralError(f"{path}: groupoid topology carrier mismatch")
-            if "carrier" in topo_block:
-                T_M = _parse_topology(topo_block["carrier"])
-                if set(T_M.carrier) != set(A.carrier):
-                    raise StructuralError(f"{path}: carrier topology mismatch")
-        return InstanceFile(kind, name, description, A, T_G, T_M)
+        tables = _action_tables(payload)
+        blocks = payload.get("topology", doc.get("topology"))
+        blocks = _object({} if blocks is None else blocks, f"{path}: topology", {"groupoid", "carrier"})
+        elements = tables["groupoid"].elements
+        T_G = _topology(blocks, "groupoid", elements, f"{path}: groupoid topology carrier mismatch")
+        T_M = _topology(blocks, "carrier", tables["carrier"], f"{path}: carrier topology mismatch")
+        return doc, InstanceFile(kind, name, description, tables, T_G, T_M)
 
     raise StructuralError(f"{path}: unknown instance kind {kind!r}")
+
+
+def _build(path: str, parsed: InstanceFile, bypass: bool = False):
+    """The value of a parsed instance; violations raise, labelled with the file."""
+    try:
+        if parsed.kind == "groupoid":
+            return build_groupoid(parsed.payload)
+        return build_partial_action(**parsed.payload, bypass=bypass)
+    except ValidationFailed as exc:
+        exc.report.raise_if_failed(f"{path}: {parsed.kind} payload")
+
+
+def load(path: str, bypass: bool = False) -> InstanceFile:
+    """Parse and validate an instance document; invalid payloads raise.
+
+    With ``bypass`` the semantic action checks are skipped and the loaded
+    value is tainted; structural defects still raise.
+    """
+    _, parsed = _parse(path)
+    return replace(parsed, payload=_build(path, parsed, bypass))
 
 
 def load_envelope(path: str, base: PartialAction) -> EnvelopingAction:
@@ -234,37 +244,27 @@ def load_envelope(path: str, base: PartialAction) -> EnvelopingAction:
     reassembled over the supplied base; coherence is the caller's concern
     (run verify_globalization before trusting the result).
     """
-    doc = _read(path)
-    if (
-        not isinstance(doc, dict)
-        or doc.get("kind") != "action"
-        or not {"payload", "classes", "embedding"} <= set(doc)
-    ):
+    doc, parsed = _parse(path)
+    if parsed.kind != "action" or not {"classes", "embedding"} <= set(doc):
         raise StructuralError(f"{path}: not an envelope document")
-    G, parts = _action_tables(doc["payload"])
-    if G != base.groupoid:
+    if parsed.payload["groupoid"] != base.groupoid:
         raise StructuralError(f"{path}: envelope groupoid differs from the base groupoid")
-    action = build_partial_action(
-        G, parts["carrier"], parts["anchor"], parts["domains"], parts["maps"]
-    )
-    classes = []
-    class_of = {}
+    action = _build(path, parsed)
+    classes, class_of = [], {}
     for token, members in _shaped(doc["classes"], _TABLES, f"{path}: classes"):
-        block = frozenset((g, x) for g, x in members)
+        block = frozenset(map(tuple, members))
         if not block:
             raise StructuralError(f"{path}: class {token} has no members")
         classes.append(block)
-        for p in block:
-            class_of[p] = token
+        class_of.update(dict.fromkeys(block, token))
     embedding = {x: t for x, t in _shaped(doc["embedding"], _PAIRS, f"{path}: embedding")}
-    pairs = tuple(sorted(class_of))
     if set(embedding) != set(base.carrier):
         raise StructuralError(f"{path}: embedding does not cover the base carrier")
-    if {t for t in embedding.values()} - set(action.carrier):
+    if not set(embedding.values()) <= set(action.carrier):
         raise StructuralError(f"{path}: embedding leaves the envelope carrier")
     return EnvelopingAction(
         base=base,
-        pairs=pairs,
+        pairs=tuple(sorted(class_of)),
         classes=tuple(sorted(classes, key=min)),
         class_of=class_of,
         action=action,
@@ -274,18 +274,10 @@ def load_envelope(path: str, base: PartialAction) -> EnvelopingAction:
 
 def inspect(path: str):
     """Parse a document and return (kind, report) without raising on violations."""
-    doc = _read(path)
-    if not isinstance(doc, dict) or "kind" not in doc or "payload" not in doc:
-        raise StructuralError(f"{path}: document must be an object with kind and payload")
-    kind = doc["kind"]
-    if kind == "groupoid":
-        return kind, validate_groupoid(_groupoid_payload_to_tables(doc["payload"]))
-    if kind == "action":
-        G, parts = _action_tables(doc["payload"])
-        return kind, validate_partial_action(
-            G, parts["carrier"], parts["anchor"], parts["domains"], parts["maps"]
-        )
-    raise StructuralError(f"{path}: unknown instance kind {kind!r}")
+    _, parsed = _parse(path)
+    if parsed.kind == "groupoid":
+        return parsed.kind, validate_groupoid(parsed.payload)
+    return parsed.kind, validate_partial_action(**parsed.payload)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ The packaged fixtures and saved ``globalize -o`` envelopes are mutated
 dangling) and every command runs on the result, in text and ``--json``
 form, with and without ``--bypass-validation``.  Each call must exit 0, 1
 or 2 without an escaping exception, and exit 2 must print exactly one
-``error:`` line.  The examples are derandomized; the budget is 200
-documents of about a dozen calls each, a few seconds in all.
+``error:`` line.  ``validate`` must agree with ``io.load``: it answers 2
+when ``load`` finds a structural defect, and 0 when ``load`` accepts.  The
+examples are derandomized; the budget is 200 documents of about a dozen
+calls each, a few seconds in all.
 """
 
 import contextlib
@@ -18,8 +20,9 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from pactkit import StructuralError, ValidationFailed
 from pactkit.cli import main
-from pactkit.io import fixtures_dir
+from pactkit.io import fixtures_dir, load
 
 # the envelopes saved by ``globalize -o``, each with its base fixture
 ENVELOPE_BASES = ("fix-b", "fix-c", "sierp-act")
@@ -118,6 +121,18 @@ def check(argv):
     assert "Traceback" not in out + err, argv
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    return code
+
+
+def load_verdict(path):
+    """0 when ``io.load`` accepts the file, 2 on a structural defect, else None."""
+    try:
+        load(path)
+    except StructuralError:
+        return 2
+    except (ValidationFailed, FileNotFoundError):
+        return None
+    return 0
 
 
 def test_every_command_survives_mutated_documents():
@@ -153,7 +168,10 @@ def test_every_command_survives_mutated_documents():
             flags = data.draw(
                 st.sampled_from([[], ["--json"], ["--bypass-validation"], ["--json", "--bypass-validation"]])
             )
+            verdict = load_verdict(str(path))
             for argv in commands(str(path), base, point, str(out)):
-                check(argv + flags)
+                code = check(argv + flags)
+                if argv[0] == "validate" and verdict is not None:
+                    assert code == verdict, (argv, doc)
 
         fuzz()

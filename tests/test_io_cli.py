@@ -13,6 +13,7 @@ import pactkit
 from pactkit import io as instance_io
 from pactkit import StructuralError, ValidationFailed, verify_globalization
 from pactkit.cli import main
+from pactkit.fixtures import fix_b
 from pactkit.io import (
     action_document,
     canonical_json,
@@ -115,6 +116,8 @@ def test_fixture_dir_override(tmp_path, monkeypatch):
     assert resolve_instance_path("mine") == tmp_path / "mine.json"
     with pytest.raises(FileNotFoundError):
         resolve_instance_path("fix-b")
+    # the named instances are always the packaged documents
+    assert fix_b() == load(str(src)).payload
 
 
 def test_envelope_document_reload(tmp_path, capsys):
@@ -301,18 +304,51 @@ def _mutate_anchor(doc):
     doc["payload"]["anchor"][0] = ["a"]
 
 
-@pytest.mark.parametrize("mutate", [_mutate_meta, _mutate_carrier, _mutate_anchor])
+def _extra_key(doc):
+    doc["surprise"] = 1
+
+
+def _broken_topology(doc):  # no minimal open set for any point
+    doc["payload"]["topology"] = {"carrier": {"carrier": doc["payload"]["carrier"], "min_open": []}}
+
+
+@pytest.mark.parametrize(
+    "mutate", [_mutate_meta, _mutate_carrier, _mutate_anchor, _extra_key, _broken_topology, "directory", "utf-16"]
+)
 def test_shape_errors_are_structural_and_exit_two(mutate, tmp_path, capsys):
-    doc = json.loads(Path(resolve_instance_path("fix-b")).read_text())
-    mutate(doc)
+    # every reader rejects what load rejects, also validate and a saved
+    # envelope, and so does each on a file that cannot be read at all
+    envelope = tmp_path / "env.json"
+    assert run_cli(["globalize", "fix-b", "-o", str(envelope)], capsys)[0] == 0
     path = tmp_path / "mutated.json"
-    path.write_text(json.dumps(doc))
+    if mutate == "directory":
+        path = tmp_path
+    elif mutate == "utf-16":
+        path.write_bytes(envelope.read_text().encode("utf-16"))
+    else:
+        doc = json.loads(envelope.read_text())
+        mutate(doc)
+        path.write_text(json.dumps(doc))
     with pytest.raises(StructuralError):
         load(str(path))
-    code, out, err = run_cli(["info", str(path)], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    with pytest.raises(StructuralError):
+        instance_io.inspect(str(path))
+    for argv in (
+        ["validate", str(path)],
+        ["info", str(path)],
+        ["coset-check", "fix-b", "--at=a", "--envelope", str(path)],
+    ):
+        for flags in ([], ["--json"]):
+            code, out, err = run_cli(argv + flags, capsys)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    for target in (tmp_path, tmp_path / "missing" / "env.json"):
+        code, out, err = run_cli(["globalize", "fix-b", "-o", str(target)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_topology_report_on_large_discrete_groupoid(tmp_path, capsys):
