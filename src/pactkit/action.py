@@ -40,7 +40,10 @@ class PartialAction:
     domain is one set.  ``tainted`` marks values built with the
     validation bypass; downstream results inherit the marker.
     ``law_holds`` keeps the verdict of the composition law when validation
-    decided it, and is None otherwise (and after ``dataclasses.replace``).
+    decided it, and is None otherwise.  ``validated`` marks values made by
+    validation or renamed from one (``_transported``), and ``facts`` keeps
+    what ``is_transitive``, ``classify`` and ``stabilizer`` decided.  The
+    three are outside equality and repr, and ``dataclasses.replace`` resets them.
     """
 
     groupoid: Groupoid
@@ -50,6 +53,8 @@ class PartialAction:
     maps: dict
     tainted: bool = False
     law_holds: bool | None = field(default=None, init=False, compare=False, repr=False)
+    validated: bool = field(default=False, init=False, compare=False, repr=False)
+    facts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def validate_partial_action(groupoid: Groupoid, carrier, anchor, domains, maps) -> Report:
@@ -60,11 +65,18 @@ def validate_partial_action(groupoid: Groupoid, carrier, anchor, domains, maps) 
     equality on composable pairs, "(iii)" for composition compatibility, and
     "(inv)" for stored tables disagreeing with inverses.
     """
-    return _validate(groupoid, carrier, anchor, domains, maps)[0]
+    violations, _, anchor, *_ = _validate(groupoid, carrier, anchor, domains, maps)
+    return _report(groupoid, anchor, violations)
+
+
+def _report(G: Groupoid, anchor: dict, violations: tuple) -> Report:
+    missing = sorted(G.identities - set(anchor.values()))
+    notes = (f"anchor is not surjective; unreached units: {missing}",) if missing else ()
+    return Report(not violations, violations, notes)
 
 
 def _validate(G: Groupoid, carrier, anchor, domains, maps, owned: bool = False):
-    """Normalize and validate: (report, points, anchor, domains, maps, law).
+    """Normalize and validate: (violations, points, anchor, domains, maps, law).
 
     Structural defects are never bypassable: the first one in the order of
     these checks is raised.  The tables are checked last, by ``_structural``
@@ -84,7 +96,7 @@ def _validate(G: Groupoid, carrier, anchor, domains, maps, owned: bool = False):
         raise StructuralError(f"anchor of {bad} is not an identity")
     if not owned:
         domains = {g: frozenset(s) for g, s in dict(domains).items()}
-    elements = set(G.elements)
+    elements = G.plan.element_set
     if domains.keys() != elements:
         raise StructuralError("domains must be defined on exactly the groupoid elements")
     if not on.issuperset(chain.from_iterable(domains.values())):
@@ -98,9 +110,7 @@ def _validate(G: Groupoid, carrier, anchor, domains, maps, owned: bool = False):
     if checked is None:
         _structural(G, domains, maps)
     violations, law = checked
-    missing = sorted(G.identities - set(anchor.values()))
-    notes = (f"anchor is not surjective; unreached units: {missing}",) if missing else ()
-    return Report(not violations, violations, notes), points, anchor, domains, maps, law
+    return violations, points, anchor, domains, maps, law
 
 
 def _structural(G: Groupoid, domains, maps) -> None:
@@ -155,10 +165,10 @@ def _conditions(G: Groupoid, anchor, domains, maps):
             elif not dom <= whole:
                 escape = Violation("(pre)", (g, min(dom - whole)), "domain escapes the range fiber")
                 found.append(((2, i), escape))
-    fibers = {e: set() for e in G.identities}
+    units = G.plan.units
+    fibers = {e: set() for e in units}
     for x, e in anchor.items():
         fibers[e].add(x)
-    units = sorted(fibers)
     partition = True
     for e in units:
         dom, fiber = domains[e], fibers[e]
@@ -300,18 +310,17 @@ def _adopt(G: Groupoid, carrier, anchor, domains, maps, bypass: bool, owned: boo
     """``build_partial_action`` on tables its caller has just built in normal
     form (a dict of frozensets, a dict of dicts, an anchor dict) and hands
     over: the action keeps those containers instead of copies."""
-    report, points, anchor, domains, maps, law = _validate(G, carrier, anchor, domains, maps, owned)
-    if not bypass:
-        report.raise_if_failed("partial action validation")
-    out = PartialAction(
-        groupoid=G,
-        carrier=tuple(points),
-        anchor=anchor,
-        domains=domains,
-        maps=maps,
-        tainted=bypass,
-    )
+    violations, points, anchor, domains, maps, law = _validate(G, carrier, anchor, domains, maps, owned)
+    if violations and not bypass:
+        _report(G, anchor, violations).raise_if_failed("partial action validation")
+    return _made(G, points, anchor, domains, maps, bypass, law)
+
+
+def _made(G: Groupoid, points, anchor, domains, maps, tainted: bool, law) -> PartialAction:
+    """The value of tables that validation accepted, or a renaming of them."""
+    out = PartialAction(G, tuple(points), anchor, domains, maps, tainted)
     object.__setattr__(out, "law_holds", law)
+    object.__setattr__(out, "validated", True)
     return out
 
 
@@ -345,12 +354,14 @@ def quotient_action(G: Groupoid, blocks, token, unit, left, bypass: bool = False
     left(k, m) lies at the range unit of k.  So if b sends a class c into one
     class c' and a sends c' into one class c'', ab sends c into c''.  Every k
     is a composable product of generators, so every k is well defined.
+    Two classes that ``token`` gives one name raise ``StructuralError``.
     """
-    classes = tuple(sorted(blocks, key=min))
-    class_of, anchor, at_unit = {}, {}, {}
-    for block in classes:
-        first = min(block)
+    ordered = sorted([(min(block), block) for block in blocks], key=itemgetter(0))
+    classes = tuple(block for _, block in ordered)
+    class_of, anchor, at_unit, named = {}, {}, {}, {}
+    for first, block in ordered:
         name = token(first)
+        _name_once(named, name, first)
         units = {unit(m) for m in block}
         if len(units) != 1:
             raise FalsificationError(f"class {name} mixes range units {sorted(units)}")
@@ -358,9 +369,9 @@ def quotient_action(G: Groupoid, blocks, token, unit, left, bypass: bool = False
         at_unit.setdefault(e, []).append((name, block, first))
         class_of.update(dict.fromkeys(block, name))
     try:
-        maps = _class_tables(G, at_unit, class_of, left, frozenset(G.generators))
+        maps = _class_tables(G, at_unit, class_of, left, G.plan.generator_set)
     except FalsificationError:  # name the first k in element order
-        maps = _class_tables(G, at_unit, class_of, left, frozenset(G.elements))
+        maps = _class_tables(G, at_unit, class_of, left, G.plan.element_set)
     # the induced action is global: the domain of k is the class set at rng(k)
     at = {e: frozenset(name for name, _, _ in named) for e, named in at_unit.items()}
     domains = {k: at.get(G.rng[k], _EMPTY) for k in G.elements}
@@ -368,6 +379,15 @@ def quotient_action(G: Groupoid, blocks, token, unit, left, bypass: bool = False
     if not is_global(action):
         raise FalsificationError("induced action on the classes is not global")
     return classes, class_of, action
+
+
+def _name_once(named: dict, name: str, first) -> None:
+    """Give ``name`` to the class whose least member is ``first``; a name
+    that another class already has raises."""
+    other = named.setdefault(name, first)
+    if other != first:
+        a, b = sorted((other, first))
+        raise StructuralError(f"classes with least members {a} and {b} share the token {name}")
 
 
 def _class_tables(G: Groupoid, at_unit, class_of, left, checked) -> dict:
@@ -486,7 +506,13 @@ def orbit_map(A: PartialAction, x: str) -> OrbitMap:
 
 def stabilizer(A: PartialAction, x: str) -> frozenset:
     """Elements fixing x; always a subgroup of the isotropy group at the
-    anchor, a verdict kept on ``G.plan.subgroups`` per (anchor, stab)."""
+    anchor, a verdict kept on ``G.plan.subgroups`` per (anchor, stab).  The
+    action keeps each stabilizer; a checked one is its groupoid's one set."""
+    key = ("stabilizer", x)
+    try:
+        return A.facts[key]
+    except (KeyError, TypeError):  # not decided yet, or x is no point at all
+        pass
     stab = frozenset(g for g in moving_elements(A, x) if A.maps[g][x] == x)
     if not A.tainted:
         G = A.groupoid
@@ -501,6 +527,8 @@ def stabilizer(A: PartialAction, x: str) -> frozenset:
             )
         if not closed:
             raise FalsificationError(f"stabilizer of {x!r} is not a subgroup of its isotropy group")
+        stab = G.plan.stabilizers.setdefault(stab, stab)
+    A.facts[key] = stab
     return stab
 
 
@@ -511,14 +539,25 @@ class Classification:
 
 
 def is_transitive(A: PartialAction) -> bool:
-    """One orbit, which also makes the carrier nonempty."""
-    return len(orbit_relation(A).classes) == 1
+    """One orbit, which also makes the carrier nonempty; the action keeps
+    the verdict.  ``orbit_relation`` runs only to name a failure."""
+    facts = A.facts
+    if "transitive" not in facts:
+        classes = equivalence_classes(A.carrier, _one_step(A))
+        if classes is None:
+            classes = orbit_relation(A).classes
+        facts["transitive"] = len(classes) == 1
+    return facts["transitive"]
 
 
 def classify(A: PartialAction) -> Classification:
-    transitive = is_transitive(A)
-    free = all(stabilizer(A, x) == frozenset({A.anchor[x]}) for x in A.carrier)
-    return Classification(transitive=transitive, free=free)
+    """Transitivity and freeness, kept by the action once decided."""
+    facts = A.facts
+    if "classification" not in facts:
+        transitive = is_transitive(A)
+        free = all(stabilizer(A, x) == frozenset({A.anchor[x]}) for x in A.carrier)
+        facts["classification"] = Classification(transitive=transitive, free=free)
+    return facts["classification"]
 
 
 def restrict(B: PartialAction, S) -> PartialAction:
@@ -690,17 +729,30 @@ def relabel_action(A: PartialAction, mapping: dict) -> PartialAction:
     """Transport a partial action along a bijective renaming of carrier points."""
     if set(mapping) != set(A.carrier) or len(set(mapping.values())) != len(A.carrier):
         raise StructuralError("relabeling must be a bijection on the carrier")
-    return _adopt(
-        A.groupoid,
-        sorted(mapping.values()),
-        {mapping[x]: e for x, e in A.anchor.items()},
-        _renamed_domains(A.domains, mapping),
-        {g: {mapping[x]: mapping[y] for x, y in t.items()} for g, t in A.maps.items()},
-        A.tainted,
-    )
+    return _transported(A, mapping)
 
 
-def _renamed_domains(domains: dict, mapping: dict) -> dict:
-    """The domains renamed along ``mapping``, each shared set once."""
-    renamed = {s: frozenset(map(mapping.__getitem__, s)) for s in dict.fromkeys(domains.values())}
-    return {g: renamed[s] for g, s in domains.items()}
+def _transported(A: PartialAction, mapping: dict) -> PartialAction:
+    """The tables of A renamed along ``mapping``, injective and defined on
+    the carrier; each shared domain is renamed once, and every empty one is
+    ``_EMPTY``.
+
+    A bijection of points commutes with every check of ``_validate``: the
+    structural checks, (i), (pre), (ii), (iii), (inv) and the composition
+    law.  So when A was made by validation, its renamed tables pass exactly
+    what A's passed, with the same law verdict: the copy keeps ``tainted``
+    and ``law_holds`` and is not validated again.  A's violations, if it
+    was built with the bypass, become the copy's, which ``_adopt`` would
+    discard too.  Any other A, or images that are not the carrier of a
+    value (not all strings, or not one per point), go through ``_adopt``.
+    """
+    points = sorted(mapping.values())
+    anchor = {mapping[x]: e for x, e in A.anchor.items()}
+    renamed = {
+        s: frozenset(map(mapping.__getitem__, s)) if s else _EMPTY for s in dict.fromkeys(A.domains.values())
+    }
+    domains = {g: renamed[s] for g, s in A.domains.items()}
+    maps = {g: {mapping[x]: mapping[y] for x, y in t.items()} for g, t in A.maps.items()}
+    if A.validated and len(points) == len(A.carrier) and all(isinstance(x, str) for x in points):
+        return _made(A.groupoid, points, anchor, domains, maps, A.tainted, A.law_holds)
+    return _adopt(A.groupoid, points, anchor, domains, maps, A.tainted)

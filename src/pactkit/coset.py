@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .core import FalsificationError, PreconditionError, defect, equivalence_classes
 from .action import (
     PartialAction,
+    _made,
     classify,
     is_transitive,
     quotient_action,
@@ -52,9 +53,7 @@ def coset_quotient(G, e: str, subgroup, naming, fail, bypass: bool = False):
     kept = G.plan.cosets.get(key)
     if kept is not None:
         classes, class_of, *tables, law = kept
-        action = PartialAction(G, *tables, tainted=bypass)
-        object.__setattr__(action, "law_holds", law)
-        return classes, class_of, action
+        return classes, class_of, _made(G, *tables, bypass, law)
     fiber = sorted(G.d_fiber(e))
 
     def related(h1: str, h2: str) -> bool:

@@ -19,8 +19,8 @@ from .core import (
 )
 from .action import (
     PartialAction,
-    _adopt,
-    _renamed_domains,
+    _name_once,
+    _transported,
     action_graphs,
     quotient_action,
     relabel_action,
@@ -49,23 +49,27 @@ class EnvelopingAction:
 
 def _merge_relation(A: PartialAction, pairs) -> dict:
     """The pairs identified with each pair (g, x): (g·inv l, l·x) for every l
-    with src(l) = src(g) acting at x, read from ``G.plan.merge``.
+    with src(l) = src(g) acting at x, read from ``G.plan.merge``.  Each pair
+    has src(g) = anchor(x), as in ``globalize``.
 
     A built action's table of l has the keys domains[inv l], so ``x in
-    maps[l]`` is the test ``x in domains[inv l]``.  Neighbours are stored as
-    the pair objects themselves, so that the classes built from them hold no
-    second copy of each pair.  A neighbour that is no pair raises the merge
-    defect, named by the first such pair and its least stray neighbour.
+    maps[l]`` is the test ``x in domains[inv l]``.  The images of x are read
+    once per point, in the order of the merge rows: the source fiber of
+    anchor(x).  Neighbours are stored as the pair objects themselves, so
+    that the classes built from them hold no second copy of each pair.  A
+    neighbour that is no pair raises the merge defect, named by the first
+    such pair and its least stray neighbour.
     """
-    merge, maps = A.groupoid.plan.merge, A.maps
+    G, maps = A.groupoid, A.maps
+    merge = G.plan.merge
+    images = {x: [maps[l].get(x) for l in G.fibers[e].d] for x, e in A.anchor.items()}
     canonical = {p: p for p in pairs}
     rel = {}
     for p in pairs:
         g, x = p
         related, stray = set(), []
-        for l, gl in merge[g]:
-            y = maps[l].get(x)  # table values are carrier points, never None
-            if y is not None:
+        for (_, gl), y in zip(merge[g], images[x]):
+            if y is not None:  # table values are carrier points, never None
                 q = canonical.get((gl, y))
                 if q is None:
                     stray.append((gl, y))
@@ -214,31 +218,26 @@ def relabel_envelope_base(E: EnvelopingAction, mapping: dict) -> EnvelopingActio
 
     Class tokens are recomputed from the renamed canonical members, so two
     envelopes of the same action built under different orderings can be
-    compared directly.
+    compared directly.  Two classes whose renamed tokens coincide raise
+    ``StructuralError``, as in ``quotient_action``.
     """
     base = relabel_action(E.base, mapping)
     # each pair is renamed once, and pairs, classes and class_of share it
     moved_pair = {p: (p[0], mapping[p[1]]) for p in E.pairs}
     pairs = tuple(sorted(moved_pair.values()))
-    token_map, renamed = {}, {}
+    token_map, renamed, named = {}, {}, {}
     for block in E.classes:
         moved = frozenset(map(moved_pair.__getitem__, block))
         first = min(moved)
         token_map[E.class_of[min(block)]] = token = class_token(first)
+        _name_once(named, token, first)
         renamed[first] = moved, token
     classes, class_of = [], {}
     for first in sorted(renamed):
         moved, token = renamed[first]
         classes.append(moved)
         class_of.update(dict.fromkeys(moved, token))
-    action = _adopt(
-        E.action.groupoid,
-        sorted(token_map.values()),
-        {token_map[t]: e for t, e in E.action.anchor.items()},
-        _renamed_domains(E.action.domains, token_map),
-        {g: {token_map[a]: token_map[b] for a, b in t.items()} for g, t in E.action.maps.items()},
-        E.action.tainted,
-    )
+    action = _transported(E.action, token_map)
     embedding = {mapping[x]: token_map[t] for x, t in E.embedding.items()}
     return EnvelopingAction(
         base=base,

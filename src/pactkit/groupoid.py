@@ -29,15 +29,19 @@ class Plan:
 
     Each walk is built on first use and then kept: many groupoids (a loaded
     file's, an isotropy group) serve only a few actions, and most of those
-    need one or two of the walks.  ``subgroups`` and ``cosets`` keep what
+    need one or two of the walks; the element set, the sorted units and the
+    generator set are made at once.  ``subgroups`` and ``cosets`` keep what
     ``action.stabilizer`` and ``coset.coset_quotient`` decide per unit and
-    subgroup, in tokens only.  A walk or fact is a pure function of the
-    tables, so concurrent first uses at worst build it twice.
+    subgroup, and ``stabilizers`` one set per stabilizer, in tokens only.
+    A walk or fact is a pure function of the tables, so concurrent first
+    uses at worst build it twice.
     """
 
-    def __init__(self, elements, mul, inv, src, rng, generators, fibers):
+    def __init__(self, elements, mul, inv, src, rng, identities, generators, fibers):
         self._tables = elements, mul, inv, src, rng, generators, fibers
-        self.subgroups, self.cosets = {}, {}
+        self.element_set, self.generator_set = frozenset(elements), frozenset(generators)
+        self.units = tuple(sorted(identities))
+        self.subgroups, self.cosets, self.stabilizers = {}, {}, {}
 
     @cached_property
     def law(self) -> tuple:
@@ -95,8 +99,8 @@ class Groupoid:
                 index[s][2].append(g)
         object.__setattr__(self, "fibers", {e: Fibers(*map(tuple, v)) for e, v in index.items()})
         # the plan holds the tables, not the groupoid, so that no cycle keeps it
-        tables = self.elements, self.mul, self.inv, self.src, self.rng, self.generators, self.fibers
-        object.__setattr__(self, "plan", Plan(*tables))
+        tables = self.elements, self.mul, self.inv, self.src, self.rng, self.identities, self.generators
+        object.__setattr__(self, "plan", Plan(*tables, self.fibers))
 
     def compose(self, g: str, h: str):
         """Product g*h, or None when the pair is not composable."""

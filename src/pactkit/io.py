@@ -188,7 +188,8 @@ def _parse(path: str) -> tuple[dict, InstanceFile]:
     Every reader of instance files starts here, so each runs every
     document-level check: a malformed or unreadable document raises
     StructuralError (a missing one FileNotFoundError), whatever it is read
-    for.  An action's groupoid is built, so a bad one raises.
+    for, as do misshapen ``classes`` or ``embedding`` blocks and two
+    topologies for one action.  An action's groupoid is built, so a bad one raises.
     """
     allowed = {"kind", "meta", "payload", "topology", "classes", "embedding"}
     doc = _object(_read(path), f"{path}: document", allowed)
@@ -199,6 +200,9 @@ def _parse(path: str) -> tuple[dict, InstanceFile]:
     payload = doc.get("payload")
     if payload is None:
         raise StructuralError(f"{path}: missing payload")
+    for key, shape in (("classes", _TABLES), ("embedding", _PAIRS)):
+        if key in doc:
+            _shaped(doc[key], shape, f"{path}: {key}")
 
     if kind == "groupoid":
         tables = _groupoid_tables(payload)
@@ -207,6 +211,8 @@ def _parse(path: str) -> tuple[dict, InstanceFile]:
 
     if kind == "action":
         tables = _action_tables(payload)
+        if "topology" in payload and "topology" in doc:
+            raise StructuralError(f"{path}: topology is given both in the payload and at the top level")
         blocks = payload.get("topology", doc.get("topology"))
         blocks = _object({} if blocks is None else blocks, f"{path}: topology", {"groupoid", "carrier"})
         elements = tables["groupoid"].elements
@@ -251,13 +257,13 @@ def load_envelope(path: str, base: PartialAction) -> EnvelopingAction:
         raise StructuralError(f"{path}: envelope groupoid differs from the base groupoid")
     action = _build(path, parsed)
     classes, class_of = [], {}
-    for token, members in _shaped(doc["classes"], _TABLES, f"{path}: classes"):
+    for token, members in doc["classes"]:
         block = frozenset(map(tuple, members))
         if not block:
             raise StructuralError(f"{path}: class {token} has no members")
         classes.append(block)
         class_of.update(dict.fromkeys(block, token))
-    embedding = {x: t for x, t in _shaped(doc["embedding"], _PAIRS, f"{path}: embedding")}
+    embedding = dict(doc["embedding"])
     if set(embedding) != set(base.carrier):
         raise StructuralError(f"{path}: embedding does not cover the base carrier")
     if not set(embedding.values()) <= set(action.carrier):

@@ -1304,6 +1304,114 @@ def reference_stabilizer(A, x: str) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
+# the library's earlier renamings and orbit facts, kept verbatim: they
+# validate every renamed copy and decide every fact on every call, where
+# the library carries a validated action's verdict over to its renamed
+# copies and each action keeps the facts it decided
+
+
+def reference_relabel_action(A, mapping: dict):
+    """The library's earlier ``action.relabel_action``."""
+    from pactkit.action import _adopt
+    from pactkit.core import StructuralError
+
+    if set(mapping) != set(A.carrier) or len(set(mapping.values())) != len(A.carrier):
+        raise StructuralError("relabeling must be a bijection on the carrier")
+    return _adopt(
+        A.groupoid,
+        sorted(mapping.values()),
+        {mapping[x]: e for x, e in A.anchor.items()},
+        reference_renamed_domains(A.domains, mapping),
+        {g: {mapping[x]: mapping[y] for x, y in t.items()} for g, t in A.maps.items()},
+        A.tainted,
+    )
+
+
+def reference_renamed_domains(domains: dict, mapping: dict) -> dict:
+    """The domains renamed along ``mapping``, each shared set once."""
+    renamed = {s: frozenset(map(mapping.__getitem__, s)) for s in dict.fromkeys(domains.values())}
+    return {g: renamed[s] for g, s in domains.items()}
+
+
+def reference_relabel_envelope_base(E, mapping: dict):
+    """The library's earlier ``envelope.relabel_envelope_base``."""
+    from pactkit.action import _adopt
+    from pactkit.envelope import EnvelopingAction, class_token
+
+    base = reference_relabel_action(E.base, mapping)
+    # each pair is renamed once, and pairs, classes and class_of share it
+    moved_pair = {p: (p[0], mapping[p[1]]) for p in E.pairs}
+    pairs = tuple(sorted(moved_pair.values()))
+    token_map, renamed = {}, {}
+    for block in E.classes:
+        moved = frozenset(map(moved_pair.__getitem__, block))
+        first = min(moved)
+        token_map[E.class_of[min(block)]] = token = class_token(first)
+        renamed[first] = moved, token
+    classes, class_of = [], {}
+    for first in sorted(renamed):
+        moved, token = renamed[first]
+        classes.append(moved)
+        class_of.update(dict.fromkeys(moved, token))
+    action = _adopt(
+        E.action.groupoid,
+        sorted(token_map.values()),
+        {token_map[t]: e for t, e in E.action.anchor.items()},
+        reference_renamed_domains(E.action.domains, token_map),
+        {g: {token_map[a]: token_map[b] for a, b in t.items()} for g, t in E.action.maps.items()},
+        E.action.tainted,
+    )
+    embedding = {mapping[x]: token_map[t] for x, t in E.embedding.items()}
+    return EnvelopingAction(
+        base=base,
+        pairs=pairs,
+        classes=tuple(classes),
+        class_of=class_of,
+        action=action,
+        embedding=embedding,
+    )
+
+
+def reference_plan_stabilizer(A, x: str) -> frozenset:
+    """The library's earlier ``action.stabilizer``, which keeps the subgroup
+    verdict on the plan but decides the stabilizer on every call."""
+    from pactkit.action import moving_elements
+    from pactkit.core import FalsificationError
+
+    stab = frozenset(g for g in moving_elements(A, x) if A.maps[g][x] == x)
+    if not A.tainted:
+        G = A.groupoid
+        e = A.anchor[x]
+        closed = G.plan.subgroups.get((e, stab))
+        if closed is None:
+            G.plan.subgroups[(e, stab)] = closed = (
+                stab.issubset(G.isotropy_elements(e))
+                and e in stab
+                and all(G.inv[g] in stab for g in stab)
+                and all(G.mul[(g, h)] in stab for g in stab for h in stab)
+            )
+        if not closed:
+            raise FalsificationError(f"stabilizer of {x!r} is not a subgroup of its isotropy group")
+    return stab
+
+
+def reference_is_transitive(A) -> bool:
+    """The library's earlier ``action.is_transitive``."""
+    from pactkit.action import orbit_relation
+
+    return len(orbit_relation(A).classes) == 1
+
+
+def reference_classify(A):
+    """The library's earlier ``action.classify``."""
+    from pactkit.action import Classification
+
+    transitive = reference_is_transitive(A)
+    free = all(reference_plan_stabilizer(A, x) == frozenset({A.anchor[x]}) for x in A.carrier)
+    return Classification(transitive=transitive, free=free)
+
+
+# ---------------------------------------------------------------------------
 # JSON output of the command line
 
 

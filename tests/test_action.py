@@ -831,14 +831,19 @@ def test_derived_actions_keep_the_tables_their_builders_made(monkeypatch):
     import pactkit.action as action_module
     from pactkit import relabel_envelope_base
 
-    handed = []
-    validate = action_module._validate
+    handed, made = [], {}
+    validate, make = action_module._validate, action_module._made
 
     def spy(G, carrier, anchor, domains, maps, owned=False):
         handed.append((owned, anchor, maps))
         return validate(G, carrier, anchor, domains, maps, owned)
 
+    def made_spy(G, points, anchor, domains, maps, tainted, law):
+        made[id(anchor)] = anchor, maps
+        return make(G, points, anchor, domains, maps, tainted, law)
+
     monkeypatch.setattr(action_module, "_validate", spy)
+    monkeypatch.setattr(action_module, "_made", made_spy)
     A = fix_b()
     E = globalize(A)
     mapping = {x: f"r{x}" for x in A.carrier}
@@ -854,8 +859,13 @@ def test_derived_actions_keep_the_tables_their_builders_made(monkeypatch):
     }
     kept = {id(anchor): (owned, anchor, maps) for owned, anchor, maps in handed}
     for name, B in derived.items():
-        owned, anchor, maps = kept[id(B.anchor)]
-        assert owned and B.anchor is anchor and B.maps is maps, name
+        anchor, maps = made[id(B.anchor)]
+        assert B.anchor is anchor and B.maps is maps, name
+        if name.startswith("relabel"):  # a renamed validated action is not validated again
+            assert id(B.anchor) not in kept, name
+        else:
+            owned, anchor, maps = kept[id(B.anchor)]
+            assert owned and B.anchor is anchor and B.maps is maps, name
     # the isotropy action shares the base's tables, which no one changes
     assert all(isotropic.maps[g] is A.maps[g] for g in isotropic.maps)
     assert not handed[0][0]  # fix_b's own tables come from its caller

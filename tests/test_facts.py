@@ -1,0 +1,363 @@
+"""Renamed copies and kept facts against the earlier code in helpers.
+
+A renamed copy of a validated action takes its source's verdict instead of
+being validated again, and an action keeps what ``is_transitive``,
+``classify`` and ``stabilizer`` decided.  Both give exactly what the
+earlier code gives: values, taint, law verdicts, shared domains and errors.
+"""
+
+import gc
+import random
+from dataclasses import replace
+
+import helpers
+import pactkit.action as action_module
+import pactkit.envelope as envelope_module
+from pactkit import (
+    EnvelopingAction,
+    FalsificationError,
+    PartialAction,
+    PreconditionError,
+    StructuralError,
+    ValidationFailed,
+    build_coset_action,
+    build_partial_action,
+    classify,
+    compare_globalizations,
+    coset_envelope_isomorphism,
+    globalize,
+    relabel_action,
+    relabel_envelope_base,
+    stabilizer,
+    verify_globalization,
+)
+from pactkit.action import _EMPTY, is_transitive
+from pactkit.cli import main
+from pactkit.fixtures import remark_x
+from pactkit.groupoid import build_groupoid, from_group, pair_groupoid
+from pactkit.io import action_document, save
+from pactkit.sampling import (
+    coset_global_action,
+    cyclic_table,
+    groupoid_pool,
+    random_partial_action,
+    random_relabeling,
+)
+
+
+def outcome(call, *args):
+    """The value of a call, or the type and message of its error."""
+    try:
+        return call(*args)
+    except (StructuralError, ValidationFailed, PreconditionError, FalsificationError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def sharing(A) -> list:
+    """Which domains are one object: each domain's first position among the
+    domains, or -1 for the shared empty set."""
+    first: dict = {}
+    return [-1 if s is _EMPTY else first.setdefault(id(s), i) for i, s in enumerate(A.domains.values())]
+
+
+def relabeled(call, *args):
+    """What a renaming gives, with what equality does not see."""
+    got = outcome(call, *args)
+    held = lambda A: (A, A.tainted, A.law_holds, sharing(A))  # noqa: E731
+    if isinstance(got, PartialAction):
+        return held(got)
+    if isinstance(got, EnvelopingAction):
+        return got, held(got.base), held(got.action)
+    return got
+
+
+def facts(A, points, transitive, classification, stab) -> list:
+    return [outcome(transitive, A), outcome(classification, A)] + [outcome(stab, A, x) for x in points]
+
+
+def same_facts(A, seen: set) -> None:
+    """Two rounds of the kept facts equal one round of the earlier code,
+    also for a point that is not in the carrier."""
+    points = list(A.carrier) + ["not-a-point"]
+    expected = facts(A, points, helpers.reference_is_transitive, helpers.reference_classify,
+                     helpers.reference_plan_stabilizer)
+    for _ in range(2):
+        assert facts(A, points, is_transitive, classify, stabilizer) == expected
+    seen.update(f[0].__name__ for f in expected if isinstance(f, tuple))
+
+
+def same_renamings(A, mapping: dict, seen: set) -> None:
+    """relabel_action, a renaming of the renamed copy, and
+    relabel_envelope_base equal the earlier code's, and so do the facts of
+    the action and of its envelope."""
+    got = relabeled(relabel_action, A, mapping)
+    assert got == relabeled(helpers.reference_relabel_action, A, mapping)
+    if isinstance(got[0], PartialAction):
+        inverse = {y: x for x, y in mapping.items()}
+        twice = relabeled(relabel_action, got[0], inverse)
+        assert twice == relabeled(helpers.reference_relabel_action, got[0], inverse)
+        seen.add(("marked", A.validated, got[0].validated))
+    else:
+        seen.add(("raised", A.validated, got[0].__name__))
+    E = outcome(globalize, A)
+    if isinstance(E, EnvelopingAction):
+        got = relabeled(relabel_envelope_base, E, mapping)
+        assert got == relabeled(helpers.reference_relabel_envelope_base, E, mapping)
+        same_facts(E.action, seen)
+    same_facts(A, seen)
+
+
+def regular_at_scale() -> list:
+    """Z_n acting regularly for n = 32, 48, 64, and the pair groupoid on 8
+    objects acting on one source fiber."""
+    bases = [(from_group(cyclic_table(n)), "0") for n in (32, 48, 64)]
+    return [coset_global_action(G, e, {e}) for G, e in bases + [(pair_groupoid(range(8)), "(0,0)")]]
+
+
+def test_renamings_and_facts_match_the_earlier_code_on_sampled_actions():
+    seen: set = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        A = random_partial_action(rng)
+        same_renamings(A, random_relabeling(rng, A), seen)
+    # every renaming is of a validated action, and only the stray point fails
+    assert seen == {("marked", True, True), "PreconditionError"}
+
+
+def test_renamings_and_facts_match_the_earlier_code_at_scale():
+    seen: set = set()
+    rng = random.Random(1514)
+    for A in regular_at_scale():
+        same_renamings(A, random_relabeling(rng, A), seen)
+    assert seen == {("marked", True, True), "PreconditionError"}
+
+
+def test_renamings_and_facts_match_the_earlier_code_on_corrupted_actions():
+    # one bypass-built corruption of each kind per base, and the same tables
+    # as a value made by the constructor, which no validation marked: a
+    # renaming then validates, and raises what the earlier code raises
+    rng = random.Random(1515)
+    bases = [random_partial_action(rng, pair_groupoid(range(3)), max_points=6) for _ in range(3)]
+    bases += [coset_global_action(from_group(cyclic_table(6)), "0", {"0"})]
+    seen: set = set()
+    for A in bases:
+        G = A.groupoid
+        for kind in helpers.CORRUPTIONS:
+            T = build_partial_action(G, *helpers.corrupt_one_entry(rng, A, kind).values(), bypass=True)
+            same_renamings(T, random_relabeling(rng, T), seen)
+            U = PartialAction(G, T.carrier, T.anchor, T.domains, T.maps)
+            same_renamings(U, random_relabeling(rng, U), seen)
+    assert {("marked", True, True), ("marked", False, True), ("raised", False, "ValidationFailed")} <= seen
+    assert {"FalsificationError", "PreconditionError"} <= seen
+
+
+def test_renamings_keep_the_errors_of_the_mapping():
+    A = coset_global_action(from_group(cyclic_table(3)), "0", {"0"})
+    T = remark_x()
+    for B in (A, T, replace(A), replace(T)):
+        a, b = B.carrier[:2]
+        rest = {x: f"r{x}" for x in B.carrier[2:]}
+        mappings = [
+            {a: 1, b: 2, **{x: i + 3 for i, x in enumerate(rest)}},  # images that are not points
+            {a: "s", b: "s", **rest},  # not injective
+            {a: "s", **rest},  # not defined on the carrier
+            {a: 1, b: "s", **rest},  # images that do not sort
+        ]
+        for mapping in mappings:
+            got = relabeled(relabel_action, B, mapping)
+            assert got == relabeled(helpers.reference_relabel_action, B, mapping)
+            assert got[0] in (StructuralError, TypeError)
+        E = globalize(B) if not B.tainted else None
+        if E is not None:
+            mapping = dict(zip(B.carrier, reversed(B.carrier)))
+            got = relabeled(relabel_envelope_base, E, mapping)
+            assert got == relabeled(helpers.reference_relabel_envelope_base, E, mapping)
+    message = "anchor must be defined on exactly the carrier"
+    assert relabeled(relabel_action, A, dict(zip(A.carrier, range(9)))) == (StructuralError, message)
+
+
+def test_a_failing_stabilizer_raises_on_every_call():
+    # Z3 on two points, made by the constructor: 1 fixes x and 2 swaps the
+    # points, so the stabilizer of x is {0, 1}, which is not a subgroup
+    G = from_group(cyclic_table(3))
+    whole = frozenset("xy")
+    maps = {"0": {"x": "x", "y": "y"}, "1": {"x": "x", "y": "y"}, "2": {"x": "y", "y": "x"}}
+    A = PartialAction(G, ("x", "y"), {"x": "0", "y": "0"}, dict.fromkeys(G.elements, whole), maps)
+    expected = outcome(helpers.reference_plan_stabilizer, A, "x")
+    assert expected[0] is FalsificationError
+    for _ in range(2):
+        assert outcome(stabilizer, A, "x") == expected
+        assert outcome(classify, A) == outcome(helpers.reference_classify, A)
+    assert ("stabilizer", "x") not in A.facts
+
+
+def test_replace_drops_the_mark_and_the_facts():
+    A = random_partial_action(random.Random(11))
+    classify(A)
+    assert A.validated and A.facts and A.law_holds is not None
+    for B in (replace(A), PartialAction(A.groupoid, A.carrier, A.anchor, A.domains, A.maps)):
+        assert B == A and repr(B) == repr(A)
+        assert not B.validated and B.facts == {} and B.law_holds is None
+
+
+def test_equal_stabilizers_over_one_groupoid_are_one_set():
+    A = coset_global_action(from_group(cyclic_table(6)), "0", {"0", "3"})
+    B = relabel_action(A, {x: f"r{x}" for x in A.carrier})
+    stabs = [stabilizer(C, x) for C in (A, B) for x in C.carrier]
+    assert stabs[0] == frozenset({"0", "3"}) and all(s is stabs[0] for s in stabs)
+    assert A.groupoid.plan.stabilizers == {stabs[0]: stabs[0]}
+
+
+def test_renamings_and_kept_facts_leave_no_cyclic_garbage():
+    # the facts hold verdicts, frozensets and a Classification, never an
+    # action, so an action and its renamed copies go when they are dropped
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        rng = random.Random(12)
+        for _ in range(20):
+            A = random_partial_action(rng)
+            mapping = random_relabeling(rng, A)
+            B = relabel_action(A, mapping)
+            E = relabel_envelope_base(globalize(A), mapping)
+            for C in (A, B, E.action):
+                classify(C)
+                stabilizer(C, C.carrier[0])
+        del A, B, E, C
+        gc.collect()
+        left = [type(o).__name__ for o in gc.garbage if isinstance(o, PartialAction)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []
+
+
+# ---------------------------------------------------------------------------
+# class tokens join an element and a point with a comma, so two classes can
+# get one token; that input is rejected instead of failing validation
+
+
+def comma_groupoid():
+    """Two units, u and u,v, whose class tokens [u,v,w] can coincide."""
+    units = ["u", "u,v"]
+    return build_groupoid(
+        {"elements": units, "mul": {(e, e): e for e in units}, "inv": {e: e for e in units},
+         "src": {e: e for e in units}, "rng": {e: e for e in units}}
+    )
+
+
+def two_points(G, x: str, y: str):
+    """x at u and y at u,v, each fixed by its unit."""
+    return build_partial_action(
+        G, [x, y], {x: "u", y: "u,v"}, {"u": {x}, "u,v": {y}}, {"u": {x: x}, "u,v": {y: y}}
+    )
+
+
+COLLISION = "classes with least members ('u', 'v,w') and ('u,v', 'w') share the token [u,v,w]"
+
+
+def test_colliding_class_tokens_raise_a_structural_error():
+    G = comma_groupoid()
+    assert outcome(globalize, two_points(G, "v,w", "w")) == (StructuralError, COLLISION)
+    A = two_points(G, "a", "b")
+    E = globalize(A)
+    mapping = {"a": "v,w", "b": "w"}
+    assert outcome(relabel_envelope_base, E, mapping) == (StructuralError, COLLISION)
+    assert outcome(globalize, relabel_action(A, mapping)) == (StructuralError, COLLISION)
+
+
+def test_colliding_class_tokens_exit_two_on_the_command_line(tmp_path, capsys):
+    G = comma_groupoid()
+    A = two_points(G, "v,w", "w")
+    path = tmp_path / "comma.json"
+    save(str(path), action_document(A, "comma"))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    for argv in (["globalize"], ["topology-report"], ["coset-check", "--at=w"]):
+        argv = argv[:1] + [str(path)] + argv[1:]
+        for flags in ([], ["--json"]):
+            code = main(argv + flags)
+            out, err = capsys.readouterr()
+            assert (code, out, err) == (2, "", f"error: {COLLISION}\n"), argv
+
+
+# ---------------------------------------------------------------------------
+# the work of the random-suite chain, counted rather than timed
+
+
+def chain_items(count: int) -> list:
+    """Seeded items like the random-suite benchmark's: the raw tables of a
+    sampled action and of a renaming of it, the renaming, and the least point."""
+    pool = groupoid_pool()
+    items = []
+    for i in range(count):
+        rng = random.Random(f"work:{i}")
+        A = random_partial_action(rng, rng.choice(pool))
+        m = random_relabeling(rng, A)
+        raw = helpers.raw_tables(A)
+        renamed = {
+            "carrier": [m[x] for x in raw["carrier"]],
+            "anchor": {m[x]: e for x, e in raw["anchor"].items()},
+            "domains": {g: {m[x] for x in s} for g, s in raw["domains"].items()},
+            "maps": {g: {m[x]: m[y] for x, y in t.items()} for g, t in raw["maps"].items()},
+        }
+        items.append((A.groupoid, raw, renamed, m, min(A.carrier)))
+    return items
+
+
+def run_chain(G, raw, renamed, mapping, x) -> None:
+    """The verdict chain of one random-suite item."""
+    A = build_partial_action(G, *raw.values())
+    E = globalize(A)
+    assert verify_globalization(E).ok
+    base_class = classify(A)
+    assert classify(E.action) == base_class
+    E2 = globalize(build_partial_action(G, *renamed.values()))
+    compare_globalizations(envelope_module.relabel_envelope_base(E, mapping), E2)
+    C = build_coset_action(A, x)
+    assert len(C.classes) * len(stabilizer(A, x)) == len(G.d_fiber(A.anchor[x]))
+    if base_class.transitive:
+        coset_envelope_isomorphism(C, E)
+
+
+def test_the_random_suite_chain_does_each_piece_of_work_once(monkeypatch):
+    counts: dict = {}
+    renaming = []
+
+    def counting(name, call):
+        def wrapped(*args, **kwargs):
+            key = name + (" in a renaming" if renaming else "")
+            counts[key] = counts.get(key, 0) + 1
+            return call(*args, **kwargs)
+        return wrapped
+
+    def renames(call):
+        def wrapped(*args):
+            renaming.append(call)
+            try:
+                return call(*args)
+            finally:
+                renaming.pop()
+        return wrapped
+
+    # _one_step runs once per transitivity decided, moving_elements once per
+    # stabilizer decided, and Classification once per classification
+    for name in ("_validate", "_one_step", "moving_elements", "Classification"):
+        monkeypatch.setattr(action_module, name, counting(name, getattr(action_module, name)))
+    monkeypatch.setattr(envelope_module, "relabel_action", renames(envelope_module.relabel_action))
+    monkeypatch.setattr(envelope_module, "relabel_envelope_base", renames(envelope_module.relabel_envelope_base))
+    items = chain_items(20)
+    passes = []
+    for _ in range(2):  # a cold pass, then one whose coset quotients are kept
+        counts.clear()
+        for item in items:
+            run_chain(*item)
+        passes.append(dict(counts))
+    # four validations per item (two builds, two envelopes) and one per
+    # coset quotient of the cold pass, none in a renaming; per item two
+    # transitivity verdicts and two classifications (the action and its
+    # envelope), and one stabilizer per point of each.  The earlier code
+    # counted 40 more validations per pass, all in renamings, and 61, 133
+    # and 47 fact computations.
+    work = {"_one_step": 40, "moving_elements": 86, "Classification": 40}
+    assert passes == [{"_validate": 99, **work}, {"_validate": 80, **work}]

@@ -344,6 +344,30 @@ def test_shape_errors_are_structural_and_exit_two(mutate, tmp_path, capsys):
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
+@pytest.mark.parametrize(
+    "fixture, extra",
+    [("sierp-act", {"topology": 5}), ("fix-b", {"classes": 5, "embedding": "x"})],
+)
+def test_unread_blocks_are_checked_by_every_reader(fixture, extra, tmp_path, capsys):
+    # a top-level topology beside the payload's, and classes or embedding
+    # blocks of the wrong shape, which only load_envelope reads
+    doc = json.loads(resolve_instance_path(fixture).read_text())
+    path = tmp_path / f"{fixture}.json"
+    path.write_text(json.dumps(doc | extra))
+    for read in (load, instance_io.inspect):
+        with pytest.raises(StructuralError):
+            read(str(path))
+    for argv in (["validate", str(path)], ["info", str(path)]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+    # saved envelopes, whose blocks have the right shapes, still load
+    envelope = tmp_path / "env.json"
+    assert run_cli(["globalize", fixture, "-o", str(envelope)], capsys)[0] == 0
+    base = load(str(resolve_instance_path(fixture))).payload
+    assert verify_globalization(load_envelope(str(envelope), base)).ok
+    assert run_cli(["validate", str(envelope)], capsys)[0] == 0
+
+
 def test_unwritable_output_exits_two(tmp_path, capsys):
     for target in (tmp_path, tmp_path / "missing" / "env.json"):
         code, out, err = run_cli(["globalize", "fix-b", "-o", str(target)], capsys)
