@@ -343,9 +343,11 @@ def is_global(A: PartialAction) -> bool:
 def quotient_action(G: Groupoid, blocks, token, unit, left, bypass: bool = False):
     """Left multiplication induced on the classes of a verified equivalence.
 
-    ``blocks`` are classes accepted by ``core.equivalence_classes``, named by
-    ``token`` of their least member; ``unit(m)`` is the range unit of a member
-    and ``left(k, m)`` the member k·m.  Each class must have one range unit,
+    ``blocks`` are the classes of an equivalence, accepted by
+    ``core.equivalence_classes`` or read off a relation proved to be one
+    (``envelope._merge_classes``), and named by ``token`` of their least
+    member; ``unit(m)`` is the range unit of a member and ``left(k, m)``
+    the member k·m.  Each class must have one range unit,
     and k must send all its members into one class.  Returns the classes by
     least member, the token of every member, and the validated global action.
 
@@ -427,16 +429,41 @@ def _one_step(A: PartialAction) -> dict:
     return rel
 
 
+def _orbits(points, rel: dict) -> list:
+    """The orbits of an action made by validation without the bypass, from
+    its one-step relation: the one-step set of each point that no earlier
+    orbit holds, in the order of ``points``.
+
+    On such an action the one-step relation is an equivalence, so the
+    one-step set of a point is its orbit: it is reflexive because the unit
+    at anchor(x) acts at x as the identity, by (i); symmetric because
+    inv g sends g·x back to x, by (inv); and transitive because h·(g·x) is
+    (hg)·x, by (iii).
+    """
+    seen: set = set()
+    classes = []
+    for x in points:
+        if x not in seen:
+            classes.append(frozenset(rel[x]))
+            seen |= rel[x]
+    return classes
+
+
 def orbit_relation(A: PartialAction) -> OrbitRelation:
     """Partition of the carrier by the reachability of the one-step relation.
 
-    On validated data the one-step relation is itself an equivalence and must
-    equal its transitive closure; a mismatch aborts.  On tainted data the
-    first non-transitivity witness (x, z) is reported instead.
+    On validated data the one-step relation is itself an equivalence.  On
+    an action made by validation without the bypass that is a theorem
+    (``_orbits``); on any other untainted value it is checked, and a
+    mismatch aborts.  On tainted data the first non-transitivity witness
+    (x, z) is reported instead.
     """
     rel = _one_step(A)
     witness = via = None
-    classes = equivalence_classes(A.carrier, rel)
+    if A.validated and not A.tainted:
+        classes = _orbits(A.carrier, rel)
+    else:
+        classes = equivalence_classes(A.carrier, rel)
     is_equiv = classes is not None
     if classes is None:  # name the failure, then close under reachability
         reflexive, symmetric, transitive = relation_failures(A.carrier, rel)
@@ -540,13 +567,19 @@ class Classification:
 
 def is_transitive(A: PartialAction) -> bool:
     """One orbit, which also makes the carrier nonempty; the action keeps
-    the verdict.  ``orbit_relation`` runs only to name a failure."""
+    the verdict.  On an action made by validation without the bypass the
+    one-step set of the first point, ``orbit_of``, is its orbit
+    (``_orbits``); elsewhere ``orbit_relation`` runs only to name a failure."""
     facts = A.facts
     if "transitive" not in facts:
-        classes = equivalence_classes(A.carrier, _one_step(A))
-        if classes is None:
-            classes = orbit_relation(A).classes
-        facts["transitive"] = len(classes) == 1
+        if A.validated and not A.tainted:
+            transitive = bool(A.carrier) and len(orbit_of(A, A.carrier[0])) == len(A.carrier)
+        else:
+            classes = equivalence_classes(A.carrier, _one_step(A))
+            if classes is None:
+                classes = orbit_relation(A).classes
+            transitive = len(classes) == 1
+        facts["transitive"] = transitive
     return facts["transitive"]
 
 

@@ -50,7 +50,9 @@ class EnvelopingAction:
 def _merge_relation(A: PartialAction, pairs) -> dict:
     """The pairs identified with each pair (g, x): (g·inv l, l·x) for every l
     with src(l) = src(g) acting at x, read from ``G.plan.merge``.  Each pair
-    has src(g) = anchor(x), as in ``globalize``.
+    has src(g) = anchor(x), as in ``globalize``, which builds the relation
+    only for an action that validation did not make without the bypass: a
+    tainted one, or a value of the constructor or ``dataclasses.replace``.
 
     A built action's table of l has the keys domains[inv l], so ``x in
     maps[l]`` is the test ``x in domains[inv l]``.  The images of x are read
@@ -81,25 +83,61 @@ def _merge_relation(A: PartialAction, pairs) -> dict:
     return rel
 
 
+def _merge_classes(A: PartialAction, pairs) -> list:
+    """The merge classes of an action made by validation without the bypass:
+    the related set of each pair that no earlier class holds, in the order
+    of ``pairs``, read from its merge rows.
+
+    On such an action the merge relation is an equivalence, by the lemma
+    that globalization rests on (Abadie 2003; Bagio–Paques 2012), so the
+    related set of a pair is its class.  Let (g, x) be related to
+    (g·inv l, l·x) for each l with src(l) = src(g) acting at x:
+    - reflexive: l = src(g) acts at x as the identity, by (i);
+    - symmetric: inv l acts at l·x with image x, by (inv), and
+      (g·inv l)·l = g;
+    - transitive: if m acts at l·x, then ml acts at x with image m·(l·x),
+      by (iii), and (g·inv l)·inv m = g·inv(ml);
+    - no neighbour leaves the pairs: src(g·inv l) = rng(l) = anchor(l·x),
+      by (pre) and (i).
+    No pair is related to two classes, so each member is taken out of the
+    unclassed pairs as it is read, and the classes hold the pair objects.
+    """
+    maps, merge = A.maps, A.groupoid.plan.merge
+    unclassed = {p: p for p in pairs}
+    classes = []
+    for p in pairs:
+        if p in unclassed:
+            g, x = p
+            block = {unclassed.pop((gl, maps[l][x])) for l, gl in merge[g] if x in maps[l]}
+            classes.append(frozenset(block))  # copied from a set, its table is sized to fit
+    return classes
+
+
 def globalize(A: PartialAction) -> EnvelopingAction:
     """Construct the enveloping action of a validated partial action.
 
-    The merge relation is verified to be an equivalence before quotienting;
-    ``quotient_action`` induces left multiplication on the first coordinate,
-    evaluating it on every member of every class, and validates the result as
-    a global action.  The embedding of the base must be injective.
+    On an action made by validation without the bypass, each merge class is
+    the related set of its first pair (``_merge_classes``).  On any other
+    action the merge relation is built for every pair and verified to be an
+    equivalence before quotienting.  ``quotient_action`` induces left
+    multiplication on the first coordinate, evaluating it on every member of
+    every class, and validates the result as a global action.  The embedding
+    of the base must be injective.
     """
     G = A.groupoid
     points_at: dict = {}
     for x in A.carrier:
         points_at.setdefault(A.anchor[x], []).append(x)
     pairs = tuple((g, x) for g in G.elements for x in points_at.get(G.src[g], ()))
-    rel = _merge_relation(A, pairs)
-    blocks = equivalence_classes(pairs, rel)
-    if blocks is None:
-        failures = zip(("reflexive", "symmetric", "transitive"), relation_failures(pairs, rel))
-        kind, witness = next(failure for failure in failures if failure[1] is not None)
-        raise defect(A.tainted, f"merge relation is not {kind}: witness {witness}")
+    if A.validated and not A.tainted:
+        blocks = _merge_classes(A, pairs)
+    else:
+        rel = _merge_relation(A, pairs)
+        blocks = equivalence_classes(pairs, rel)
+        if blocks is None:
+            failures = zip(("reflexive", "symmetric", "transitive"), relation_failures(pairs, rel))
+            kind, witness = next(failure for failure in failures if failure[1] is not None)
+            raise defect(A.tainted, f"merge relation is not {kind}: witness {witness}")
     classes, class_of, action = quotient_action(
         G,
         blocks,

@@ -247,8 +247,15 @@ def load_envelope(path: str, base: PartialAction) -> EnvelopingAction:
     """Rebuild an enveloping action from a saved envelope document.
 
     The document's action payload, classes block, and embedding block are
-    reassembled over the supplied base; coherence is the caller's concern
-    (run verify_globalization before trusting the result).
+    reassembled over the supplied base, and each block is checked against
+    the others: the class tokens are distinct and are the envelope action's
+    carrier, the embedding is injective from the base carrier into it, the
+    classes partition the pairs (g, x) of the base with src(g) = anchor(x),
+    and the action sends the embedded point of each member (g, x) of class
+    c to c.  Any miss raises ``StructuralError`` naming the path.  Whether
+    the result is a globalization of the base is ``verify_globalization``'s
+    question; when it is, it is the envelope ``globalize`` builds, up to the
+    names of the classes (README, "Guarantees").
     """
     doc, parsed = _parse(path)
     if parsed.kind != "action" or not {"classes", "embedding"} <= set(doc):
@@ -256,18 +263,34 @@ def load_envelope(path: str, base: PartialAction) -> EnvelopingAction:
     if parsed.payload["groupoid"] != base.groupoid:
         raise StructuralError(f"{path}: envelope groupoid differs from the base groupoid")
     action = _build(path, parsed)
-    classes, class_of = [], {}
+    classes, class_of, listed = [], {}, 0
     for token, members in doc["classes"]:
         block = frozenset(map(tuple, members))
         if not block:
             raise StructuralError(f"{path}: class {token} has no members")
         classes.append(block)
         class_of.update(dict.fromkeys(block, token))
+        listed += len(members)
+    tokens = [token for token, _ in doc["classes"]]
+    if len(set(tokens)) != len(tokens) or set(tokens) != set(action.carrier):
+        raise StructuralError(f"{path}: class tokens are not the envelope carrier")
     embedding = dict(doc["embedding"])
     if set(embedding) != set(base.carrier):
         raise StructuralError(f"{path}: embedding does not cover the base carrier")
     if not set(embedding.values()) <= set(action.carrier):
         raise StructuralError(f"{path}: embedding leaves the envelope carrier")
+    if len(set(embedding.values())) != len(embedding):
+        raise StructuralError(f"{path}: embedding is not injective")
+    fibers = base.groupoid.fibers
+    pairs = {(g, x) for x in base.carrier for g in fibers[base.anchor[x]].d}
+    if listed != len(pairs) or class_of.keys() != pairs:
+        raise StructuralError(f"{path}: classes do not partition the pairs of the base")
+    for token, members in doc["classes"]:
+        for g, x in members:
+            if action.maps[g].get(embedding[x]) != token:
+                raise StructuralError(
+                    f"{path}: class {token} holds ({g}, {x}), but {g} does not send the embedded {x} to it"
+                )
     return EnvelopingAction(
         base=base,
         pairs=tuple(sorted(class_of)),

@@ -330,6 +330,16 @@ def cross_check_actions(rng, count: int) -> list:
     return actions
 
 
+def regular_at_scale() -> list:
+    """Z_n acting regularly for n = 32, 48, 64, and the pair groupoid on 8
+    objects acting on one source fiber."""
+    from pactkit.groupoid import from_group, pair_groupoid
+    from pactkit.sampling import coset_global_action, cyclic_table
+
+    bases = [(from_group(cyclic_table(n)), "0") for n in (32, 48, 64)]
+    return [coset_global_action(G, e, {e}) for G, e in bases + [(pair_groupoid(range(8)), "(0,0)")]]
+
+
 def raw_tables(A) -> dict:
     return {
         "carrier": list(A.carrier),
@@ -1045,6 +1055,72 @@ def reference_merge_relation(A, pairs) -> dict:
             if stray:
                 raise defect(A.tainted, f"merge relation leaves the pair set: witness {(p, stray[0])}")
     return rel
+
+
+def reference_planned_merge_relation(A, pairs) -> dict:
+    """The earlier ``envelope._merge_relation``, which ``globalize`` ran on
+    every action: the related set of every pair, read from ``G.plan.merge``."""
+    from pactkit.core import defect
+
+    G, maps = A.groupoid, A.maps
+    merge = G.plan.merge
+    images = {x: [maps[l].get(x) for l in G.fibers[e].d] for x, e in A.anchor.items()}
+    canonical = {p: p for p in pairs}
+    rel = {}
+    for p in pairs:
+        g, x = p
+        related, stray = set(), []
+        for (_, gl), y in zip(merge[g], images[x]):
+            if y is not None:  # table values are carrier points, never None
+                q = canonical.get((gl, y))
+                if q is None:
+                    stray.append((gl, y))
+                else:
+                    related.add(q)
+        if stray:
+            raise defect(A.tainted, f"merge relation leaves the pair set: witness {(p, min(stray))}")
+        rel[p] = related
+    return rel
+
+
+def reference_globalize(A):
+    """The earlier ``envelope.globalize``: the merge relation of every pair,
+    verified to be an equivalence by ``core.equivalence_classes`` on every
+    action, and named by ``core.relation_failures`` when it is none."""
+    from pactkit.action import quotient_action
+    from pactkit.core import FalsificationError, defect, equivalence_classes, relation_failures
+    from pactkit.envelope import EnvelopingAction, class_token
+
+    G = A.groupoid
+    points_at: dict = {}
+    for x in A.carrier:
+        points_at.setdefault(A.anchor[x], []).append(x)
+    pairs = tuple((g, x) for g in G.elements for x in points_at.get(G.src[g], ()))
+    rel = reference_planned_merge_relation(A, pairs)
+    blocks = equivalence_classes(pairs, rel)
+    if blocks is None:
+        failures = zip(("reflexive", "symmetric", "transitive"), relation_failures(pairs, rel))
+        kind, witness = next(failure for failure in failures if failure[1] is not None)
+        raise defect(A.tainted, f"merge relation is not {kind}: witness {witness}")
+    classes, class_of, action = quotient_action(
+        G,
+        blocks,
+        class_token,
+        unit=lambda p: G.rng[p[0]],
+        left=lambda k, p: (G.mul[(k, p[0])], p[1]),
+        bypass=A.tainted,
+    )
+    embedding = {x: class_of[(A.anchor[x], x)] for x in A.carrier}
+    if len(set(embedding.values())) != len(A.carrier):
+        raise FalsificationError("embedding of the base into the envelope is not injective")
+    return EnvelopingAction(
+        base=A,
+        pairs=pairs,
+        classes=classes,
+        class_of=class_of,
+        action=action,
+        embedding=embedding,
+    )
 
 
 # ---------------------------------------------------------------------------

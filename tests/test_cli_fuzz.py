@@ -6,7 +6,10 @@ dangling) and every command runs on the result, in text and ``--json``
 form, with and without ``--bypass-validation``.  Each call must exit 0, 1
 or 2 without an escaping exception, and exit 2 must print exactly one
 ``error:`` line.  ``validate`` must agree with ``io.load``: it answers 2
-when ``load`` finds a structural defect, and 0 when ``load`` accepts.  The
+when ``load`` finds a structural defect, and 0 when ``load`` accepts.  A
+mutated envelope that ``load_envelope`` reads and ``verify_globalization``
+passes, as ``coset-check --envelope`` requires, must be the envelope
+``globalize`` builds, up to the class tokens.  The
 examples are derandomized; the budget is 200 documents of about a dozen
 calls each, a few seconds in all.
 """
@@ -20,9 +23,9 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pactkit import StructuralError, ValidationFailed
+from pactkit import StructuralError, ValidationFailed, globalize, relabel_action, verify_globalization
 from pactkit.cli import main
-from pactkit.io import fixtures_dir, load
+from pactkit.io import fixtures_dir, load, load_envelope, resolve_instance_path
 
 # the envelopes saved by ``globalize -o``, each with its base fixture
 ENVELOPE_BASES = ("fix-b", "fix-c", "sierp-act")
@@ -135,6 +138,25 @@ def load_verdict(path):
     return 0
 
 
+def accepted_as_envelope(path, base) -> bool:
+    """Whether ``coset-check --envelope`` takes the document at ``path`` as an
+    envelope of the fixture ``base``; when it does, the document must equal
+    ``globalize`` of the base up to a renaming of its class tokens."""
+    A = load(str(resolve_instance_path(base))).payload
+    try:
+        loaded = load_envelope(path, A)
+    except (StructuralError, ValidationFailed):
+        return False
+    if not verify_globalization(loaded).ok:
+        return False
+    fresh = globalize(A)
+    assert set(loaded.classes) == set(fresh.classes), path
+    tokens = {loaded.class_of[min(b)]: fresh.class_of[min(b)] for b in fresh.classes}
+    assert relabel_action(loaded.action, tokens) == fresh.action, path
+    assert {x: tokens[c] for x, c in loaded.embedding.items()} == fresh.embedding, path
+    return True
+
+
 def test_every_command_survives_mutated_documents():
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -146,6 +168,7 @@ def test_every_command_survives_mutated_documents():
             assert run(["globalize", name, "-o", str(saved)])[0] == 0
             documents[f"{name}-envelope"] = json.loads(saved.read_text())
         names = sorted(documents)
+        accepted = set()
 
         @settings(
             max_examples=200,
@@ -163,15 +186,23 @@ def test_every_command_survives_mutated_documents():
             path, out = work / "mutated.json", work / "written.json"
             path.write_text(json.dumps(doc))
             out.unlink(missing_ok=True)
-            base = name.removesuffix("-envelope") if name.endswith("-envelope") else "fix-c"
-            point = data.draw(st.sampled_from(points(doc)))
+            envelope = name.endswith("-envelope")
+            base = name.removesuffix("-envelope") if envelope else "fix-c"
+            # an envelope's points are class tokens; its base's points reach
+            # coset-check --envelope past the --at check
+            point = data.draw(st.sampled_from(points(doc) + (points(documents[base]) if envelope else [])))
             flags = data.draw(
                 st.sampled_from([[], ["--json"], ["--bypass-validation"], ["--json", "--bypass-validation"]])
             )
             verdict = load_verdict(str(path))
+            taken = envelope and accepted_as_envelope(str(path), base)
             for argv in commands(str(path), base, point, str(out)):
                 code = check(argv + flags)
                 if argv[0] == "validate" and verdict is not None:
                     assert code == verdict, (argv, doc)
+                if argv[-2:] == ["--envelope", str(path)] and code == 0:
+                    assert taken, (argv, doc)
+                    accepted.add(name)
 
         fuzz()
+        assert accepted  # coset-check took some mutated envelopes

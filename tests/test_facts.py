@@ -12,7 +12,10 @@ from dataclasses import replace
 
 import helpers
 import pactkit.action as action_module
+import pactkit.core as core_module
+import pactkit.coset as coset_module
 import pactkit.envelope as envelope_module
+import pactkit.groupoid as groupoid_module
 from pactkit import (
     EnvelopingAction,
     FalsificationError,
@@ -28,6 +31,7 @@ from pactkit import (
     globalize,
     relabel_action,
     relabel_envelope_base,
+    restrict,
     stabilizer,
     verify_globalization,
 )
@@ -107,13 +111,6 @@ def same_renamings(A, mapping: dict, seen: set) -> None:
     same_facts(A, seen)
 
 
-def regular_at_scale() -> list:
-    """Z_n acting regularly for n = 32, 48, 64, and the pair groupoid on 8
-    objects acting on one source fiber."""
-    bases = [(from_group(cyclic_table(n)), "0") for n in (32, 48, 64)]
-    return [coset_global_action(G, e, {e}) for G, e in bases + [(pair_groupoid(range(8)), "(0,0)")]]
-
-
 def test_renamings_and_facts_match_the_earlier_code_on_sampled_actions():
     seen: set = set()
     for seed in range(300):
@@ -127,7 +124,7 @@ def test_renamings_and_facts_match_the_earlier_code_on_sampled_actions():
 def test_renamings_and_facts_match_the_earlier_code_at_scale():
     seen: set = set()
     rng = random.Random(1514)
-    for A in regular_at_scale():
+    for A in helpers.regular_at_scale():
         same_renamings(A, random_relabeling(rng, A), seen)
     assert seen == {("marked", True, True), "PreconditionError"}
 
@@ -320,6 +317,22 @@ def run_chain(G, raw, renamed, mapping, x) -> None:
         coset_envelope_isomorphism(C, E)
 
 
+def count_merge_rows(monkeypatch, counts: dict) -> None:
+    """Count the merge rows read from every groupoid's plan, under "merge rows"."""
+    kept = groupoid_module.Plan.__dict__["merge"]
+
+    class Rows:
+        def __init__(self, rows):
+            self.rows = rows
+
+        def __getitem__(self, g):
+            row = self.rows[g]
+            counts["merge rows"] = counts.get("merge rows", 0) + len(row)
+            return row
+
+    monkeypatch.setattr(groupoid_module.Plan, "merge", property(lambda plan: Rows(kept.__get__(plan))))
+
+
 def test_the_random_suite_chain_does_each_piece_of_work_once(monkeypatch):
     counts: dict = {}
     renaming = []
@@ -340,10 +353,16 @@ def test_the_random_suite_chain_does_each_piece_of_work_once(monkeypatch):
                 renaming.pop()
         return wrapped
 
-    # _one_step runs once per transitivity decided, moving_elements once per
-    # stabilizer decided, and Classification once per classification
+    # moving_elements runs once per stabilizer decided and once per
+    # transitivity decided on a validated action (the orbit of its first
+    # point), _one_step once per transitivity decided on any other action,
+    # and Classification once per classification
     for name in ("_validate", "_one_step", "moving_elements", "Classification"):
         monkeypatch.setattr(action_module, name, counting(name, getattr(action_module, name)))
+    checks = counting("equivalence_classes", core_module.equivalence_classes)
+    for module in (action_module, envelope_module, coset_module):
+        monkeypatch.setattr(module, "equivalence_classes", checks)
+    count_merge_rows(monkeypatch, counts)
     monkeypatch.setattr(envelope_module, "relabel_action", renames(envelope_module.relabel_action))
     monkeypatch.setattr(envelope_module, "relabel_envelope_base", renames(envelope_module.relabel_envelope_base))
     items = chain_items(20)
@@ -356,8 +375,32 @@ def test_the_random_suite_chain_does_each_piece_of_work_once(monkeypatch):
     # four validations per item (two builds, two envelopes) and one per
     # coset quotient of the cold pass, none in a renaming; per item two
     # transitivity verdicts and two classifications (the action and its
-    # envelope), and one stabilizer per point of each.  The earlier code
-    # counted 40 more validations per pass, all in renamings, and 61, 133
-    # and 47 fact computations.
-    work = {"_one_step": 40, "moving_elements": 86, "Classification": 40}
-    assert passes == [{"_validate": 99, **work}, {"_validate": 80, **work}]
+    # envelope), and one stabilizer per point of each (86 in all).  Before
+    # actions kept their facts, the code counted 40 more validations per
+    # pass, all in renamings, 61 transitivity verdicts, 133 stabilizers and
+    # 47 classifications.  Only the 19 coset quotients of the cold pass
+    # check an equivalence, and each globalize reads the merge rows of one
+    # pair per class.  The code that checked the merge and orbit relations
+    # on every action built 40 one-step relations, called moving_elements
+    # 86 times, checked 99 and 80 equivalences and read 1362 merge rows per
+    # pass, those of every pair.
+    work = {"moving_elements": 126, "Classification": 40, "merge rows": 442}
+    assert passes == [
+        {"_validate": 99, "equivalence_classes": 19, **work},
+        {"_validate": 80, **work},
+    ]
+
+
+def test_globalize_reads_the_merge_rows_of_one_pair_per_class(monkeypatch):
+    # Z64 acting regularly, restricted to 32 points: 2048 pairs in 64
+    # classes, and 64 merge rows per pair.  Reading the rows of every pair,
+    # as an unvalidated copy still does, took 131 072 visits on every action.
+    whole = coset_global_action(from_group(cyclic_table(64)), "0", {"0"})
+    A = restrict(whole, random.Random(64).sample(whole.carrier, 32))
+    counts: dict = {}
+    count_merge_rows(monkeypatch, counts)
+    E = globalize(A)
+    assert (len(E.pairs), len(E.classes), counts) == (2048, 64, {"merge rows": 4096})
+    counts.clear()
+    assert globalize(replace(A)) == E
+    assert counts == {"merge rows": 131072}

@@ -11,7 +11,7 @@ from jsonschema import Draft202012Validator
 import helpers
 import pactkit
 from pactkit import io as instance_io
-from pactkit import StructuralError, ValidationFailed, verify_globalization
+from pactkit import StructuralError, ValidationFailed, globalize, verify_globalization
 from pactkit.cli import main
 from pactkit.fixtures import fix_b
 from pactkit.io import (
@@ -366,6 +366,75 @@ def test_unread_blocks_are_checked_by_every_reader(fixture, extra, tmp_path, cap
     base = load(str(resolve_instance_path(fixture))).payload
     assert verify_globalization(load_envelope(str(envelope), base)).ok
     assert run_cli(["validate", str(envelope)], capsys)[0] == 0
+
+
+def _rename_first_token(doc):
+    doc["classes"][0][0] = "[zz]"
+
+
+def _swap_last_members(doc):
+    first, second = doc["classes"][0][1], doc["classes"][1][1]
+    first[-1], second[-1] = second[-1], first[-1]
+
+
+def _repeat_a_token(doc):
+    doc["classes"][1][0] = doc["classes"][0][0]
+
+
+def _drop_a_member(doc):
+    doc["classes"][0][1].pop()
+
+
+def _list_a_member_twice(doc):
+    doc["classes"][1][1].append(doc["classes"][0][1][0])
+
+
+def _embed_two_points_alike(doc):
+    doc["embedding"][1][1] = doc["embedding"][0][1]
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_rename_first_token, "class tokens are not the envelope carrier"),
+        (_swap_last_members, "class [(1,1),u] holds ((2,2), v), but (2,2) does not send the embedded v to it"),
+        (_repeat_a_token, "class tokens are not the envelope carrier"),
+        (_drop_a_member, "classes do not partition the pairs of the base"),
+        (_list_a_member_twice, "classes do not partition the pairs of the base"),
+        (_embed_two_points_alike, "embedding is not injective"),
+    ],
+)
+def test_incoherent_envelope_documents_exit_two(mutate, message, tmp_path, capsys):
+    # a saved fix-c envelope whose classes, tokens or embedding no longer fit
+    # each other or the action: every block has the right shape, so only
+    # load_envelope's checks of one block against the others can tell
+    envelope = tmp_path / "env.json"
+    assert run_cli(["globalize", "fix-c", "-o", str(envelope)], capsys)[0] == 0
+    doc = json.loads(envelope.read_text())
+    mutate(doc)
+    path = tmp_path / "incoherent.json"
+    path.write_text(json.dumps(doc))
+    base = load(str(resolve_instance_path("fix-c"))).payload
+    with pytest.raises(StructuralError) as err:
+        load_envelope(str(path), base)
+    assert str(err.value) == f"{path}: {message}"
+    for flags in ([], ["--json"], ["--bypass-validation"]):
+        got = run_cli(["coset-check", "fix-c", "--at=u", "--envelope", str(path)] + flags, capsys)
+        assert got == (2, "", f"error: {path}: {message}\n"), flags
+
+
+def test_every_saved_envelope_loads_as_the_envelope_it_records(tmp_path, capsys):
+    # the action fixtures; remark-x fails validation, so it has no envelope
+    for name in ("fix-b", "fix-c", "sierp-act"):
+        envelope = tmp_path / f"{name}.json"
+        assert run_cli(["globalize", name, "-o", str(envelope)], capsys)[0] == 0
+        base = load(str(resolve_instance_path(name))).payload
+        E, loaded = globalize(base), load_envelope(str(envelope), base)
+        assert verify_globalization(loaded).ok
+        assert (loaded.classes, loaded.class_of, loaded.action, loaded.embedding) == (
+            E.classes, E.class_of, E.action, E.embedding
+        )
+        assert sorted(loaded.pairs) == sorted(E.pairs)
 
 
 def test_unwritable_output_exits_two(tmp_path, capsys):

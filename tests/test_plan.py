@@ -1,7 +1,8 @@
 """The kernels that read ``Groupoid.plan`` against the earlier kernels kept in
-helpers: the composition law, the product pass and the merge relation; and
-at |G| up to 64, the validation and equivariance reports against the
-earlier ordered scans."""
+helpers: the composition law, the product pass and the merge relation; at
+|G| up to 64, the validation and equivariance reports against the earlier
+ordered scans; and the merge classes and orbits read off one member on
+validated actions against the earlier relation checks."""
 
 import random
 from dataclasses import replace
@@ -9,17 +10,20 @@ from operator import itemgetter
 
 import helpers
 from pactkit import (
+    EnvelopingAction,
     FalsificationError,
     GMap,
     PreconditionError,
     StructuralError,
     ValidationFailed,
     build_partial_action,
+    globalize,
+    orbit_relation,
     restrict,
     validate_gmap,
     validate_partial_action,
 )
-from pactkit.action import _composition_law, _products
+from pactkit.action import _composition_law, _products, is_transitive
 from pactkit.envelope import _merge_relation
 from pactkit.groupoid import action_groupoid, disjoint_union, from_group, pair_groupoid
 from pactkit.sampling import (
@@ -109,18 +113,11 @@ def test_composition_law_counts_the_keys_of_the_product_table():
     assert _composition_law(G, maps) is True
 
 
-def regular_at_scale() -> list:
-    """Z_n acting regularly for n = 32, 48, 64, and the pair groupoid on 8
-    objects acting on one source fiber."""
-    bases = [(from_group(cyclic_table(n)), "0") for n in (32, 48, 64)]
-    return [coset_global_action(G, e, {e}) for G, e in bases + [(pair_groupoid(range(8)), "(0,0)")]]
-
-
 def test_plan_kernels_match_the_table_walks_at_scale():
     # |G| up to 64: the regular actions and their restrictions to half the points
     rng = random.Random(1011)
     instances = []
-    for whole in regular_at_scale():
+    for whole in helpers.regular_at_scale():
         instances += [whole, restrict(whole, rng.sample(whole.carrier, len(whole.carrier) // 2))]
     seen: set = set()
     for A in instances:
@@ -138,7 +135,7 @@ def test_reports_match_the_ordered_scans_at_scale():
     # the earlier accepting passes'
     rng = random.Random(1012)
     labels, gmap_labels = set(), set()
-    for A in regular_at_scale():
+    for A in helpers.regular_at_scale():
         identity = {x: x for x in A.carrier}
         for kind in helpers.CORRUPTIONS:
             raw = helpers.corrupt_one_entry(rng, A, kind)
@@ -182,7 +179,7 @@ def test_full_domain_validation_matches_the_ordered_scans_at_scale():
     pairs = pair_groupoid(range(8))
     union = disjoint_union([from_group(symmetric3_table()), from_group(cyclic_table(6))])
     shifts = {str(k): {str(p): str((p + k) % 3) for p in range(3)} for k in range(6)}
-    bases = regular_at_scale()[:3] + [
+    bases = helpers.regular_at_scale()[:3] + [
         merge_actions([coset_global_action(pairs, e, {e}, e) for e in ("(0,0)", "(5,5)")]),
         random_global_action(random.Random(1), union),
         random_global_action(random.Random(2), action_groupoid(cyclic_table(6), shifts)),
@@ -236,3 +233,73 @@ def test_full_domain_acceptance_leaves_table_defects_to_the_table_scan():
             got = build_outcome(build_partial_action, G, raw, bypass)
             assert got == build_outcome(helpers.reference_build_partial_action, G, raw, bypass)
             assert got[0] is StructuralError
+
+
+# ---------------------------------------------------------------------------
+# merge classes and orbits read off one member, against the relation checks
+
+
+def envelope_outcome(call, A):
+    """The envelope a globalize gives, with the marks of its action that
+    equality does not see, or the type and message of its error."""
+    try:
+        E = call(A)
+    except (StructuralError, ValidationFailed, PreconditionError, FalsificationError) as exc:
+        return type(exc), str(exc)
+    return E, E.action.tainted, E.action.law_holds, E.action.validated
+
+
+def same_classes(A, seen: set) -> None:
+    """globalize, orbit_relation and is_transitive agree with the earlier
+    code on A, and the last two also on the envelope action."""
+    got = envelope_outcome(globalize, A)
+    assert got == envelope_outcome(helpers.reference_globalize, A)
+    built = isinstance(got[0], EnvelopingAction)
+    seen.add((A.validated and not A.tainted, "built" if built else got[0].__name__))
+    for B in [A, got[0].action] if built else [A]:
+        assert outcome(orbit_relation, B) == outcome(helpers.reference_orbit_relation, B)
+        assert outcome(is_transitive, B) == outcome(helpers.reference_is_transitive, B)
+
+
+def variants(rng, A) -> list:
+    """A and its unvalidated copy by ``dataclasses.replace``; and for each
+    corruption kind, the tables built with the bypass, that value copied
+    untainted, and the tables built without the bypass when they pass."""
+    found = [A, replace(A)]
+    for kind in helpers.CORRUPTIONS:
+        raw = helpers.corrupt_one_entry(rng, A, kind)
+        B = build_partial_action(A.groupoid, *raw.values(), bypass=True)
+        found += [B, replace(B, tainted=False)]
+        try:
+            found.append(build_partial_action(A.groupoid, *raw.values()))
+        except ValidationFailed:
+            pass
+    return found
+
+
+def test_merge_classes_and_orbits_match_the_relation_checks_on_sampled_actions():
+    rng = random.Random(1616)
+    actions = [random_partial_action(rng, G) for G in groupoid_pool() for _ in range(3)]
+    actions += [random_partial_action(rng) for _ in range(40)]
+    seen: set = set()
+    for A in actions:
+        for B in variants(rng, A):
+            same_classes(B, seen)
+    # validated values take the classes off one member, every other value
+    # builds and checks the relation, and each merge defect is met
+    assert seen == {
+        (True, "built"),
+        (False, "built"),
+        (False, "PreconditionError"),
+        (False, "FalsificationError"),
+    }
+
+
+def test_merge_classes_and_orbits_match_the_relation_checks_at_scale():
+    rng = random.Random(1617)
+    seen: set = set()
+    for whole in helpers.regular_at_scale():
+        half = restrict(whole, rng.sample(whole.carrier, len(whole.carrier) // 2))
+        for B in [whole, replace(whole)] + variants(rng, half):
+            same_classes(B, seen)
+    assert {(True, "built"), (False, "built")} <= seen
