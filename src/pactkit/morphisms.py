@@ -101,94 +101,87 @@ def inverse_gmap(f: GMap) -> GMap:
     return build_gmap(f.target, f.source, {y: x for x, y in f.table.items()})
 
 
-def _point_keys(A: PartialAction) -> dict:
-    """Per point, in carrier order: the elements whose domain holds it, its
-    orbit size and its stabilizer, each computed once."""
-    elements = A.groupoid.elements
-    return {
-        x: (
-            frozenset(g for g in elements if x in A.domains[g]),
-            len(orbit_of(A, x)),
-            stabilizer(A, x),
-        )
-        for x in A.carrier
-    }
-
-
 def find_isomorphism(A: PartialAction, B: PartialAction):
-    """Search for an invertible equivariant map, or return None.
+    """The least isomorphism A -> B in carrier order, or None.
 
-    Backtracking over carrier assignments, pruned by isomorphism invariants:
-    anchor fibers, orbit-size multisets, stabilizer-order multisets, and the
-    per-point domain-membership profile.  Candidates are tried in canonical
-    token order, so the first map found is deterministic.
+    After the invariant pre-filters, the first unassigned point x, in
+    carrier order, goes to the first y of ``B.carrier`` whose propagation
+    (``_propagate``) succeeds, or there is no isomorphism.  The proof uses
+    only the table invariants that no bypass skips (the table of g is a
+    bijection from dom(inv g) onto dom(g)), so it holds on tainted ends:
+
+    1. One pass reaches the whole component.  maps[inv g]∘maps[g] permutes
+       the finite set dom(inv g), so a power of it inverts maps[g], and the
+       tables followed forwards from x reach every point connected to x.
+    2. One point fixes the map.  Each point of that component is
+       g_n···g_1·x, and an equivariant f sends it to g_n···g_1·f(x).
+    3. Greedy is complete.  A propagation that succeeds is an isomorphism
+       of x's component onto y's, since the same elements act at p and
+       f(p).  Isomorphisms send components onto components, so exchanging
+       two component images turns an isomorphism that extends the earlier
+       choices into one that also sends x to y.
+    4. The table is the least in carrier order: every point before x is
+       assigned when x is reached, and a propagation assigns only points
+       forced by the choices made so far.
     """
-    if A.groupoid != B.groupoid:
-        return None
-    if len(A.carrier) != len(B.carrier):
+    if A.groupoid != B.groupoid or len(A.carrier) != len(B.carrier):
         return None
     if classify(A) != classify(B):
         return None
-    G = A.groupoid
     if Counter(A.anchor.values()) != Counter(B.anchor.values()):
         return None
-    keys_a, keys_b = _point_keys(A), _point_keys(B)
-    if Counter(k[1] for k in keys_a.values()) != Counter(k[1] for k in keys_b.values()):
+    # each point's orbit size and stabilizer order, computed once
+    keys = [[(len(orbit_of(X, x)), len(stabilizer(X, x))) for x in X.carrier] for X in (A, B)]
+    if any(Counter(k[i] for k in keys[0]) != Counter(k[i] for k in keys[1]) for i in (0, 1)):
         return None
-    if Counter(len(k[2]) for k in keys_a.values()) != Counter(len(k[2]) for k in keys_b.values()):
+    if any(len(A.domains[g]) != len(B.domains[g]) for g in A.groupoid.elements):
         return None
-    if any(len(A.domains[g]) != len(B.domains[g]) for g in G.elements):
-        return None
-
-    keyed = {}
-    for y, key in keys_b.items():
-        keyed.setdefault(key, []).append(y)
-    candidates = {}
-    for x, key in keys_a.items():
-        pool = keyed.get(key)
-        if not pool:
-            return None
-        candidates[x] = sorted(pool)
-
-    order = list(A.carrier)
-    assignment: dict = {}
+    table: dict = {}
     used: set = set()
-
-    def consistent(x: str, y: str) -> bool:
-        for g in G.elements:
-            if x in A.domains[G.inv[g]]:
-                x2 = A.maps[g][x]
-                y2 = B.maps[g][y]
-                if x2 in assignment and assignment[x2] != y2:
-                    return False
-            if x in A.domains[g]:
-                x0 = A.maps[G.inv[g]][x]
-                y0 = B.maps[G.inv[g]][y]
-                if x0 in assignment and assignment[x0] != y0:
-                    return False
-        return True
-
-    def backtrack(i: int) -> bool:
-        if i == len(order):
-            return True
-        x = order[i]
-        for y in candidates[x]:
-            if y in used or not consistent(x, y):
-                continue
-            assignment[x] = y
-            used.add(y)
-            if backtrack(i + 1):
-                return True
-            del assignment[x]
-            used.remove(y)
-        return False
-
-    try:
-        if not backtrack(0):
+    for x in A.carrier:
+        if x in table:
+            continue
+        for y in B.carrier:
+            component = None if y in used else _propagate(A, B, x, y, used)
+            if component is not None:
+                break
+        else:
             return None
-    finally:
-        del backtrack  # its closure holds it, which would keep A and B in cyclic garbage
-    found = GMap(source=A, target=B, table=dict(assignment))
+        table.update(component)
+        used.update(component.values())
+    found = GMap(source=A, target=B, table={x: table[x] for x in A.carrier})
     if not is_isomorphism(found):
         return None
     return found
+
+
+def _propagate(A: PartialAction, B: PartialAction, x: str, y: str, used: set):
+    """Carry x ↦ y along every table of A, or return None.
+
+    Where p ↦ q is set, the same elements must act at p and at q, the
+    anchors must agree, and each g·p must get g·q consistently, injectively
+    and outside ``used``.  Returns the map on x's component.
+    """
+    elements = A.groupoid.elements
+    assigned, images, todo = {x: y}, {y}, [(x, y)]
+    while todo:
+        p, q = todo.pop()
+        if A.anchor[p] != B.anchor[q]:
+            return None
+        for g in elements:
+            at_a, at_b = A.maps[g], B.maps[g]
+            if (p in at_a) != (q in at_b):
+                return None
+            if p not in at_a:
+                continue
+            p2, q2 = at_a[p], at_b[q]
+            if p2 in assigned:
+                if assigned[p2] != q2:
+                    return None
+            elif q2 in images or q2 in used:
+                return None
+            else:
+                assigned[p2] = q2
+                images.add(q2)
+                todo.append((p2, q2))
+    return assigned

@@ -899,7 +899,8 @@ def reference_render(value, indent: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the library's earlier isomorphism test and search, kept verbatim
+# the library's earlier isomorphism test and search, kept verbatim, and the
+# definition of isomorphism searched by brute force
 
 
 def reference_is_isomorphism(f) -> bool:
@@ -913,6 +914,25 @@ def reference_is_isomorphism(f) -> bool:
         return False
     inverse = GMap(source=f.target, target=f.source, table={y: x for x, y in f.table.items()})
     return validate_gmap(inverse).ok
+
+
+def brute_force_isomorphism(A, B):
+    """The definition of isomorphism, searched by brute force: the first
+    bijection from A's carrier onto B's, with the images listed in A's
+    carrier order and the bijections taken in lexicographic order of B's
+    carrier, that ``reference_is_isomorphism`` accepts; None if there is
+    none.  Meant for carriers of at most 6 points."""
+    from itertools import permutations
+
+    from pactkit.morphisms import GMap
+
+    if A.groupoid != B.groupoid or len(A.carrier) != len(B.carrier):
+        return None
+    for images in permutations(B.carrier):
+        f = GMap(source=A, target=B, table=dict(zip(A.carrier, images)))
+        if reference_is_isomorphism(f):
+            return f
+    return None
 
 
 def reference_find_isomorphism(A, B):

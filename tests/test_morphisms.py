@@ -286,9 +286,44 @@ def test_find_isomorphism_leaves_no_cyclic_garbage():
     assert left == []
 
 
-def test_find_isomorphism_matches_the_reference_search():
-    # relabeled and enveloped pool actions, and pairs with the same groupoid
-    # and carrier size that are mostly not isomorphic
+def started_propagations(monkeypatch) -> list:
+    """Record every propagation ``find_isomorphism`` starts, as (x, y)."""
+    from pactkit import morphisms
+
+    started = []
+    propagate = morphisms._propagate
+
+    def counted(A, B, x, y, used):
+        started.append((x, y))
+        return propagate(A, B, x, y, used)
+
+    monkeypatch.setattr(morphisms, "_propagate", counted)
+    return started
+
+
+def tainted_copy(rng, A, kind):
+    raw = helpers.corrupt_one_entry(rng, A, kind)
+    return build_partial_action(A.groupoid, *raw.values(), bypass=True)
+
+
+def z2_on(points, s, bypass=False):
+    """Z2 with both domains full, e fixing every point and s given by ``s``."""
+    return build_partial_action(
+        z2(), points, dict.fromkeys(points, "e"), {"e": set(points), "s": set(points)},
+        {"e": {x: x for x in points}, "s": s}, bypass=bypass,
+    )
+
+
+def items(f):
+    """The table of a found map in its order, or None."""
+    return None if f is None else list(f.table.items())
+
+
+def test_find_isomorphism_matches_the_reference_search(monkeypatch):
+    # relabeled and enveloped pool actions, pairs with the same groupoid and
+    # carrier size that are mostly not isomorphic, and tainted copies of
+    # every corruption kind in both orders: every pair of at most 6 points
+    # gets the brute-force table, and every untainted pair the earlier search's
     from pactkit import globalize, relabel_envelope_base
 
     rng = random.Random(614)
@@ -308,17 +343,97 @@ def test_find_isomorphism_matches_the_reference_search():
             pairs.append((A, B))
     for A in actions[:30]:
         pairs.append((A, random_partial_action(rng, A.groupoid, max_points=len(A.carrier))))
-    verdicts = set()
+    for kind in helpers.CORRUPTIONS:
+        for A in actions:
+            if len(A.carrier) <= 6:
+                T = tainted_copy(rng, A, kind)
+                renamed = relabel_action(T, random_relabeling(rng, T))
+                pairs += [(T, renamed), (renamed, T), (A, T), (T, A)]
+    started = started_propagations(monkeypatch)
+    kinds, filtered_through = set(), 0
     for A, B in pairs:
-        expected = helpers.reference_find_isomorphism(A, B)
+        started.clear()
         got = find_isomorphism(A, B)
-        if expected is None:
-            assert got is None
-        else:
-            assert (got.source, got.target, got.table) == (A, B, expected.table)
-            assert list(got.table) == list(expected.table)
-        verdicts.add(expected is None)
-    assert verdicts == {True, False}
+        if got is not None:
+            assert (got.source, got.target) == (A, B)
+        if len(A.carrier) <= 6:
+            assert items(got) == items(helpers.brute_force_isomorphism(A, B))
+        if not (A.tainted or B.tainted):
+            assert items(got) == items(helpers.reference_find_isomorphism(A, B))
+        kinds.add((A.tainted or B.tainted, got is None))
+        filtered_through += got is None and bool(started)
+    assert len(kinds) == 4  # tainted or not, isomorphic or not
+    # the pre-filters do not decide every pair: the walk answers None on some
+    assert filtered_through >= 1
+
+
+def test_find_isomorphism_finds_the_renaming_of_a_tainted_action():
+    # the earlier search checked only the edges leaving each new point and
+    # never the anchors, so it answered None on some of these pairs
+    rng = random.Random(615)
+    actions = helpers.cross_check_actions(rng, 20)
+    for kind in helpers.CORRUPTIONS:
+        for A in actions:
+            T = tainted_copy(rng, A, kind)
+            renamed = relabel_action(T, random_relabeling(rng, T))
+            for source, target in ((T, renamed), (renamed, T)):
+                found = find_isomorphism(source, target)
+                assert found is not None and is_isomorphism(found), kind
+
+
+def test_cli_isomorphic_finds_the_renaming_of_a_tainted_action(tmp_path, capsys):
+    # Z2 whose s cycles four points: tainted, and isomorphic to its renaming
+    from pactkit.cli import main
+    from pactkit.io import action_document, save
+
+    T = z2_on(["a", "b", "c", "d"], {"a": "b", "b": "c", "c": "d", "d": "a"}, bypass=True)
+    mapping = {"a": "w", "b": "y", "c": "x", "d": "z"}
+    save(str(tmp_path / "t.json"), action_document(T, "t"))
+    save(str(tmp_path / "r.json"), action_document(relabel_action(T, mapping), "r"))
+    argv = ["isomorphic", str(tmp_path / "t.json"), str(tmp_path / "r.json"), "--bypass-validation"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "".join(f"{x} -> {y}\n" for x, y in mapping.items())
+
+
+def paired_points(m: int):
+    """Z2 acting freely on 2m points, twice: A pairs p_i with q_i, B pairs
+    consecutive tokens.  A search over single points that checks an edge
+    only once both ends are set backtracks exponentially in m here."""
+    p, q = [f"p{i:02d}" for i in range(m)], [f"q{i:02d}" for i in range(m)]
+    t = [f"t{i:02d}" for i in range(2 * m)]
+    A = z2_on(p + q, {**dict(zip(p, q)), **dict(zip(q, p))})
+    B = z2_on(t, {x: t[i ^ 1] for i, x in enumerate(t)})
+    return A, B
+
+
+def test_find_isomorphism_on_the_paired_family_matches_the_reference():
+    for m in range(1, 7):
+        A, B = paired_points(m)
+        for source, target in ((A, B), (B, A)):
+            expected = helpers.reference_find_isomorphism(source, target)
+            assert expected is not None
+            assert items(find_isomorphism(source, target)) == items(expected)
+
+
+def test_find_isomorphism_starts_one_propagation_per_orbit_at_scale(monkeypatch):
+    # 64 points: the paired family at m = 32 and Z64 acting regularly against
+    # a random renaming; each component is matched by its first candidate
+    import time
+
+    from pactkit.groupoid import from_group
+    from pactkit.sampling import coset_global_action, cyclic_table
+
+    started = started_propagations(monkeypatch)
+    regular = coset_global_action(from_group(cyclic_table(64)), "0", {"0"})
+    renamed = relabel_action(regular, random_relabeling(random.Random(616), regular))
+    for (A, B), orbits in ((paired_points(32), 32), ((regular, renamed), 1)):
+        started.clear()
+        begin = time.perf_counter()
+        found = find_isomorphism(A, B)
+        elapsed = time.perf_counter() - begin
+        assert found is not None and is_isomorphism(found)
+        assert len(started) == orbits
+        assert elapsed < 0.1, elapsed
 
 
 def test_is_isomorphism_matches_the_inverse_scan():
