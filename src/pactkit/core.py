@@ -33,6 +33,20 @@ class CapExceededError(ValueError):
     """A size cap guarding an exponential enumeration was exceeded."""
 
 
+def distinct(built, rows, what: str, key=None):
+    """``built``, the dict or set made from the list ``rows``, when no key
+    repeats, that is when both have the same length; otherwise
+    StructuralError naming ``what`` and the first key that repeats in
+    ``rows``, each row's key being ``key(row)``, or the row itself."""
+    if len(built) != len(rows):
+        seen: set = set()
+        for k in rows if key is None else map(key, rows):
+            if k in seen:
+                raise StructuralError(f"{what} lists {k!r} twice")
+            seen.add(k)
+    return built
+
+
 def defect(tainted: bool, message: str) -> Exception:
     """The error for an identity that failed: a precondition failure on input
     built with the validation bypass, a falsification on validated input."""

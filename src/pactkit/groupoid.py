@@ -8,11 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
-from .core import PreconditionError, Report, StructuralError, Violation
+from .core import PreconditionError, Report, StructuralError, Violation, distinct
 
 _RAW_KEYS = {"elements", "mul", "inv", "src", "rng", "identities"}
+_first = itemgetter(0)  # the key of a row
 
 
 class Fibers(NamedTuple):
@@ -126,18 +128,22 @@ def _as_pairs(value, what: str) -> dict:
     if isinstance(value, dict):
         return dict(value)
     try:
-        return {k: v for k, v in value}
+        rows = list(value)
+        table = dict(rows)
     except (TypeError, ValueError):
         raise StructuralError(f"{what} must be a map or a list of pairs")
+    return distinct(table, rows, what, _first)
 
 
 def _as_mul(value) -> dict:
     if isinstance(value, dict):
         return dict(value)
     try:
-        return {(g, h): k for g, h, k in value}
+        rows = list(value)
+        mul = {(g, h): k for g, h, k in rows}
     except (TypeError, ValueError):
         raise StructuralError("mul must be a map on pairs or a list of triples")
+    return distinct(mul, rows, "mul", lambda row: (row[0], row[1]))
 
 
 def _tables(candidate):

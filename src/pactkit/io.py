@@ -13,9 +13,10 @@ import os
 from dataclasses import dataclass, replace
 from importlib import resources
 from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
-from .core import StructuralError, ValidationFailed
+from .core import StructuralError, ValidationFailed, distinct
 from .action import PartialAction, build_partial_action, validate_partial_action
 from .envelope import EnvelopingAction
 from .groupoid import Groupoid, build_groupoid, validate_groupoid
@@ -69,6 +70,7 @@ _PAIRS = [(str, str)]
 _TRIPLES = [(str, str, str)]
 _SETS = [(str, [str])]
 _TABLES = [(str, [(str, str)])]
+_first, _second = itemgetter(0), itemgetter(1)  # the key and the value of a row
 
 
 def _fits(values: list, shape) -> bool:
@@ -122,9 +124,16 @@ def _read(path: str):
     except (OSError, UnicodeDecodeError) as exc:
         raise StructuralError(f"{path}: unreadable: {getattr(exc, 'strerror', None) or exc}")
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_members)
     except json.JSONDecodeError as exc:
         raise StructuralError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except StructuralError as exc:
+        raise StructuralError(f"{path}: {exc}")
+
+
+def _members(pairs: list) -> dict:
+    # json.loads alone would keep only the last value of a key listed twice
+    return distinct(dict(pairs), pairs, "JSON object", _first)
 
 
 def _topology(blocks: dict, key: str, points, mismatch: str) -> FiniteTopology | None:
@@ -136,11 +145,25 @@ def _topology(blocks: dict, key: str, points, mismatch: str) -> FiniteTopology |
     if set(block) != {"carrier", "min_open"}:
         raise StructuralError("topology block must have exactly carrier and min_open")
     carrier = _shaped(block["carrier"], _STRINGS, "topology carrier")
-    min_open = _shaped(block["min_open"], _SETS, "topology min_open")
-    T = build_topology(carrier, {x: set(s) for x, s in min_open})
+    T = build_topology(carrier, _keyed(block["min_open"], _SETS, "topology min_open", set))
     if set(T.carrier) != set(points):
         raise StructuralError(mismatch)
     return T
+
+
+def _keyed(value, shape, what: str, cell=None, key=None) -> dict:
+    """The rows of ``value``, which must have the JSON shape, as a dict from
+    each row's first cell to its second, or to ``cell`` of its second.  A
+    key listed twice raises StructuralError, and so does a member listed
+    twice in one row's second cell: an item, or with ``key`` its key."""
+    rows = _shaped(value, shape, what)
+    if cell is None:
+        return distinct(dict(rows), rows, what, _first)
+    table = distinct({k: cell(v) for k, v in rows}, rows, what, _first)
+    if list(map(len, table.values())) != list(map(len, map(_second, rows))):
+        for k, v in rows:
+            distinct(table[k], v, f"{what} of {k}", key)
+    return table
 
 
 def _groupoid_tables(payload) -> dict:
@@ -175,9 +198,9 @@ def _action_tables(payload) -> dict:
     return {
         "groupoid": _resolve_groupoid(payload["groupoid"]),
         "carrier": _shaped(payload["carrier"], _STRINGS, "carrier"),
-        "anchor": {x: e for x, e in _shaped(payload["anchor"], _PAIRS, "anchor")},
-        "domains": {g: frozenset(s) for g, s in _shaped(payload["domains"], _SETS, "domains")},
-        "maps": {g: {x: y for x, y in t} for g, t in _shaped(payload["maps"], _TABLES, "maps")},
+        "anchor": _keyed(payload["anchor"], _PAIRS, "anchor"),
+        "domains": _keyed(payload["domains"], _SETS, "domains", frozenset),
+        "maps": _keyed(payload["maps"], _TABLES, "maps", dict, _first),
     }
 
 
@@ -274,7 +297,7 @@ def load_envelope(path: str, base: PartialAction) -> EnvelopingAction:
     tokens = [token for token, _ in doc["classes"]]
     if len(set(tokens)) != len(tokens) or set(tokens) != set(action.carrier):
         raise StructuralError(f"{path}: class tokens are not the envelope carrier")
-    embedding = dict(doc["embedding"])
+    embedding = distinct(dict(doc["embedding"]), doc["embedding"], f"{path}: embedding", _first)
     if set(embedding) != set(base.carrier):
         raise StructuralError(f"{path}: embedding does not cover the base carrier")
     if not set(embedding.values()) <= set(action.carrier):

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
 from .core import PreconditionError, Report, StructuralError, Violation
-from .action import PartialAction, classify, orbit_of, stabilizer
+from .action import PartialAction
 
 
 @dataclass(frozen=True, eq=True)
@@ -104,11 +103,11 @@ def inverse_gmap(f: GMap) -> GMap:
 def find_isomorphism(A: PartialAction, B: PartialAction):
     """The least isomorphism A -> B in carrier order, or None.
 
-    After the invariant pre-filters, the first unassigned point x, in
-    carrier order, goes to the first y of ``B.carrier`` whose propagation
-    (``_propagate``) succeeds, or there is no isomorphism.  The proof uses
-    only the table invariants that no bypass skips (the table of g is a
-    bijection from dom(inv g) onto dom(g)), so it holds on tainted ends:
+    The first unassigned point x, in carrier order, goes to the first y of
+    ``B.carrier`` whose propagation (``_propagate``) succeeds, or there is
+    no isomorphism.  The proof uses only the table invariants that no
+    bypass skips (the table of g is a bijection from dom(inv g) onto
+    dom(g)), so it holds on tainted ends:
 
     1. One pass reaches the whole component.  maps[inv g]∘maps[g] permutes
        the finite set dom(inv g), so a power of it inverts maps[g], and the
@@ -123,18 +122,15 @@ def find_isomorphism(A: PartialAction, B: PartialAction):
     4. The table is the least in carrier order: every point before x is
        assigned when x is reached, and a propagation assigns only points
        forced by the choices made so far.
+
+    So None means no isomorphism exists, and no invariant is compared
+    first: classification, the multisets of anchors, orbit sizes,
+    stabilizer orders and domain sizes are each carried over by an
+    isomorphism, so a pair they tell apart has none and gets None from
+    1–3 as well.  The search reads the tables only and keeps no fact on
+    either action; an unvalidated value is answered from its tables.
     """
     if A.groupoid != B.groupoid or len(A.carrier) != len(B.carrier):
-        return None
-    if classify(A) != classify(B):
-        return None
-    if Counter(A.anchor.values()) != Counter(B.anchor.values()):
-        return None
-    # each point's orbit size and stabilizer order, computed once
-    keys = [[(len(orbit_of(X, x)), len(stabilizer(X, x))) for x in X.carrier] for X in (A, B)]
-    if any(Counter(k[i] for k in keys[0]) != Counter(k[i] for k in keys[1]) for i in (0, 1)):
-        return None
-    if any(len(A.domains[g]) != len(B.domains[g]) for g in A.groupoid.elements):
         return None
     table: dict = {}
     used: set = set()

@@ -259,6 +259,48 @@ def test_coset_quotients_kept_per_groupoid_match_the_earlier_kernel():
     }
 
 
+def subsets_at_scale(G, e) -> list:
+    """The trivial subgroup at e and, when the isotropy group is not
+    trivial, a proper subgroup and subsets whose coset relation is not
+    symmetric and not transitive; and the isotropy group without e, whose
+    relation is not reflexive (the empty set on a trivial group)."""
+    iso = G.isotropy_elements(e)
+    subsets = [frozenset({e}), frozenset(iso) - {e}]
+    if len(iso) > 2:
+        g = next(h for h in iso if h != e and G.inv[h] != h)
+        proper = mulclose(G, {G.mul[(g, g)]})
+        assert len(proper) < len(iso)
+        subsets += [proper, frozenset({e, g}), frozenset({e, g, G.inv[g]})]
+    return subsets
+
+
+def test_coset_quotients_at_scale_match_the_earlier_kernel():
+    # Z32, Z48 and Z64 and the pair groupoid on 8 objects, every unit, both
+    # namings and both bypass settings, as on the pool groupoids above
+    from pactkit.coset import coset_quotient
+
+    seen = set()
+    for G in (A.groupoid for A in helpers.regular_at_scale()):
+        for e in sorted(G.identities):
+            for subgroup in subsets_at_scale(G, e):
+                for naming in (None, "w1"):
+                    for bypass in (False, True):
+                        args = (G, e, subgroup, naming, bypass)
+                        expected = quotient_outcome(reference_quotient, *args)
+                        for _ in range(2):
+                            got = quotient_outcome(coset_quotient, *args)
+                            assert got == expected
+                            if len(got) == 4:
+                                assert got[2].law_holds is expected[3] and got[2].tainted is bypass
+                        seen.add(expected[1] if len(expected) == 2 else "built")
+    assert seen == {
+        "built",
+        "coset relation is not reflexive",
+        "coset relation is not symmetric",
+        "coset relation is not transitive",
+    }
+
+
 def test_stabilizer_verdicts_kept_per_groupoid_match_the_earlier_check():
     # stabilizers of coset actions and of bypass-built corruptions marked
     # untainted, whose stabilizers need not be subgroups: every call, first

@@ -312,12 +312,57 @@ def _broken_topology(doc):  # no minimal open set for any point
     doc["payload"]["topology"] = {"carrier": {"carrier": doc["payload"]["carrier"], "min_open": []}}
 
 
+def _list_first_row_twice(*keys):
+    """A mutation listing the first row of the payload table at ``keys``
+    again, so that its key repeats."""
+
+    def mutate(doc):
+        rows = doc["payload"]
+        for key in keys:
+            rows = rows[key]
+        rows.append(rows[0])
+
+    mutate.__name__ = "_repeat_" + "_".join(map(str, keys))
+    return mutate
+
+
+def _repeat_a_mul_pair(doc):
+    g, h, _ = doc["payload"]["groupoid"]["mul"][0]
+    doc["payload"]["groupoid"]["mul"].append([g, h, h])
+
+
+def _repeat_a_domain_member(doc):
+    members = doc["payload"]["domains"][0][1]
+    members.append(members[0])
+
+
+def _repeat_a_min_open_row(doc):
+    carrier = doc["payload"]["carrier"]
+    min_open = [[x, [x]] for x in carrier] + [[carrier[0], carrier]]
+    doc["payload"]["topology"] = {"carrier": {"carrier": carrier, "min_open": min_open}}
+
+
+def _repeat_a_min_open_member(doc):
+    carrier = doc["payload"]["carrier"]
+    min_open = [[x, [x, x]] for x in carrier]
+    doc["payload"]["topology"] = {"carrier": {"carrier": carrier, "min_open": min_open}}
+
+
 @pytest.mark.parametrize(
-    "mutate", [_mutate_meta, _mutate_carrier, _mutate_anchor, _extra_key, _broken_topology, "directory", "utf-16"]
+    "mutate",
+    [
+        _mutate_meta, _mutate_carrier, _mutate_anchor, _extra_key, _broken_topology, "directory", "utf-16",
+        "object-key-twice",
+        _list_first_row_twice("anchor"), _list_first_row_twice("domains"), _list_first_row_twice("maps"),
+        _list_first_row_twice("maps", 0, 1), _list_first_row_twice("groupoid", "inv"),
+        _list_first_row_twice("groupoid", "src"), _list_first_row_twice("groupoid", "rng"),
+        _repeat_a_mul_pair, _repeat_a_domain_member, _repeat_a_min_open_row, _repeat_a_min_open_member,
+    ],
 )
 def test_shape_errors_are_structural_and_exit_two(mutate, tmp_path, capsys):
     # every reader rejects what load rejects, also validate and a saved
-    # envelope, and so does each on a file that cannot be read at all
+    # envelope, and so does each on a file that cannot be read at all; a
+    # key or set member listed twice is rejected, not read as its last row
     envelope = tmp_path / "env.json"
     assert run_cli(["globalize", "fix-b", "-o", str(envelope)], capsys)[0] == 0
     path = tmp_path / "mutated.json"
@@ -325,6 +370,8 @@ def test_shape_errors_are_structural_and_exit_two(mutate, tmp_path, capsys):
         path = tmp_path
     elif mutate == "utf-16":
         path.write_bytes(envelope.read_text().encode("utf-16"))
+    elif mutate == "object-key-twice":  # json.loads alone keeps the last "kind"
+        path.write_text(envelope.read_text().replace('"kind": "action"', '"kind": "groupoid", "kind": "action"'))
     else:
         doc = json.loads(envelope.read_text())
         mutate(doc)
@@ -342,6 +389,23 @@ def test_shape_errors_are_structural_and_exit_two(mutate, tmp_path, capsys):
             code, out, err = run_cli(argv + flags, capsys)
             assert (code, out) == (2, ""), argv
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+@pytest.mark.parametrize(
+    "table, rows, message",
+    [
+        ("maps", [["e", [["a", "a"], ["b", "b"]]], ["s", [["a", "b"], ["a", "a"]]]], "maps of s lists 'a' twice"),
+        ("domains", [["e", ["a", "b"]], ["s", ["b"]], ["s", ["a"]]], "domains lists 's' twice"),
+        ("anchor", [["a", "e"], ["b", "e"], ["b", "e"], ["a", "e"]], "anchor lists 'b' twice"),
+    ],
+)
+def test_a_key_listed_twice_is_named_first_in_document_order(table, rows, message, tmp_path, capsys):
+    doc = json.loads(resolve_instance_path("fix-b").read_text())
+    doc["payload"][table] = rows
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["validate", str(path)], ["info", str(path), "--json"]):
+        assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -393,6 +457,10 @@ def _embed_two_points_alike(doc):
     doc["embedding"][1][1] = doc["embedding"][0][1]
 
 
+def _embed_a_point_twice(doc):
+    doc["embedding"].insert(0, [doc["embedding"][0][0], doc["embedding"][1][1]])
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -402,6 +470,7 @@ def _embed_two_points_alike(doc):
         (_drop_a_member, "classes do not partition the pairs of the base"),
         (_list_a_member_twice, "classes do not partition the pairs of the base"),
         (_embed_two_points_alike, "embedding is not injective"),
+        (_embed_a_point_twice, "embedding lists 'u' twice"),
     ],
 )
 def test_incoherent_envelope_documents_exit_two(mutate, message, tmp_path, capsys):

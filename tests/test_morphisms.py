@@ -239,27 +239,37 @@ def test_validate_gmap_matches_the_sorted_scan_on_valid_and_perturbed_maps():
     assert frozenset().union(*labels) == {"(i)", "(ii)", "(anchor)"}
 
 
-def test_find_isomorphism_computes_each_point_invariant_once(monkeypatch):
-    from pactkit import globalize, morphisms
+def test_find_isomorphism_reads_the_tables_only(monkeypatch):
+    # no orbit, stabilizer or classification is computed, and no fact is
+    # kept on either action or on the groupoid's plan
+    from pactkit import action, globalize
 
-    calls = {"stabilizer": 0, "orbit_of": 0}
+    calls = []
 
     def counted(name):
-        inner = getattr(morphisms, name)
+        inner = getattr(action, name)
 
         def wrapper(*args):
-            calls[name] += 1
+            calls.append(name)
             return inner(*args)
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(morphisms, name, counted(name))
-    E = globalize(fix_b())
-    assert len(E.action.carrier) == 3
-    found = find_isomorphism(E.action, E.action)
-    assert found.table == {c: c for c in E.action.carrier}
-    assert calls == {"stabilizer": 6, "orbit_of": 6}
+    for name in ("classify", "orbit_of", "stabilizer"):
+        monkeypatch.setattr(action, name, counted(name))
+    for make in (fix_b, fix_c):
+        E = globalize(make())
+        A = E.action
+        B = relabel_action(A, {c: f"r{i}" for i, c in enumerate(A.carrier)})
+        plan = A.groupoid.plan
+        kept = dict(plan.subgroups), dict(plan.stabilizers)
+        assert (A.facts, B.facts) == ({}, {})
+        assert find_isomorphism(A, A).table == {c: c for c in A.carrier}
+        assert find_isomorphism(A, B) is not None
+        find_isomorphism(E.base, A)
+        assert (A.facts, B.facts, E.base.facts) == ({}, {}, {})
+        assert (plan.subgroups, plan.stabilizers) == kept
+    assert calls == []
 
 
 def test_find_isomorphism_leaves_no_cyclic_garbage():
@@ -350,7 +360,7 @@ def test_find_isomorphism_matches_the_reference_search(monkeypatch):
                 renamed = relabel_action(T, random_relabeling(rng, T))
                 pairs += [(T, renamed), (renamed, T), (A, T), (T, A)]
     started = started_propagations(monkeypatch)
-    kinds, filtered_through = set(), 0
+    kinds, searched = set(), 0
     for A, B in pairs:
         started.clear()
         got = find_isomorphism(A, B)
@@ -361,10 +371,12 @@ def test_find_isomorphism_matches_the_reference_search(monkeypatch):
         if not (A.tainted or B.tainted):
             assert items(got) == items(helpers.reference_find_isomorphism(A, B))
         kinds.add((A.tainted or B.tainted, got is None))
-        filtered_through += got is None and bool(started)
+        if got is None and A.groupoid == B.groupoid and len(A.carrier) == len(B.carrier):
+            # no invariant is compared first: every None comes from the walk
+            assert started, (A, B)
+            searched += 1
     assert len(kinds) == 4  # tainted or not, isomorphic or not
-    # the pre-filters do not decide every pair: the walk answers None on some
-    assert filtered_through >= 1
+    assert searched >= 1
 
 
 def test_find_isomorphism_finds_the_renaming_of_a_tainted_action():
@@ -434,6 +446,31 @@ def test_find_isomorphism_starts_one_propagation_per_orbit_at_scale(monkeypatch)
         assert found is not None and is_isomorphism(found)
         assert len(started) == orbits
         assert elapsed < 0.1, elapsed
+
+
+def test_find_isomorphism_tries_every_target_point_at_scale(monkeypatch):
+    # Z64 acting regularly against two 32-point coset actions whose points
+    # are fixed by 32: no invariant is compared, so in each order the first
+    # point tries all 64 targets before the search answers None
+    import time
+
+    from pactkit.groupoid import from_group
+    from pactkit.sampling import coset_global_action, cyclic_table, merge_actions
+
+    started = started_propagations(monkeypatch)
+    G = from_group(cyclic_table(64))
+    regular = coset_global_action(G, "0", {"0"})
+    halves = merge_actions([coset_global_action(G, "0", {"0", "32"}, prefix) for prefix in "ab"])
+    assert len(halves.carrier) == 64
+    for A, B in ((regular, halves), (halves, regular)):
+        started.clear()
+        begin = time.perf_counter()
+        found = find_isomorphism(A, B)
+        elapsed = time.perf_counter() - begin
+        assert found is None
+        assert len(started) == 64
+        assert elapsed < 0.1, elapsed
+    assert (regular.facts, halves.facts) == ({}, {})
 
 
 def test_is_isomorphism_matches_the_inverse_scan():
