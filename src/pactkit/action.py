@@ -41,7 +41,9 @@ class PartialAction:
     validation bypass; downstream results inherit the marker.
     ``law_holds`` keeps the verdict of the composition law when validation
     decided it, and is None otherwise.  ``validated`` marks values made by
-    validation or renamed from one (``_transported``), and ``facts`` keeps
+    validation or renamed from one (``_transported``); on such a value
+    without the bypass, transitivity and stabilizers are read off the
+    theorems at ``is_transitive`` and ``stabilizer``.  ``facts`` keeps
     what ``is_transitive``, ``classify`` and ``stabilizer`` decided.  The
     three are outside equality and repr, and ``dataclasses.replace`` resets them.
     """
@@ -430,41 +432,18 @@ def _one_step(A: PartialAction) -> dict:
     return rel
 
 
-def _orbits(points, rel: dict) -> list:
-    """The orbits of an action made by validation without the bypass, from
-    its one-step relation: the one-step set of each point that no earlier
-    orbit holds, in the order of ``points``.
-
-    On such an action the one-step relation is an equivalence, so the
-    one-step set of a point is its orbit: it is reflexive because the unit
-    at anchor(x) acts at x as the identity, by (i); symmetric because
-    inv g sends g·x back to x, by (inv); and transitive because h·(g·x) is
-    (hg)·x, by (iii).
-    """
-    seen: set = set()
-    classes = []
-    for x in points:
-        if x not in seen:
-            classes.append(frozenset(rel[x]))
-            seen |= rel[x]
-    return classes
-
-
 def orbit_relation(A: PartialAction) -> OrbitRelation:
     """Partition of the carrier by the reachability of the one-step relation.
 
-    On validated data the one-step relation is itself an equivalence.  On
-    an action made by validation without the bypass that is a theorem
-    (``_orbits``); on any other untainted value it is checked, and a
-    mismatch aborts.  On tainted data the first non-transitivity witness
-    (x, z) is reported instead.
+    On validated data the one-step relation is itself an equivalence (the
+    proof is at ``is_transitive``).  It is checked on every value: the check
+    reads each class once per member, which costs no more than ``_one_step``
+    spent building the relation.  On untainted data a mismatch aborts; on
+    tainted data the first non-transitivity witness (x, z) is reported.
     """
     rel = _one_step(A)
     witness = via = None
-    if A.validated and not A.tainted:
-        classes = _orbits(A.carrier, rel)
-    else:
-        classes = equivalence_classes(A.carrier, rel)
+    classes = equivalence_classes(A.carrier, rel)
     is_equiv = classes is not None
     if classes is None:  # name the failure, then close under reachability
         reflexive, symmetric, transitive = relation_failures(A.carrier, rel)
@@ -533,29 +512,40 @@ def orbit_map(A: PartialAction, x: str) -> OrbitMap:
 
 
 def stabilizer(A: PartialAction, x: str) -> frozenset:
-    """Elements fixing x; always a subgroup of the isotropy group at the
-    anchor, a verdict kept on ``G.plan.subgroups`` per (anchor, stab).  The
-    action keeps each stabilizer; a checked one is its groupoid's one set."""
+    """Elements fixing x, a subgroup of the isotropy group at e = anchor(x);
+    the action keeps each stabilizer.
+
+    On an action made by validation without the bypass this is a theorem,
+    so nothing is checked:
+    - g fixing x has src(g) = e, since x in domains[inv g] lies in the
+      domain of rng(inv g) = src(g) by (pre), the anchor fiber of src(g)
+      by (i); and rng(g) = e, because x = g·x lies in domains[g];
+    - the unit e fixes x, by (i);
+    - inv g fixes x, since its table is the inverse of that of g, by (inv);
+    - gh fixes x when g and h do, by (iii) at y = x: x lies in
+      domains[inv g] and in domains[h], so gh sends inv h·x = x to g·x = x.
+    A tainted value may break the property and is not checked.  Any other
+    value, made by the constructor or ``dataclasses.replace``, is checked
+    once per point: only a stabilizer that passes is kept, so a failing
+    one raises on every call.
+    """
     key = ("stabilizer", x)
     try:
         return A.facts[key]
     except (KeyError, TypeError):  # not decided yet, or x is no point at all
         pass
     stab = frozenset(g for g in moving_elements(A, x) if A.maps[g][x] == x)
-    if not A.tainted:
+    if not (A.validated or A.tainted):
         G = A.groupoid
         e = A.anchor[x]
-        closed = G.plan.subgroups.get((e, stab))
-        if closed is None:
-            G.plan.subgroups[(e, stab)] = closed = (
-                stab.issubset(G.isotropy_elements(e))
-                and e in stab
-                and all(G.inv[g] in stab for g in stab)
-                and all(G.mul[(g, h)] in stab for g in stab for h in stab)
-            )
+        closed = (
+            stab.issubset(G.isotropy_elements(e))
+            and e in stab
+            and all(G.inv[g] in stab for g in stab)
+            and all(G.mul[(g, h)] in stab for g in stab for h in stab)
+        )
         if not closed:
             raise FalsificationError(f"stabilizer of {x!r} is not a subgroup of its isotropy group")
-        stab = G.plan.stabilizers.setdefault(stab, stab)
     A.facts[key] = stab
     return stab
 
@@ -568,18 +558,21 @@ class Classification:
 
 def is_transitive(A: PartialAction) -> bool:
     """One orbit, which also makes the carrier nonempty; the action keeps
-    the verdict.  On an action made by validation without the bypass the
-    one-step set of the first point, ``orbit_of``, is its orbit
-    (``_orbits``); elsewhere ``orbit_relation`` runs only to name a failure."""
+    the verdict.
+
+    On an action made by validation without the bypass the one-step
+    relation is an equivalence, so the one-step set of the first point,
+    ``orbit_of``, is its orbit: the relation is reflexive because the unit
+    at anchor(x) acts at x as the identity, by (i); symmetric because inv g
+    sends g·x back to x, by (inv); and transitive because h·(g·x) is
+    (hg)·x, by (iii).  On any other value ``orbit_relation`` decides.
+    """
     facts = A.facts
     if "transitive" not in facts:
         if A.validated and not A.tainted:
             transitive = bool(A.carrier) and len(orbit_of(A, A.carrier[0])) == len(A.carrier)
         else:
-            classes = equivalence_classes(A.carrier, _one_step(A))
-            if classes is None:
-                classes = orbit_relation(A).classes
-            transitive = len(classes) == 1
+            transitive = len(orbit_relation(A).classes) == 1
         facts["transitive"] = transitive
     return facts["transitive"]
 

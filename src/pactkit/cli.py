@@ -46,6 +46,14 @@ def _dumps(value, pad: str = "\n") -> str:
     return _leaf(value)
 
 
+def _classified(cls, tainted: bool) -> list[str]:
+    """The text lines of a classification that ``info`` and ``classify`` share."""
+    lines = [f"transitive: {_bool(cls.transitive)}, free: {_bool(cls.free)}"]
+    if tainted:
+        lines.append("tainted: true")
+    return lines
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.json:
         print(_dumps(payload))
@@ -129,10 +137,8 @@ def cmd_info(args) -> int:
             f"groupoid_elements: {len(A.groupoid.elements)}",
             f"orbits: {len(rel.classes)}",
             f"global: {_bool(glob)}",
-            f"transitive: {_bool(cls.transitive)}, free: {_bool(cls.free)}",
+            *_classified(cls, A.tainted),
         ]
-        if A.tainted:
-            lines.append("tainted: true")
     _emit(args, payload, lines)
     return 0
 
@@ -146,10 +152,7 @@ def cmd_classify(args) -> int:
         "free": cls.free,
         "tainted": doc.payload.tainted,
     }
-    lines = [f"transitive: {_bool(cls.transitive)}, free: {_bool(cls.free)}"]
-    if doc.payload.tainted:
-        lines.append("tainted: true")
-    _emit(args, payload, lines)
+    _emit(args, payload, _classified(cls, doc.payload.tainted))
     return 0
 
 
@@ -239,26 +242,19 @@ def cmd_coset_check(args) -> int:
         E = globalize(A)
     C = build_coset_action(A, args.at)
     try:
-        witness = coset_envelope_isomorphism(C, E)
+        table = dict(sorted(coset_envelope_isomorphism(C, E).table.items()))
+        reason, lines = None, [f"{c} -> {t}" for c, t in table.items()]
     except PreconditionError as exc:
-        payload = {
-            "command": "coset-check",
-            "holds": False,
-            "reason": str(exc),
-            "witness": None,
-            "classes": len(C.classes),
-        }
-        _emit(args, payload, [f"precondition failed: {exc}"])
-        return 1
+        table, reason, lines = None, str(exc), [f"precondition failed: {exc}"]
     payload = {
         "command": "coset-check",
-        "holds": True,
-        "reason": None,
-        "witness": dict(sorted(witness.table.items())),
+        "holds": table is not None,
+        "reason": reason,
+        "witness": table,
         "classes": len(C.classes),
     }
-    _emit(args, payload, [f"{c} -> {t}" for c, t in sorted(witness.table.items())])
-    return 0
+    _emit(args, payload, lines)
+    return 0 if table is not None else 1
 
 
 def cmd_topology_report(args) -> int:
@@ -269,19 +265,7 @@ def cmd_topology_report(args) -> int:
     report = envelope_topology(globalize(A), T_G, T_M)
     booleans = report.booleans()
     payload = {"command": "topology-report", "skipped": report.skipped, **booleans}
-    lines = []
-    for key in (
-        "graph_open",
-        "graph_closed",
-        "pi_open",
-        "iota_open_embedding",
-        "beta_continuous",
-        "fiber_formula_holds",
-        "MG_hausdorff",
-        "relation_closed",
-    ):
-        value = booleans[key]
-        lines.append(f"{key}: {_bool(value) if value is not None else 'skipped'}")
+    lines = [f"{k}: {_bool(v) if v is not None else 'skipped'}" for k, v in booleans.items()]
     _emit(args, payload, lines)
     checked = [v for v in booleans.values() if v is not None]
     return 0 if all(checked) and not report.skipped else 1
@@ -294,48 +278,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instances=("instance",)):
-        for name in instances:
-            p.add_argument(name)
+    def common(name, func, help, instances=("instance",)):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        for positional in instances:
+            p.add_argument(positional)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument(
             "--bypass-validation",
             action="store_true",
             help="skip semantic validation; taints the result",
         )
+        return p
 
-    common(sub.add_parser("validate", help="check an instance file"))
-    common(sub.add_parser("info", help="summarize an instance file"))
-    common(sub.add_parser("classify", help="transitivity and freeness of an action"))
-    common(sub.add_parser("orbits", help="orbit partition of an action"))
+    common("validate", cmd_validate, "check an instance file")
+    common("info", cmd_info, "summarize an instance file")
+    common("classify", cmd_classify, "transitivity and freeness of an action")
+    common("orbits", cmd_orbits, "orbit partition of an action")
 
-    p = sub.add_parser("globalize", help="construct the enveloping action")
-    common(p)
+    p = common("globalize", cmd_globalize, "construct the enveloping action")
     p.add_argument("-o", "--output", help="write the envelope document here")
     p.add_argument("--topology", action="store_true", help="include the topology report")
 
-    p = sub.add_parser("isomorphic", help="search for an equivariant isomorphism")
-    common(p, instances=("first", "second"))
+    common("isomorphic", cmd_isomorphic, "search for an equivariant isomorphism", ("first", "second"))
 
-    p = sub.add_parser("coset-check", help="compare the coset action with the envelope")
-    common(p)
+    p = common("coset-check", cmd_coset_check, "compare the coset action with the envelope")
     p.add_argument("--at", required=True, help="basepoint in the carrier")
     p.add_argument("--envelope", help="use a saved envelope document instead of rebuilding")
 
-    common(sub.add_parser("topology-report", help="graph and envelope topology booleans"))
-
-    parser.set_defaults(func=None)
-    for name, fn in (
-        ("validate", cmd_validate),
-        ("info", cmd_info),
-        ("classify", cmd_classify),
-        ("orbits", cmd_orbits),
-        ("globalize", cmd_globalize),
-        ("isomorphic", cmd_isomorphic),
-        ("coset-check", cmd_coset_check),
-        ("topology-report", cmd_topology_report),
-    ):
-        sub.choices[name].set_defaults(func=fn)
+    common("topology-report", cmd_topology_report, "graph and envelope topology booleans")
     return parser
 
 

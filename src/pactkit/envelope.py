@@ -54,29 +54,24 @@ def _merge_relation(A: PartialAction, pairs) -> dict:
     only for an action that validation did not make without the bypass: a
     tainted one, or a value of the constructor or ``dataclasses.replace``.
 
-    A built action's table of l has the keys domains[inv l], so ``x in
-    maps[l]`` is the test ``x in domains[inv l]``.  The images of x are read
-    once per point, in the order of the merge rows: the source fiber of
-    anchor(x).  Neighbours are stored as the pair objects themselves, so
-    that the classes built from them hold no second copy of each pair.  A
-    neighbour that is no pair raises the merge defect, named by the first
-    such pair and its least stray neighbour.
+    Each pair reads its merge rows as ``_merge_classes`` does.  Neighbours
+    are stored as the pair objects themselves, so that the classes built
+    from them hold no second copy of each pair.  A neighbour that is no
+    pair raises the merge defect, named by the first such pair and its
+    least stray neighbour.
     """
-    G, maps = A.groupoid, A.maps
-    merge = G.plan.merge
-    images = {x: [maps[l].get(x) for l in G.fibers[e].d] for x, e in A.anchor.items()}
+    maps, merge = A.maps, A.groupoid.plan.merge
     canonical = {p: p for p in pairs}
     rel = {}
     for p in pairs:
         g, x = p
         related, stray = set(), []
-        for (_, gl), y in zip(merge[g], images[x]):
-            if y is not None:  # table values are carrier points, never None
-                q = canonical.get((gl, y))
-                if q is None:
-                    stray.append((gl, y))
-                else:
-                    related.add(q)
+        for q in [(gl, maps[l][x]) for l, gl in merge[g] if x in maps[l]]:
+            kept = canonical.get(q)
+            if kept is None:
+                stray.append(q)
+            else:
+                related.add(kept)
         if stray:
             raise defect(A.tainted, f"merge relation leaves the pair set: witness {(p, min(stray))}")
         rel[p] = related

@@ -32,9 +32,8 @@ class Plan:
     Each walk is built on first use and then kept: many groupoids (a loaded
     file's, an isotropy group) serve only a few actions, and most of those
     need one or two of the walks; the element set, the sorted units and the
-    generator set are made at once.  ``subgroups`` and ``cosets`` keep what
-    ``action.stabilizer`` and ``coset.coset_quotient`` decide per unit and
-    subgroup, and ``stabilizers`` one set per stabilizer, in tokens only.
+    generator set are made at once.  ``cosets`` keeps what
+    ``coset.coset_quotient`` decides per unit and subgroup, in tokens only.
     A walk or fact is a pure function of the tables, so concurrent first
     uses at worst build it twice.
     """
@@ -43,7 +42,7 @@ class Plan:
         self._tables = elements, mul, inv, src, rng, generators, fibers
         self.element_set, self.generator_set = frozenset(elements), frozenset(generators)
         self.units = tuple(sorted(identities))
-        self.subgroups, self.cosets, self.stabilizers = {}, {}, {}
+        self.cosets = {}
 
     @cached_property
     def law(self) -> tuple:

@@ -124,7 +124,9 @@ def _read(path: str):
     except (OSError, UnicodeDecodeError) as exc:
         raise StructuralError(f"{path}: unreadable: {getattr(exc, 'strerror', None) or exc}")
     try:
-        return json.loads(text, object_pairs_hook=_members)
+        if text.startswith("\ufeff"):  # json.loads rejects it, the decoder alone does not
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _decode(text)
     except json.JSONDecodeError as exc:
         raise StructuralError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except StructuralError as exc:
@@ -134,6 +136,10 @@ def _read(path: str):
 def _members(pairs: list) -> dict:
     # json.loads alone would keep only the last value of a key listed twice
     return distinct(dict(pairs), pairs, "JSON object", _first)
+
+
+# one decoder for every read: json.loads with a hook builds a new one per call
+_decode = json.JSONDecoder(object_pairs_hook=_members).decode
 
 
 def _topology(blocks: dict, key: str, points, mismatch: str) -> FiniteTopology | None:

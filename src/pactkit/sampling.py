@@ -80,7 +80,7 @@ def _cyclic_shift_action(n: int, points: int) -> Groupoid:
     return action_groupoid(cyclic_table(n), perms)
 
 
-def groupoid_pool(max_elements: int = 12) -> list[Groupoid]:
+def groupoid_pool() -> list[Groupoid]:
     """Groups up to order six, pair groupoids, disjoint unions, action groupoids."""
     groups = small_groups()
     pool: list[Groupoid] = list(groups.values())
@@ -97,7 +97,7 @@ def groupoid_pool(max_elements: int = 12) -> list[Groupoid]:
     pool.append(_cyclic_shift_action(3, 3))
     pool.append(_cyclic_shift_action(2, 4))
     pool.append(_cyclic_shift_action(4, 2))
-    return [G for G in pool if len(G.elements) <= max_elements]
+    return pool
 
 
 def mulclose(G: Groupoid, seed) -> frozenset:
@@ -187,12 +187,11 @@ def random_partial_action(
     rng: random.Random,
     G: Groupoid | None = None,
     max_points: int = 8,
-    allow_global: bool = True,
 ) -> PartialAction:
     if G is None:
         G = rng.choice(groupoid_pool())
     B = random_global_action(rng, G, max_points=max_points)
-    if allow_global and rng.random() < 0.25:
+    if rng.random() < 0.25:
         return B
     size = rng.randint(1, len(B.carrier))
     subset = rng.sample(list(B.carrier), k=size)

@@ -14,6 +14,7 @@ from .core import CapExceededError, FalsificationError, PreconditionError, Struc
 from .groupoid import Groupoid
 
 QUOTIENT_CARRIER_CAP = 64
+OPEN_FAMILY_CAP = 200000
 
 
 @dataclass(frozen=True, eq=True)
@@ -221,7 +222,7 @@ def minimal_opens(T: FiniteTopology) -> list:
     return sorted({T.min_open[x] for x in T.carrier}, key=sorted)
 
 
-def all_opens(T: FiniteTopology, cap: int = 200000) -> list:
+def all_opens(T: FiniteTopology) -> list:
     """Every open set, as the union closure of the minimal-open basis."""
     basis = minimal_opens(T)
     opens = {frozenset()}
@@ -234,8 +235,8 @@ def all_opens(T: FiniteTopology, cap: int = 200000) -> list:
                 if V not in opens:
                     opens.add(V)
                     nxt.append(V)
-                    if len(opens) > cap:
-                        raise CapExceededError(f"open-set family exceeds cap {cap}")
+                    if len(opens) > OPEN_FAMILY_CAP:
+                        raise CapExceededError(f"open-set family exceeds cap {OPEN_FAMILY_CAP}")
         frontier = nxt
     return sorted(opens, key=lambda U: (len(U), sorted(U)))
 

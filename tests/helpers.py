@@ -1468,29 +1468,6 @@ def reference_relabel_envelope_base(E, mapping: dict):
     )
 
 
-def reference_plan_stabilizer(A, x: str) -> frozenset:
-    """The library's earlier ``action.stabilizer``, which keeps the subgroup
-    verdict on the plan but decides the stabilizer on every call."""
-    from pactkit.action import moving_elements
-    from pactkit.core import FalsificationError
-
-    stab = frozenset(g for g in moving_elements(A, x) if A.maps[g][x] == x)
-    if not A.tainted:
-        G = A.groupoid
-        e = A.anchor[x]
-        closed = G.plan.subgroups.get((e, stab))
-        if closed is None:
-            G.plan.subgroups[(e, stab)] = closed = (
-                stab.issubset(G.isotropy_elements(e))
-                and e in stab
-                and all(G.inv[g] in stab for g in stab)
-                and all(G.mul[(g, h)] in stab for g in stab for h in stab)
-            )
-        if not closed:
-            raise FalsificationError(f"stabilizer of {x!r} is not a subgroup of its isotropy group")
-    return stab
-
-
 def reference_is_transitive(A) -> bool:
     """The library's earlier ``action.is_transitive``."""
     from pactkit.action import orbit_relation
@@ -1503,7 +1480,7 @@ def reference_classify(A):
     from pactkit.action import Classification
 
     transitive = reference_is_transitive(A)
-    free = all(reference_plan_stabilizer(A, x) == frozenset({A.anchor[x]}) for x in A.carrier)
+    free = all(reference_stabilizer(A, x) == frozenset({A.anchor[x]}) for x in A.carrier)
     return Classification(transitive=transitive, free=free)
 
 

@@ -194,7 +194,7 @@ def test_restrict_swap_action_to_one_point_kills_the_swap():
 def test_restriction_coherence():
     rng = random.Random(99)
     for _ in range(20):
-        A = random_partial_action(rng, allow_global=True)
+        A = random_partial_action(rng)
         if not A.carrier:
             continue
         big = rng.sample(list(A.carrier), k=rng.randint(1, len(A.carrier)))

@@ -35,7 +35,7 @@ from pactkit import (
     stabilizer,
     verify_globalization,
 )
-from pactkit.action import _EMPTY, is_transitive
+from pactkit.action import _EMPTY, is_transitive, orbit_relation
 from pactkit.cli import main
 from pactkit.fixtures import remark_x
 from pactkit.groupoid import build_groupoid, from_group, pair_groupoid
@@ -84,7 +84,7 @@ def same_facts(A, seen: set) -> None:
     also for a point that is not in the carrier."""
     points = list(A.carrier) + ["not-a-point"]
     expected = facts(A, points, helpers.reference_is_transitive, helpers.reference_classify,
-                     helpers.reference_plan_stabilizer)
+                     helpers.reference_stabilizer)
     for _ in range(2):
         assert facts(A, points, is_transitive, classify, stabilizer) == expected
     seen.update(f[0].__name__ for f in expected if isinstance(f, tuple))
@@ -180,12 +180,44 @@ def test_a_failing_stabilizer_raises_on_every_call():
     whole = frozenset("xy")
     maps = {"0": {"x": "x", "y": "y"}, "1": {"x": "x", "y": "y"}, "2": {"x": "y", "y": "x"}}
     A = PartialAction(G, ("x", "y"), {"x": "0", "y": "0"}, dict.fromkeys(G.elements, whole), maps)
-    expected = outcome(helpers.reference_plan_stabilizer, A, "x")
+    expected = outcome(helpers.reference_stabilizer, A, "x")
     assert expected[0] is FalsificationError
     for _ in range(2):
         assert outcome(stabilizer, A, "x") == expected
         assert outcome(classify, A) == outcome(helpers.reference_classify, A)
     assert ("stabilizer", "x") not in A.facts
+
+
+def test_stabilizers_of_a_validated_action_run_no_subgroup_check(monkeypatch):
+    # on a validated action and its renamed copy the subgroup property is a
+    # theorem; a copy made by the constructor checks each point once, on
+    # its first call, and keeps no verdict for other actions
+    A = coset_global_action(from_group(cyclic_table(6)), "0", {"0", "3"})
+    B = relabel_action(A, {x: f"r{x}" for x in A.carrier})
+    copies = [PartialAction(A.groupoid, A.carrier, A.anchor, A.domains, A.maps) for _ in range(2)]
+    calls = []
+    isotropy = groupoid_module.Groupoid.isotropy_elements
+    monkeypatch.setattr(
+        groupoid_module.Groupoid, "isotropy_elements", lambda G, e: calls.append(e) or isotropy(G, e)
+    )
+    for C in (A, B, *copies, *copies):
+        assert [stabilizer(C, x) for x in C.carrier] == [frozenset({"0", "3"})] * 3
+    assert calls == ["0"] * 6
+
+
+def test_orbit_relation_checks_its_relation_on_a_validated_action(monkeypatch):
+    # the one-step relation goes through equivalence_classes on every value;
+    # is_transitive reads the orbit of one point off the theorem instead
+    A = coset_global_action(from_group(cyclic_table(6)), "0", {"0"})
+    calls = []
+    checks = core_module.equivalence_classes
+    monkeypatch.setattr(
+        action_module, "equivalence_classes", lambda items, rel: calls.append(items) or checks(items, rel)
+    )
+    assert A.validated and not A.tainted
+    assert orbit_relation(A).classes == (frozenset(A.carrier),)
+    assert is_transitive(A)
+    assert calls == [A.carrier]
 
 
 def test_replace_drops_the_mark_and_the_facts():
@@ -195,14 +227,6 @@ def test_replace_drops_the_mark_and_the_facts():
     for B in (replace(A), PartialAction(A.groupoid, A.carrier, A.anchor, A.domains, A.maps)):
         assert B == A and repr(B) == repr(A)
         assert not B.validated and B.facts == {} and B.law_holds is None
-
-
-def test_equal_stabilizers_over_one_groupoid_are_one_set():
-    A = coset_global_action(from_group(cyclic_table(6)), "0", {"0", "3"})
-    B = relabel_action(A, {x: f"r{x}" for x in A.carrier})
-    stabs = [stabilizer(C, x) for C in (A, B) for x in C.carrier]
-    assert stabs[0] == frozenset({"0", "3"}) and all(s is stabs[0] for s in stabs)
-    assert A.groupoid.plan.stabilizers == {stabs[0]: stabs[0]}
 
 
 def test_renamings_and_kept_facts_leave_no_cyclic_garbage():

@@ -309,6 +309,19 @@ def test_axioms_match_reference_on_one_entry_corruptions():
     assert associativity_only > 0
 
 
+def test_axioms_match_reference_on_one_entry_corruptions_at_scale():
+    # the same at 64 elements, one corruption of each kind per base
+    rng = random.Random(64)
+    labels = set()
+    for G in (from_group(cyclic_table(64)), pair_groupoid(range(8))):
+        for kind in helpers.GROUPOID_CORRUPTIONS:
+            raw = helpers.corrupt_groupoid(rng, G, kind)
+            expected = helpers.reference_axioms(*_tables(raw))
+            assert validate_groupoid(raw) == expected, kind
+            labels |= expected.conditions()
+    assert labels == {"axiom1", "axiom2", "axiom3", "axiom4", "domain", "identity-set"}
+
+
 def raw_cyclic(n: int) -> dict:
     tokens = [str(i) for i in range(n)]
     return {

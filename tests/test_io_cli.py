@@ -352,7 +352,7 @@ def _repeat_a_min_open_member(doc):
     "mutate",
     [
         _mutate_meta, _mutate_carrier, _mutate_anchor, _extra_key, _broken_topology, "directory", "utf-16",
-        "object-key-twice",
+        "object-key-twice", "bom",
         _list_first_row_twice("anchor"), _list_first_row_twice("domains"), _list_first_row_twice("maps"),
         _list_first_row_twice("maps", 0, 1), _list_first_row_twice("groupoid", "inv"),
         _list_first_row_twice("groupoid", "src"), _list_first_row_twice("groupoid", "rng"),
@@ -362,7 +362,8 @@ def _repeat_a_min_open_member(doc):
 def test_shape_errors_are_structural_and_exit_two(mutate, tmp_path, capsys):
     # every reader rejects what load rejects, also validate and a saved
     # envelope, and so does each on a file that cannot be read at all; a
-    # key or set member listed twice is rejected, not read as its last row
+    # key or set member listed twice is rejected, not read as its last row;
+    # a leading byte order mark is named as json.loads names it
     envelope = tmp_path / "env.json"
     assert run_cli(["globalize", "fix-b", "-o", str(envelope)], capsys)[0] == 0
     path = tmp_path / "mutated.json"
@@ -370,6 +371,8 @@ def test_shape_errors_are_structural_and_exit_two(mutate, tmp_path, capsys):
         path = tmp_path
     elif mutate == "utf-16":
         path.write_bytes(envelope.read_text().encode("utf-16"))
+    elif mutate == "bom":
+        path.write_bytes(b"\xef\xbb\xbf" + envelope.read_bytes())
     elif mutate == "object-key-twice":  # json.loads alone keeps the last "kind"
         path.write_text(envelope.read_text().replace('"kind": "action"', '"kind": "groupoid", "kind": "action"'))
     else:
@@ -389,6 +392,9 @@ def test_shape_errors_are_structural_and_exit_two(mutate, tmp_path, capsys):
             code, out, err = run_cli(argv + flags, capsys)
             assert (code, out) == (2, ""), argv
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            if mutate == "bom":
+                bom = "parse error at line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+                assert err == f"error: {path}: {bom}\n", (argv, err)
 
 
 @pytest.mark.parametrize(

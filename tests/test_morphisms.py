@@ -262,13 +262,13 @@ def test_find_isomorphism_reads_the_tables_only(monkeypatch):
         A = E.action
         B = relabel_action(A, {c: f"r{i}" for i, c in enumerate(A.carrier)})
         plan = A.groupoid.plan
-        kept = dict(plan.subgroups), dict(plan.stabilizers)
+        kept = dict(plan.cosets)
         assert (A.facts, B.facts) == ({}, {})
         assert find_isomorphism(A, A).table == {c: c for c in A.carrier}
         assert find_isomorphism(A, B) is not None
         find_isomorphism(E.base, A)
         assert (A.facts, B.facts, E.base.facts) == ({}, {}, {})
-        assert (plan.subgroups, plan.stabilizers) == kept
+        assert plan.cosets == kept
     assert calls == []
 
 
