@@ -578,13 +578,35 @@ def is_transitive(A: PartialAction) -> bool:
 
 
 def classify(A: PartialAction) -> Classification:
-    """Transitivity and freeness, kept by the action once decided."""
+    """Transitivity and freeness, kept by the action once decided.
+
+    On a value made by validation, tainted or not, freeness is read in one
+    walk over the table entries and no stabilizer is kept.  Structural
+    checks admit no bypass, so the keys of the table of g are dom(inv g),
+    and the stabilizer of x is the set of g whose table sends x to x.  It
+    is {anchor(x)} exactly when the anchor fixes x and no other element
+    does.  Any other value decides each point's ``stabilizer``, which
+    checks the subgroup property on an untainted one.
+    """
     facts = A.facts
     if "classification" not in facts:
         transitive = is_transitive(A)
-        free = all(stabilizer(A, x) == frozenset({A.anchor[x]}) for x in A.carrier)
+        if A.validated:
+            free = _fixed_by_anchors_alone(A)
+        else:
+            free = all(stabilizer(A, x) == frozenset({A.anchor[x]}) for x in A.carrier)
         facts["classification"] = Classification(transitive=transitive, free=free)
     return facts["classification"]
+
+
+def _fixed_by_anchors_alone(A: PartialAction) -> bool:
+    """Whether each point is fixed by its anchor and by no other element."""
+    anchor, maps = A.anchor, A.maps
+    for g, table in maps.items():
+        for x, y in table.items():
+            if x == y and g != anchor[x]:
+                return False
+    return all(maps[e].get(x) == x for x, e in anchor.items())
 
 
 def restrict(B: PartialAction, S) -> PartialAction:

@@ -172,20 +172,42 @@ def _keyed(value, shape, what: str, cell=None, key=None) -> dict:
     return table
 
 
+_GROUPOID_SHAPES = {"elements": _STRINGS, "mul": _TRIPLES, "inv": _PAIRS, "src": _PAIRS, "rng": _PAIRS}
+
+# distinct groupoid blocks whose built value a process keeps (README, "Instance files")
+GROUPOID_MEMO = 32
+
+
 def _groupoid_tables(payload) -> dict:
-    _object(payload, "groupoid payload", {"elements", "mul", "inv", "src", "rng"})
-    return {
-        "elements": _shaped(payload.get("elements", []), _STRINGS, "groupoid elements"),
-        "mul": _shaped(payload.get("mul", []), _TRIPLES, "groupoid mul"),
-        "inv": _shaped(payload.get("inv", []), _PAIRS, "groupoid inv"),
-        "src": _shaped(payload.get("src", []), _PAIRS, "groupoid src"),
-        "rng": _shaped(payload.get("rng", []), _PAIRS, "groupoid rng"),
-    }
+    """The tables of a groupoid payload, shape-checked, with their rows as
+    tuples in document order."""
+    _object(payload, "groupoid payload", set(_GROUPOID_SHAPES))
+    tables = {}
+    for key, shape in _GROUPOID_SHAPES.items():
+        rows = _shaped(payload.get(key, []), shape, f"groupoid {key}")
+        tables[key] = tuple(rows) if shape is _STRINGS else tuple(map(tuple, rows))
+    return tables
+
+
+@functools.lru_cache(maxsize=GROUPOID_MEMO)
+def _groupoid(elements, mul, inv, src, rng) -> Groupoid:
+    """``build_groupoid`` of one block of rows, kept for the most recent
+    ``GROUPOID_MEMO`` distinct blocks, so every document that carries a
+    block shares one value and its plan.
+
+    ``build_groupoid`` is a pure function of the rows, so a kept value is
+    the one a new build would give, and each distinct block is still
+    validated in full once.  The key keeps the rows in document order:
+    the insertion order of ``mul`` fixes ``plan.products`` and so the
+    order of (ii) and (iii) violations in action reports.  A failing block
+    raises and is not kept, so it raises again on every load.
+    """
+    return build_groupoid({"elements": elements, "mul": mul, "inv": inv, "src": src, "rng": rng})
 
 
 def _resolve_groupoid(ref) -> Groupoid:
     if isinstance(ref, dict):
-        return build_groupoid(_groupoid_tables(ref))
+        return _groupoid(*_groupoid_tables(ref).values())
     if isinstance(ref, str):
         doc = load(str(resolve_instance_path(ref)))
         if doc.kind != "groupoid":
@@ -256,7 +278,7 @@ def _build(path: str, parsed: InstanceFile, bypass: bool = False):
     """The value of a parsed instance; violations raise, labelled with the file."""
     try:
         if parsed.kind == "groupoid":
-            return build_groupoid(parsed.payload)
+            return _groupoid(*parsed.payload.values())
         return build_partial_action(**parsed.payload, bypass=bypass)
     except ValidationFailed as exc:
         exc.report.raise_if_failed(f"{path}: {parsed.kind} payload")

@@ -157,14 +157,22 @@ def _propagate(A: PartialAction, B: PartialAction, x: str, y: str, used: set):
     Where p ↦ q is set, the same elements must act at p and at q, the
     anchors must agree, and each g·p must get g·q consistently, injectively
     and outside ``used``.  Returns the map on x's component.
+
+    When both ends are made by validation without the bypass, only the
+    source fiber of the common anchor e is walked: g acting at p has
+    src(g) = anchor(p), as at ``moving_elements``, and likewise at q, so
+    every other g acts at neither and would pass unread.  Other ends walk
+    all of G.
     """
-    elements = A.groupoid.elements
+    G = A.groupoid
+    proved = A.validated and B.validated and not (A.tainted or B.tainted)
     assigned, images, todo = {x: y}, {y}, [(x, y)]
     while todo:
         p, q = todo.pop()
-        if A.anchor[p] != B.anchor[q]:
+        e = A.anchor[p]
+        if e != B.anchor[q]:
             return None
-        for g in elements:
+        for g in G.fibers[e].d if proved else G.elements:
             at_a, at_b = A.maps[g], B.maps[g]
             if (p in at_a) != (q in at_b):
                 return None

@@ -188,6 +188,38 @@ def test_a_failing_stabilizer_raises_on_every_call():
     assert ("stabilizer", "x") not in A.facts
 
 
+def test_classify_decides_freeness_in_one_walk_on_validated_actions(monkeypatch):
+    # each corruption kind built with and without the bypass, and copies
+    # made by dataclasses.replace, tainted and not: the classification or
+    # error of the earlier code, which decided every point's stabilizer; a
+    # validated value decides no stabilizer and keeps none
+    rng = random.Random(1516)
+    bases = helpers.cross_check_actions(rng, 20) + helpers.regular_at_scale()[-1:]
+    asked = []
+    decide = action_module.stabilizer
+    monkeypatch.setattr(action_module, "stabilizer", lambda A, x: asked.append(A.validated) or decide(A, x))
+    seen = set()
+    for A in bases:
+        for kind in helpers.CORRUPTIONS:
+            raw = helpers.corrupt_one_entry(rng, A, kind)
+            for bypass in (False, True):
+                B = outcome(build_partial_action, A.groupoid, *raw.values(), bypass)
+                if not isinstance(B, PartialAction):
+                    continue
+                for C in (B, replace(B), replace(B, tainted=not B.tainted)):
+                    expected = outcome(helpers.reference_classify, C)
+                    for _ in range(2):
+                        assert outcome(classify, C) == expected
+                    if C.validated:
+                        assert not any(isinstance(k, tuple) for k in C.facts)
+                    got = expected.free if isinstance(expected, action_module.Classification) else expected[0]
+                    seen.add((C.validated, C.tainted, got))
+    assert True not in asked
+    for validated in (True, False):
+        assert {(validated, tainted, free) for tainted in (True, False) for free in (True, False)} <= seen
+    assert (False, False, FalsificationError) in seen
+
+
 def test_stabilizers_of_a_validated_action_run_no_subgroup_check(monkeypatch):
     # on a validated action and its renamed copy the subgroup property is a
     # theorem; a copy made by the constructor checks each point once, on
@@ -380,7 +412,8 @@ def test_the_random_suite_chain_does_each_piece_of_work_once(monkeypatch):
     # moving_elements runs once per stabilizer decided and once per
     # transitivity decided on a validated action (the orbit of its first
     # point), _one_step once per transitivity decided on any other action,
-    # and Classification once per classification
+    # and Classification once per classification; classify on a validated
+    # action decides no stabilizer
     for name in ("_validate", "_one_step", "moving_elements", "Classification"):
         monkeypatch.setattr(action_module, name, counting(name, getattr(action_module, name)))
     checks = counting("equivalence_classes", core_module.equivalence_classes)
@@ -399,7 +432,9 @@ def test_the_random_suite_chain_does_each_piece_of_work_once(monkeypatch):
     # four validations per item (two builds, two envelopes) and one per
     # coset quotient of the cold pass, none in a renaming; per item two
     # transitivity verdicts and two classifications (the action and its
-    # envelope), and one stabilizer per point of each (86 in all).  Before
+    # envelope), and the 20 stabilizers the chain asks for.  While classify
+    # decided freeness point by point through stabilizer, a pass decided 86
+    # stabilizers and called moving_elements 126 times instead of 60.  Before
     # actions kept their facts, the code counted 40 more validations per
     # pass, all in renamings, 61 transitivity verdicts, 133 stabilizers and
     # 47 classifications.  Only the 19 coset quotients of the cold pass
@@ -408,7 +443,7 @@ def test_the_random_suite_chain_does_each_piece_of_work_once(monkeypatch):
     # on every action built 40 one-step relations, called moving_elements
     # 86 times, checked 99 and 80 equivalences and read 1362 merge rows per
     # pass, those of every pair.
-    work = {"moving_elements": 126, "Classification": 40, "merge rows": 442}
+    work = {"moving_elements": 60, "Classification": 40, "merge rows": 442}
     assert passes == [
         {"_validate": 99, "equivalence_classes": 19, **work},
         {"_validate": 80, **work},

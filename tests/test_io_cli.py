@@ -540,8 +540,103 @@ def test_cli_output_matches_golden_recording(capsys):
     spec.loader.exec_module(recorder)
     golden = json.loads(recorder.GOLDEN.read_text())
     assert [r["argv"] for r in golden] == recorder.invocations()
+    # output does not depend on the groupoid memo: each call first with it
+    # emptied, then every call again with it warm
+    memo = instance_io._groupoid
+    for record in golden:
+        memo.cache_clear()
+        assert recorder.run(record["argv"]) == record
+    hits = memo.cache_info().hits
     for record in golden:
         assert recorder.run(record["argv"]) == record
+    assert memo.cache_info().hits > hits
+
+
+# ---------------------------------------------------------------------------
+# the groupoid memo: one value per distinct block of rows
+
+
+def test_loads_of_one_groupoid_block_share_one_value(tmp_path, capsys):
+    z2 = str(resolve_instance_path("z2"))
+    assert load(z2).payload is load(z2).payload
+    fix = str(resolve_instance_path("fix-b"))
+    base = load(fix).payload
+    assert load(fix).payload.groupoid is base.groupoid
+    envelope = tmp_path / "env.json"
+    assert run_cli(["globalize", "fix-b", "-o", str(envelope)], capsys)[0] == 0
+    assert load_envelope(str(envelope), base).action.groupoid is base.groupoid
+
+
+def test_a_block_with_its_rows_in_another_order_builds_its_own_groupoid(tmp_path):
+    # mul's row order fixes the order of the (ii) and (iii) violations, so
+    # reversed rows give an equal groupoid that is not the kept one, and
+    # reports over it are those of a fresh build of the reversed rows
+    from pactkit import build_partial_action, validate_partial_action
+    from pactkit.groupoid import build_groupoid, pair_groupoid
+    from pactkit.sampling import random_partial_action
+
+    rng = random.Random(2001)
+    G = pair_groupoid(range(3))
+    rows = instance_io.groupoid_payload(G)
+    reversed_rows = {**rows, "mul": rows["mul"][::-1]}
+    fresh = {"sorted.json": build_groupoid(rows), "reversed.json": build_groupoid(reversed_rows)}
+    orders = set()
+    for _ in range(20):
+        A = random_partial_action(rng, G)
+        raw = helpers.corrupt_one_entry(rng, A, "swap-one")
+        doc = action_document(build_partial_action(G, *raw.values(), bypass=True), "t")
+        save(str(tmp_path / "sorted.json"), doc)
+        doc["payload"]["groupoid"] = reversed_rows
+        save(str(tmp_path / "reversed.json"), doc)
+        kept = load(str(tmp_path / "sorted.json"), bypass=True).payload.groupoid
+        other = load(str(tmp_path / "reversed.json"), bypass=True).payload.groupoid
+        assert other == kept and other is not kept
+        assert list(other.mul) == list(fresh["reversed.json"].mul) != list(kept.mul)
+        reports = []
+        for name, built in fresh.items():
+            reports.append(instance_io.inspect(str(tmp_path / name)))
+            assert reports[-1] == ("action", validate_partial_action(built, *raw.values()))
+        orders.add(reports[0] == reports[1])
+    assert orders == {True, False}
+
+
+def test_a_failing_groupoid_block_raises_on_every_load(tmp_path):
+    memo = instance_io._groupoid
+    memo.cache_clear()
+    doc = json.loads(Path(resolve_instance_path("pair2")).read_text())
+    doc["payload"]["mul"][0][2] = doc["payload"]["mul"][1][2]
+    groupoid = tmp_path / "bad-groupoid.json"
+    groupoid.write_text(json.dumps(doc))
+    action = json.loads(Path(resolve_instance_path("fix-c")).read_text())
+    action["payload"]["groupoid"] = doc["payload"]
+    inline = tmp_path / "bad-inline.json"
+    inline.write_text(json.dumps(action))
+    for path in (groupoid, inline):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ValidationFailed) as err:
+                load(str(path))
+            errors.append(str(err.value))
+        assert errors[0] == errors[1] and "groupoid" in errors[0]
+    assert memo.cache_info().currsize == 0
+
+
+def test_the_least_recently_used_block_is_built_again(tmp_path):
+    bound = instance_io.GROUPOID_MEMO
+    paths = []
+    for i in range(bound + 1):
+        u = f"u{i}"
+        G = {"elements": [u], "mul": [[u, u, u]], "inv": [[u, u]], "src": [[u, u]], "rng": [[u, u]]}
+        paths.append(str(tmp_path / f"{u}.json"))
+        Path(paths[-1]).write_text(json.dumps({"kind": "groupoid", "payload": G}))
+    instance_io._groupoid.cache_clear()
+    kept = [load(path).payload for path in paths[:bound]]
+    assert load(paths[0]).payload is kept[0]  # a hit: paths[1] is now the least recent
+    load(paths[bound])
+    assert load(paths[0]).payload is kept[0]
+    again = load(paths[1]).payload
+    assert again == kept[1] and again is not kept[1]
+    assert instance_io._groupoid.cache_info().currsize == bound
 
 
 def shaped_sample(rng, shape):

@@ -473,6 +473,33 @@ def test_find_isomorphism_tries_every_target_point_at_scale(monkeypatch):
     assert (regular.facts, halves.facts) == ({}, {})
 
 
+def test_a_propagation_between_validated_actions_walks_the_source_fiber_only():
+    # the pair groupoid on 8 objects acting regularly on one source fiber:
+    # each of the 8 points sits at its own unit, whose source fiber has 8 of
+    # the 64 elements; unvalidated copies still walk every element
+    from dataclasses import replace
+
+    from pactkit.morphisms import _propagate
+
+    A = helpers.regular_at_scale()[-1]
+    assert (len(A.groupoid.elements), len(A.carrier)) == (64, 8)
+    mapping = random_relabeling(random.Random(617), A)
+    B = relabel_action(A, mapping)
+    x = A.carrier[0]
+    answers, steps = [], []
+
+    class Steps(dict):
+        def __getitem__(self, g):
+            steps.append(g)
+            return dict.__getitem__(self, g)
+
+    for source, target in ((A, B), (replace(A), B), (A, replace(B))):
+        object.__setattr__(source, "maps", Steps(source.maps))
+        steps.clear()
+        answers += [_propagate(source, target, x, mapping[x], set()), len(steps)]
+    assert answers == [mapping, 64, mapping, 512, mapping, 512]
+
+
 def test_is_isomorphism_matches_the_inverse_scan():
     from pactkit import (
         build_coset_action,
