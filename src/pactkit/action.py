@@ -1,8 +1,9 @@
 """Partial actions of a finite groupoid on a finite set.
 
 Validation, orbits, stabilizers, classification, restriction, invariant
-closure, action graphs, and the orbit space.  Values are immutable after
-validation; every operation is a pure function of its inputs.
+closure, action graphs, and the orbit space.  The tables of a value never
+change once it is made; the facts it keeps are written on first use, each
+a function of the tables, so racing threads get the same answer.
 """
 
 from __future__ import annotations
@@ -34,18 +35,21 @@ _MISSING = object()
 class PartialAction:
     """A partial action: per-element domains and bijections between them.
 
+    The constructor validates, as ``build_partial_action`` does: it copies
+    and normalizes the tables, raises ``ValidationFailed`` on a semantic
+    violation unless ``tainted``, and raises ``StructuralError`` on a
+    structural defect whatever ``tainted`` is.  So a value is of one of two
+    kinds: untainted, whose tables satisfy every condition, or tainted,
+    made with the validation bypass, whose results inherit the marker.
+    ``dataclasses.replace`` goes through the constructor too.
+
     ``domains[g]`` is the image set of the bijection ``maps[g]``, whose key
     set is ``domains[inv(g)]``.  Equal domains may be one shared frozenset:
     a domain equal to that of its range unit is that set, and every empty
-    domain is one set.  ``tainted`` marks values built with the
-    validation bypass; downstream results inherit the marker.
-    ``law_holds`` keeps the verdict of the composition law when validation
-    decided it, and is None otherwise.  ``validated`` marks values made by
-    validation or renamed from one (``_transported``); on such a value
-    without the bypass, transitivity and stabilizers are read off the
-    theorems at ``is_transitive`` and ``stabilizer``.  ``facts`` keeps
+    domain is one set.  ``law_holds`` keeps the verdict of the composition
+    law when validation decided it, and is None otherwise.  ``facts`` keeps
     what ``is_transitive``, ``classify`` and ``stabilizer`` decided.  The
-    three are outside equality and repr, and ``dataclasses.replace`` resets them.
+    two are outside equality and repr, and ``dataclasses.replace`` resets them.
     """
 
     groupoid: Groupoid
@@ -55,8 +59,16 @@ class PartialAction:
     maps: dict
     tainted: bool = False
     law_holds: bool | None = field(default=None, init=False, compare=False, repr=False)
-    validated: bool = field(default=False, init=False, compare=False, repr=False)
     facts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        G = self.groupoid
+        violations, points, anchor, domains, maps, law = _validate(
+            G, self.carrier, self.anchor, self.domains, self.maps
+        )
+        if violations and not self.tainted:
+            _report(G, anchor, violations).raise_if_failed("partial action validation")
+        self.__dict__.update(carrier=tuple(points), anchor=anchor, domains=domains, maps=maps, law_holds=law)
 
 
 def validate_partial_action(groupoid: Groupoid, carrier, anchor, domains, maps) -> Report:
@@ -298,31 +310,39 @@ def _products(G: Groupoid, domains, maps) -> list:
 def build_partial_action(
     groupoid: Groupoid, carrier, anchor, domains, maps, bypass: bool = False
 ) -> PartialAction:
-    """Validate and freeze a partial action.
+    """Validate and freeze a partial action: the constructor, tainted with
+    ``bypass``.
 
     With ``bypass`` the semantic checks still run but do not block
     construction; the resulting value is marked tainted.  Structural defects
     (broken tables, dangling references) are never bypassable.  The tables
     are copied, so the caller may change its containers afterwards.
     """
-    return _adopt(groupoid, carrier, anchor, domains, maps, bypass, owned=False)
+    return PartialAction(groupoid, carrier, anchor, domains, maps, bypass)
 
 
-def _adopt(G: Groupoid, carrier, anchor, domains, maps, bypass: bool, owned: bool = True):
+def _adopt(G: Groupoid, carrier, anchor, domains, maps, bypass: bool):
     """``build_partial_action`` on tables its caller has just built in normal
     form (a dict of frozensets, a dict of dicts, an anchor dict) and hands
     over: the action keeps those containers instead of copies."""
-    violations, points, anchor, domains, maps, law = _validate(G, carrier, anchor, domains, maps, owned)
+    violations, points, anchor, domains, maps, law = _validate(G, carrier, anchor, domains, maps, owned=True)
     if violations and not bypass:
         _report(G, anchor, violations).raise_if_failed("partial action validation")
     return _made(G, points, anchor, domains, maps, bypass, law)
 
 
 def _made(G: Groupoid, points, anchor, domains, maps, tainted: bool, law) -> PartialAction:
-    """The value of tables that validation accepted, or a renaming of them."""
-    out = PartialAction(G, tuple(points), anchor, domains, maps, tainted)
-    object.__setattr__(out, "law_holds", law)
-    object.__setattr__(out, "validated", True)
+    """The value of tables that validation accepted, or a renaming of them.
+
+    The one path that skips the constructor's validation: the value is made
+    without ``__init__``, so its tables are kept as they are.
+    """
+    out = object.__new__(PartialAction)
+    # one store per field, in the order of __init__: the instance dict then
+    # shares the class's key table, where ``dict.update`` would copy one
+    d = out.__dict__
+    d["groupoid"], d["carrier"], d["anchor"], d["domains"] = G, tuple(points), anchor, domains
+    d["maps"], d["tainted"], d["facts"], d["law_holds"] = maps, tainted, {}, law
     return out
 
 
@@ -515,8 +535,7 @@ def stabilizer(A: PartialAction, x: str) -> frozenset:
     """Elements fixing x, a subgroup of the isotropy group at e = anchor(x);
     the action keeps each stabilizer.
 
-    On an action made by validation without the bypass this is a theorem,
-    so nothing is checked:
+    On an untainted action this is a theorem, so nothing is checked:
     - g fixing x has src(g) = e, since x in domains[inv g] lies in the
       domain of rng(inv g) = src(g) by (pre), the anchor fiber of src(g)
       by (i); and rng(g) = e, because x = g·x lies in domains[g];
@@ -524,29 +543,14 @@ def stabilizer(A: PartialAction, x: str) -> frozenset:
     - inv g fixes x, since its table is the inverse of that of g, by (inv);
     - gh fixes x when g and h do, by (iii) at y = x: x lies in
       domains[inv g] and in domains[h], so gh sends inv h·x = x to g·x = x.
-    A tainted value may break the property and is not checked.  Any other
-    value, made by the constructor or ``dataclasses.replace``, is checked
-    once per point: only a stabilizer that passes is kept, so a failing
-    one raises on every call.
+    A tainted value may break the property and is not checked.
     """
     key = ("stabilizer", x)
     try:
         return A.facts[key]
     except (KeyError, TypeError):  # not decided yet, or x is no point at all
         pass
-    stab = frozenset(g for g in moving_elements(A, x) if A.maps[g][x] == x)
-    if not (A.validated or A.tainted):
-        G = A.groupoid
-        e = A.anchor[x]
-        closed = (
-            stab.issubset(G.isotropy_elements(e))
-            and e in stab
-            and all(G.inv[g] in stab for g in stab)
-            and all(G.mul[(g, h)] in stab for g in stab for h in stab)
-        )
-        if not closed:
-            raise FalsificationError(f"stabilizer of {x!r} is not a subgroup of its isotropy group")
-    A.facts[key] = stab
+    stab = A.facts[key] = frozenset(g for g in moving_elements(A, x) if A.maps[g][x] == x)
     return stab
 
 
@@ -560,16 +564,16 @@ def is_transitive(A: PartialAction) -> bool:
     """One orbit, which also makes the carrier nonempty; the action keeps
     the verdict.
 
-    On an action made by validation without the bypass the one-step
-    relation is an equivalence, so the one-step set of the first point,
-    ``orbit_of``, is its orbit: the relation is reflexive because the unit
-    at anchor(x) acts at x as the identity, by (i); symmetric because inv g
-    sends g·x back to x, by (inv); and transitive because h·(g·x) is
-    (hg)·x, by (iii).  On any other value ``orbit_relation`` decides.
+    On an untainted action the one-step relation is an equivalence, so the
+    one-step set of the first point, ``orbit_of``, is its orbit: the
+    relation is reflexive because the unit at anchor(x) acts at x as the
+    identity, by (i); symmetric because inv g sends g·x back to x, by (inv);
+    and transitive because h·(g·x) is (hg)·x, by (iii).  On a tainted value
+    ``orbit_relation`` decides.
     """
     facts = A.facts
     if "transitive" not in facts:
-        if A.validated and not A.tainted:
+        if not A.tainted:
             transitive = bool(A.carrier) and len(orbit_of(A, A.carrier[0])) == len(A.carrier)
         else:
             transitive = len(orbit_relation(A).classes) == 1
@@ -580,22 +584,15 @@ def is_transitive(A: PartialAction) -> bool:
 def classify(A: PartialAction) -> Classification:
     """Transitivity and freeness, kept by the action once decided.
 
-    On a value made by validation, tainted or not, freeness is read in one
-    walk over the table entries and no stabilizer is kept.  Structural
-    checks admit no bypass, so the keys of the table of g are dom(inv g),
-    and the stabilizer of x is the set of g whose table sends x to x.  It
-    is {anchor(x)} exactly when the anchor fixes x and no other element
-    does.  Any other value decides each point's ``stabilizer``, which
-    checks the subgroup property on an untainted one.
+    Freeness is read in one walk over the table entries, tainted or not,
+    and no stabilizer is kept.  Structural checks admit no bypass, so the
+    keys of the table of g are dom(inv g), and the stabilizer of x is the
+    set of g whose table sends x to x.  It is {anchor(x)} exactly when the
+    anchor fixes x and no other element does.
     """
     facts = A.facts
     if "classification" not in facts:
-        transitive = is_transitive(A)
-        if A.validated:
-            free = _fixed_by_anchors_alone(A)
-        else:
-            free = all(stabilizer(A, x) == frozenset({A.anchor[x]}) for x in A.carrier)
-        facts["classification"] = Classification(transitive=transitive, free=free)
+        facts["classification"] = Classification(transitive=is_transitive(A), free=_fixed_by_anchors_alone(A))
     return facts["classification"]
 
 
@@ -788,12 +785,12 @@ def _transported(A: PartialAction, mapping: dict) -> PartialAction:
 
     A bijection of points commutes with every check of ``_validate``: the
     structural checks, (i), (pre), (ii), (iii), (inv) and the composition
-    law.  So when A was made by validation, its renamed tables pass exactly
-    what A's passed, with the same law verdict: the copy keeps ``tainted``
-    and ``law_holds`` and is not validated again.  A's violations, if it
-    was built with the bypass, become the copy's, which ``_adopt`` would
-    discard too.  Any other A, or images that are not the carrier of a
-    value (not all strings, or not one per point), go through ``_adopt``.
+    law.  So A's renamed tables pass exactly what A's passed, with the same
+    law verdict: the copy keeps ``tainted`` and ``law_holds`` and is not
+    validated again.  A's violations, if it was built with the bypass,
+    become the copy's, which ``_adopt`` would discard too.  Images that are
+    not the carrier of a value (not all strings, or not one per point) go
+    through ``_adopt``, which raises for them.
     """
     points = sorted(mapping.values())
     anchor = {mapping[x]: e for x, e in A.anchor.items()}
@@ -802,6 +799,6 @@ def _transported(A: PartialAction, mapping: dict) -> PartialAction:
     }
     domains = {g: renamed[s] for g, s in A.domains.items()}
     maps = {g: {mapping[x]: mapping[y] for x, y in t.items()} for g, t in A.maps.items()}
-    if A.validated and len(points) == len(A.carrier) and all(isinstance(x, str) for x in points):
+    if len(points) == len(A.carrier) and all(isinstance(x, str) for x in points):
         return _made(A.groupoid, points, anchor, domains, maps, A.tainted, A.law_holds)
     return _adopt(A.groupoid, points, anchor, domains, maps, A.tainted)

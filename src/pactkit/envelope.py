@@ -51,8 +51,7 @@ def _merge_relation(A: PartialAction, pairs) -> dict:
     """The pairs identified with each pair (g, x): (g·inv l, l·x) for every l
     with src(l) = src(g) acting at x, read from ``G.plan.merge``.  Each pair
     has src(g) = anchor(x), as in ``globalize``, which builds the relation
-    only for an action that validation did not make without the bypass: a
-    tainted one, or a value of the constructor or ``dataclasses.replace``.
+    only for a tainted action.
 
     Each pair reads its merge rows as ``_merge_classes`` does.  Neighbours
     are stored as the pair objects themselves, so that the classes built
@@ -79,9 +78,9 @@ def _merge_relation(A: PartialAction, pairs) -> dict:
 
 
 def _merge_classes(A: PartialAction, pairs) -> list:
-    """The merge classes of an action made by validation without the bypass:
-    the related set of each pair that no earlier class holds, in the order
-    of ``pairs``, read from its merge rows.
+    """The merge classes of an untainted action: the related set of each
+    pair that no earlier class holds, in the order of ``pairs``, read from
+    its merge rows.
 
     On such an action the merge relation is an equivalence, by the lemma
     that globalization rests on (Abadie 2003; Bagio–Paques 2012), so the
@@ -111,20 +110,20 @@ def _merge_classes(A: PartialAction, pairs) -> list:
 def globalize(A: PartialAction) -> EnvelopingAction:
     """Construct the enveloping action of a validated partial action.
 
-    On an action made by validation without the bypass, each merge class is
-    the related set of its first pair (``_merge_classes``).  On any other
-    action the merge relation is built for every pair and verified to be an
-    equivalence before quotienting.  ``quotient_action`` induces left
-    multiplication on the first coordinate, evaluating it on every member of
-    every class, and validates the result as a global action.  The embedding
-    of the base must be injective.
+    On an untainted action each merge class is the related set of its
+    first pair (``_merge_classes``).  On a tainted one the merge relation
+    is built for every pair and verified to be an equivalence before
+    quotienting.  ``quotient_action`` induces left multiplication on the
+    first coordinate, evaluating it on every member of every class, and
+    validates the result as a global action.  The embedding of the base
+    must be injective.
     """
     G = A.groupoid
     points_at: dict = {}
     for x in A.carrier:
         points_at.setdefault(A.anchor[x], []).append(x)
     pairs = tuple((g, x) for g in G.elements for x in points_at.get(G.src[g], ()))
-    if A.validated and not A.tainted:
+    if not A.tainted:
         blocks = _merge_classes(A, pairs)
     else:
         rel = _merge_relation(A, pairs)

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from .action import PartialAction
 from .groupoid import Groupoid
-from .io import InstanceFile, _packaged_fixtures, _parse, load
+from .io import PACKAGED_FIXTURES, InstanceFile, _parse, load
 from .topology import FiniteTopology, build_topology
 
 
 def _load(name: str, bypass: bool = False) -> InstanceFile:
-    return load(str(_packaged_fixtures() / f"{name}.json"), bypass)
+    return load(str(PACKAGED_FIXTURES / f"{name}.json"), bypass)
 
 
 def z2() -> Groupoid:
@@ -52,7 +52,7 @@ def fix_c() -> PartialAction:
 
 def remark_x_parts() -> dict:
     """Raw data whose unit domains overlap at x2; rejected by validation."""
-    return _parse(str(_packaged_fixtures() / "remark-x.json"))[1].payload
+    return _parse(str(PACKAGED_FIXTURES / "remark-x.json"))[1].payload
 
 
 def remark_x(bypass: bool = True) -> PartialAction:

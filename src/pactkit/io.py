@@ -11,18 +11,19 @@ import functools
 import json
 import os
 from dataclasses import dataclass, replace
-from importlib import resources
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 
-from .core import StructuralError, ValidationFailed, distinct
+from .core import Report, StructuralError, ValidationFailed, distinct
 from .action import PartialAction, build_partial_action, validate_partial_action
 from .envelope import EnvelopingAction
-from .groupoid import Groupoid, build_groupoid, validate_groupoid
+from .groupoid import Groupoid, build_groupoid
 from .topology import FiniteTopology, build_topology
 
 FIXTURES_ENV = "PACT_FIXTURES"
+# the packaged documents, beside this module in the installed package
+PACKAGED_FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @dataclass(frozen=True)
@@ -35,17 +36,11 @@ class InstanceFile:
     carrier_topology: FiniteTopology | None
 
 
-@functools.cache
-def _packaged_fixtures() -> Path:
-    # the installed package does not move while the process runs
-    return Path(str(resources.files("pactkit") / "fixtures"))
-
-
 def fixtures_dir() -> Path:
     override = os.environ.get(FIXTURES_ENV)
     if override:
         return Path(override)
-    return _packaged_fixtures()
+    return PACKAGED_FIXTURES
 
 
 def resolve_instance_path(name: str) -> Path:
@@ -353,10 +348,18 @@ def load_envelope(path: str, base: PartialAction) -> EnvelopingAction:
 
 
 def inspect(path: str):
-    """Parse a document and return (kind, report) without raising on violations."""
+    """Parse a document and return (kind, report) without raising on violations.
+
+    A groupoid document goes through the loader's memo: its report is the
+    one a failing build raises, and a block already built passes.
+    """
     _, parsed = _parse(path)
     if parsed.kind == "groupoid":
-        return parsed.kind, validate_groupoid(parsed.payload)
+        try:
+            _groupoid(*parsed.payload.values())
+        except ValidationFailed as exc:
+            return parsed.kind, exc.report
+        return parsed.kind, Report(ok=True)
     return parsed.kind, validate_partial_action(**parsed.payload)
 
 

@@ -128,7 +128,7 @@ def find_isomorphism(A: PartialAction, B: PartialAction):
     stabilizer orders and domain sizes are each carried over by an
     isomorphism, so a pair they tell apart has none and gets None from
     1–3 as well.  The search reads the tables only and keeps no fact on
-    either action; an unvalidated value is answered from its tables.
+    either action.
     """
     if A.groupoid != B.groupoid or len(A.carrier) != len(B.carrier):
         return None
@@ -158,14 +158,13 @@ def _propagate(A: PartialAction, B: PartialAction, x: str, y: str, used: set):
     anchors must agree, and each g·p must get g·q consistently, injectively
     and outside ``used``.  Returns the map on x's component.
 
-    When both ends are made by validation without the bypass, only the
-    source fiber of the common anchor e is walked: g acting at p has
-    src(g) = anchor(p), as at ``moving_elements``, and likewise at q, so
-    every other g acts at neither and would pass unread.  Other ends walk
-    all of G.
+    When neither end is tainted, only the source fiber of the common anchor
+    e is walked: g acting at p has src(g) = anchor(p), as at
+    ``moving_elements``, and likewise at q, so every other g acts at
+    neither and would pass unread.  A tainted end walks all of G.
     """
     G = A.groupoid
-    proved = A.validated and B.validated and not (A.tainted or B.tainted)
+    proved = not (A.tainted or B.tainted)
     assigned, images, todo = {x: y}, {y}, [(x, y)]
     while todo:
         p, q = todo.pop()

@@ -216,22 +216,19 @@ def reference_validate_partial_action(groupoid, carrier, anchor, domains, maps):
 
 def reference_build_partial_action(groupoid, carrier, anchor, domains, maps, bypass: bool = False):
     """The library's earlier ``build_partial_action``: ``reference_structural``,
-    then ``reference_semantic``, on every input."""
+    then ``reference_semantic``, on every input.  The value is made without
+    the constructor, which would validate with the kernel under test."""
     from pactkit.action import PartialAction
 
     points, anchor, domains, maps = reference_structural(groupoid, carrier, anchor, domains, maps)
     report, law = reference_semantic(groupoid, points, anchor, domains, maps)
     if not bypass:
         report.raise_if_failed("partial action validation")
-    out = PartialAction(
-        groupoid=groupoid,
-        carrier=tuple(points),
-        anchor=anchor,
-        domains=domains,
-        maps=maps,
-        tainted=bypass,
+    out = object.__new__(PartialAction)
+    out.__dict__.update(
+        groupoid=groupoid, carrier=tuple(points), anchor=anchor, domains=domains, maps=maps,
+        tainted=bypass, law_holds=law, facts={},
     )
-    object.__setattr__(out, "law_holds", law)
     return out
 
 

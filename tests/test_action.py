@@ -562,16 +562,48 @@ def test_is_global_matches_reference_on_built_derived_and_corrupted_actions():
     assert {(True, True), (False, False), (None, False), (None, True)} <= verdicts
 
 
-def test_replace_forgets_the_kept_verdict_and_equality_ignores_it():
+def test_replace_validates_again_and_equality_ignores_the_kept_verdict():
     from dataclasses import replace
 
     A = fix_c()
-    assert A.law_holds is True
-    B = replace(A, tainted=False)
-    assert B.law_holds is None and B == A and repr(B) == repr(A)
+    classify(A)
+    assert A.law_holds is True and A.facts
+    B = replace(A)
+    assert B == A and repr(B) == repr(A)
+    assert B.law_holds is True and B.facts == {}
     assert is_global(B)
-    T = replace(remark_x(), tainted=False)
-    assert T.law_holds is None
+    with pytest.raises(ValidationFailed) as err:
+        replace(remark_x(), tainted=False)
+    assert {v.condition for v in err.value.report.violations} == {"(i)"}
+
+
+def test_the_constructor_validates_as_build_partial_action_does():
+    # every corruption kind, semantic or structural, against
+    # build_partial_action and the earlier code: untainted, the same error,
+    # message and report; tainted, the value of the bypass with its law
+    # verdict, or the same structural error
+    from pactkit import PartialAction
+
+    rng = random.Random(571)
+    seen = set()
+    for A in helpers.cross_check_actions(rng, 15):
+        G = A.groupoid
+        cases = [helpers.corrupt_one_entry(rng, A, kind) for kind in helpers.CORRUPTIONS]
+        cases += [helpers.corrupt_structure(rng, A, kind) for kind in helpers.STRUCTURE_CORRUPTIONS]
+        for raw in cases:
+            for tainted in (False, True):
+                got = outcome(PartialAction, G, *raw.values(), tainted)
+                expected = outcome(build_partial_action, G, *raw.values(), tainted)
+                assert got == expected == outcome(helpers.reference_build_partial_action, G, *raw.values(), tainted)
+                if isinstance(got, tuple):
+                    seen.add((tainted, got[0].__name__))
+                else:
+                    assert (got.tainted, got.law_holds, got.facts) == (tainted, expected.law_holds, {})
+                    seen.add((tainted, "built"))
+    assert seen == {
+        (False, "built"), (False, "ValidationFailed"), (False, "StructuralError"), (False, "TypeError"),
+        (True, "built"), (True, "StructuralError"), (True, "TypeError"),
+    }
 
 
 def test_is_global_reads_the_kept_verdict_on_a_fresh_global_action(monkeypatch):
@@ -829,7 +861,7 @@ def test_validated_actions_hold_one_set_per_unit_domain_and_one_empty_set():
 
 def test_derived_actions_keep_the_tables_their_builders_made(monkeypatch):
     import pactkit.action as action_module
-    from pactkit import relabel_envelope_base
+    from pactkit import io as instance_io, relabel_envelope_base
 
     handed, made = [], {}
     validate, make = action_module._validate, action_module._made
@@ -844,6 +876,8 @@ def test_derived_actions_keep_the_tables_their_builders_made(monkeypatch):
 
     monkeypatch.setattr(action_module, "_validate", spy)
     monkeypatch.setattr(action_module, "_made", made_spy)
+    # a fresh groupoid, whose plan keeps no coset quotient from other tests
+    instance_io._groupoid.cache_clear()
     A = fix_b()
     E = globalize(A)
     mapping = {x: f"r{x}" for x in A.carrier}

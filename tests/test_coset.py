@@ -302,20 +302,10 @@ def test_coset_quotients_at_scale_match_the_earlier_kernel():
 
 
 def test_stabilizer_verdicts_kept_per_groupoid_match_the_earlier_check():
-    # stabilizers of coset actions and of bypass-built corruptions marked
-    # untainted, whose stabilizers need not be subgroups: every call, first
-    # or kept, returns or raises as the earlier check does
-    from dataclasses import replace
-
+    # stabilizers of coset actions and of bypass-built corruptions, whose
+    # stabilizers need not be subgroups and are not checked: every call,
+    # first or kept, returns what the earlier code returns
     from helpers import corrupt_one_entry
-
-    from pactkit import FalsificationError
-
-    def outcome(call, A, x):
-        try:
-            return call(A, x)
-        except FalsificationError as exc:
-            return str(exc)
 
     rng = random.Random(1313)
     verdicts = set()
@@ -326,14 +316,14 @@ def test_stabilizer_verdicts_kept_per_groupoid_match_the_earlier_check():
                     continue
                 A = coset_global_action(G, e, subgroup)
                 raw = corrupt_one_entry(rng, A)
-                B = replace(build_partial_action(G, *raw.values(), bypass=True), tainted=False)
+                B = build_partial_action(G, *raw.values(), bypass=True)
                 for C in (A, B):
                     for x in C.carrier:
-                        expected = outcome(helpers.reference_stabilizer, C, x)
-                        assert outcome(stabilizer, C, x) == expected
-                        assert outcome(stabilizer, C, x) == expected
-                        verdicts.add(isinstance(expected, str))
-    assert verdicts == {True, False}
+                        expected = helpers.reference_stabilizer(C, x)
+                        assert stabilizer(C, x) == expected
+                        assert stabilizer(C, x) == expected
+                        verdicts.add((C.tainted, mulclose(G, expected) == expected))
+    assert verdicts == {(False, True), (True, True), (True, False)}
 
 
 def test_kept_coset_facts_belong_to_one_groupoid_value():
@@ -395,13 +385,18 @@ def test_dropping_a_groupoid_leaves_no_cyclic_garbage():
     assert gone() is None
 
 
-def test_threads_sharing_a_groupoid_get_the_earlier_kernels_answers():
-    # eight threads, more than the cores, race to decide the same facts on
-    # one fresh groupoid with a short switch interval: a race may decide a
-    # fact twice, but every answer equals the earlier kernels'
+def test_threads_sharing_a_groupoid_get_the_earlier_kernels_answers(tmp_path):
+    # eight threads, more than the cores, race with a short switch interval
+    # to decide the same facts: the coset quotients kept on one fresh
+    # groupoid, the facts kept on shared actions, and the loader's memo of
+    # one groupoid block that every file carries.  A race may decide a fact
+    # twice, but every answer equals the earlier kernels'
     import sys
     import threading
+    from dataclasses import replace
 
+    from pactkit import io
+    from pactkit.action import is_transitive
     from pactkit.groupoid import from_group
     from pactkit.sampling import symmetric3_table
 
@@ -411,6 +406,16 @@ def test_threads_sharing_a_groupoid_get_the_earlier_kernels_answers():
     )
     expected = [helpers.reference_coset_global_action(G, "abc", s, "t") for s in subgroups]
     stabilizers = [[helpers.reference_stabilizer(A, x) for x in A.carrier] for A in expected]
+    shared = [random_partial_action(random.Random(i), G) for i in range(6)]
+    facts = [
+        (helpers.reference_classify(B), helpers.reference_is_transitive(B),
+         [helpers.reference_stabilizer(B, x) for x in B.carrier])
+        for B in map(replace, shared)
+    ]
+    paths = [str(tmp_path / f"a{i}.json") for i in range(len(shared))]
+    for path, A in zip(paths, shared):
+        io.save(path, io.action_document(A, "shared"))
+    io._groupoid.cache_clear()
     results, errors = [], []
 
     def work():
@@ -418,7 +423,11 @@ def test_threads_sharing_a_groupoid_get_the_earlier_kernels_answers():
             for _ in range(20):
                 actions = [coset_global_action(G, "abc", s, "t") for s in subgroups]
                 stabs = [[stabilizer(A, x) for x in A.carrier] for A in actions]
-                results.append(actions == expected and stabs == stabilizers)
+                decided = [
+                    (classify(A), is_transitive(A), [stabilizer(A, x) for x in A.carrier]) for A in shared
+                ]
+                loaded = [io.load(path).payload for path in paths]
+                results.append(actions == expected and stabs == stabilizers and decided == facts and loaded == shared)
         except Exception as exc:  # reported below, with the thread's result missing
             errors.append(exc)
 
@@ -435,3 +444,4 @@ def test_threads_sharing_a_groupoid_get_the_earlier_kernels_answers():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert results == [True] * 160
+    assert io._groupoid.cache_info().currsize == 1

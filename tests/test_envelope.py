@@ -269,18 +269,12 @@ BYPASS_NOTE = " (input was built with the validation bypass)"
 def test_globalize_neighbour_outside_the_pairs_is_a_merge_defect():
     # remark-x: h carries x2 (over e) into the fiber of f, so (f, x3) is
     # identified with (h, x2), which is not a pair (src(h) = f, anchor(x2) = e)
-    from dataclasses import replace
-
     from pactkit.fixtures import remark_x
 
-    A = remark_x()
     message = "merge relation leaves the pair set: witness (('f', 'x3'), ('h', 'x2'))"
     with pytest.raises(PreconditionError) as err:
-        globalize(A)
+        globalize(remark_x())
     assert str(err.value) == message + BYPASS_NOTE
-    with pytest.raises(FalsificationError) as err:
-        globalize(replace(A, tainted=False))
-    assert str(err.value) == message
 
 
 def test_merge_relation_errors_name_the_reference_first_witness():

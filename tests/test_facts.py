@@ -100,9 +100,9 @@ def same_renamings(A, mapping: dict, seen: set) -> None:
         inverse = {y: x for x, y in mapping.items()}
         twice = relabeled(relabel_action, got[0], inverse)
         assert twice == relabeled(helpers.reference_relabel_action, got[0], inverse)
-        seen.add(("marked", A.validated, got[0].validated))
+        seen.add(("renamed", A.tainted, got[0].tainted))
     else:
-        seen.add(("raised", A.validated, got[0].__name__))
+        seen.add(("raised", A.tainted, got[0].__name__))
     E = outcome(globalize, A)
     if isinstance(E, EnvelopingAction):
         got = relabeled(relabel_envelope_base, E, mapping)
@@ -117,8 +117,8 @@ def test_renamings_and_facts_match_the_earlier_code_on_sampled_actions():
         rng = random.Random(seed)
         A = random_partial_action(rng)
         same_renamings(A, random_relabeling(rng, A), seen)
-    # every renaming is of a validated action, and only the stray point fails
-    assert seen == {("marked", True, True), "PreconditionError"}
+    # every renaming is of an untainted action, and only the stray point fails
+    assert seen == {("renamed", False, False), "PreconditionError"}
 
 
 def test_renamings_and_facts_match_the_earlier_code_at_scale():
@@ -126,13 +126,12 @@ def test_renamings_and_facts_match_the_earlier_code_at_scale():
     rng = random.Random(1514)
     for A in helpers.regular_at_scale():
         same_renamings(A, random_relabeling(rng, A), seen)
-    assert seen == {("marked", True, True), "PreconditionError"}
+    assert seen == {("renamed", False, False), "PreconditionError"}
 
 
 def test_renamings_and_facts_match_the_earlier_code_on_corrupted_actions():
-    # one bypass-built corruption of each kind per base, and the same tables
-    # as a value made by the constructor, which no validation marked: a
-    # renaming then validates, and raises what the earlier code raises
+    # one bypass-built corruption of each kind per base: the renamed copy
+    # stays tainted, and its facts and envelope are the earlier code's
     rng = random.Random(1515)
     bases = [random_partial_action(rng, pair_groupoid(range(3)), max_points=6) for _ in range(3)]
     bases += [coset_global_action(from_group(cyclic_table(6)), "0", {"0"})]
@@ -142,10 +141,7 @@ def test_renamings_and_facts_match_the_earlier_code_on_corrupted_actions():
         for kind in helpers.CORRUPTIONS:
             T = build_partial_action(G, *helpers.corrupt_one_entry(rng, A, kind).values(), bypass=True)
             same_renamings(T, random_relabeling(rng, T), seen)
-            U = PartialAction(G, T.carrier, T.anchor, T.domains, T.maps)
-            same_renamings(U, random_relabeling(rng, U), seen)
-    assert {("marked", True, True), ("marked", False, True), ("raised", False, "ValidationFailed")} <= seen
-    assert {"FalsificationError", "PreconditionError"} <= seen
+    assert seen == {("renamed", True, True), "PreconditionError"}
 
 
 def test_renamings_keep_the_errors_of_the_mapping():
@@ -173,31 +169,36 @@ def test_renamings_keep_the_errors_of_the_mapping():
     assert relabeled(relabel_action, A, dict(zip(A.carrier, range(9)))) == (StructuralError, message)
 
 
-def test_a_failing_stabilizer_raises_on_every_call():
-    # Z3 on two points, made by the constructor: 1 fixes x and 2 swaps the
-    # points, so the stabilizer of x is {0, 1}, which is not a subgroup
+def test_a_stabilizer_that_is_no_subgroup_needs_the_bypass():
+    # Z3 on two points: 1 fixes x and 2 swaps the points, so the stabilizer
+    # of x would be {0, 1}, which is not a subgroup.  The constructor
+    # rejects the tables; built with the bypass, the stabilizer is the
+    # earlier code's, unchecked, and kept
     G = from_group(cyclic_table(3))
     whole = frozenset("xy")
     maps = {"0": {"x": "x", "y": "y"}, "1": {"x": "x", "y": "y"}, "2": {"x": "y", "y": "x"}}
-    A = PartialAction(G, ("x", "y"), {"x": "0", "y": "0"}, dict.fromkeys(G.elements, whole), maps)
-    expected = outcome(helpers.reference_stabilizer, A, "x")
-    assert expected[0] is FalsificationError
+    tables = (("x", "y"), {"x": "0", "y": "0"}, dict.fromkeys(G.elements, whole), maps)
+    got = outcome(PartialAction, G, *tables)
+    assert got == outcome(build_partial_action, G, *tables)
+    assert got[0] is ValidationFailed
+    A = PartialAction(G, *tables, tainted=True)
+    assert helpers.reference_stabilizer(A, "x") == frozenset({"0", "1"})
     for _ in range(2):
-        assert outcome(stabilizer, A, "x") == expected
-        assert outcome(classify, A) == outcome(helpers.reference_classify, A)
-    assert ("stabilizer", "x") not in A.facts
+        assert stabilizer(A, "x") == frozenset({"0", "1"})
+        assert classify(A) == helpers.reference_classify(A)
+    assert A.facts[("stabilizer", "x")] == frozenset({"0", "1"})
 
 
 def test_classify_decides_freeness_in_one_walk_on_validated_actions(monkeypatch):
     # each corruption kind built with and without the bypass, and copies
-    # made by dataclasses.replace, tainted and not: the classification or
-    # error of the earlier code, which decided every point's stabilizer; a
-    # validated value decides no stabilizer and keeps none
+    # made by dataclasses.replace, tainted and not: the classification of
+    # the earlier code, which decided every point's stabilizer; classify
+    # decides no stabilizer and keeps none
     rng = random.Random(1516)
     bases = helpers.cross_check_actions(rng, 20) + helpers.regular_at_scale()[-1:]
     asked = []
     decide = action_module.stabilizer
-    monkeypatch.setattr(action_module, "stabilizer", lambda A, x: asked.append(A.validated) or decide(A, x))
+    monkeypatch.setattr(action_module, "stabilizer", lambda A, x: asked.append(x) or decide(A, x))
     seen = set()
     for A in bases:
         for kind in helpers.CORRUPTIONS:
@@ -206,24 +207,20 @@ def test_classify_decides_freeness_in_one_walk_on_validated_actions(monkeypatch)
                 B = outcome(build_partial_action, A.groupoid, *raw.values(), bypass)
                 if not isinstance(B, PartialAction):
                     continue
-                for C in (B, replace(B), replace(B, tainted=not B.tainted)):
-                    expected = outcome(helpers.reference_classify, C)
+                copies = [B, replace(B), outcome(lambda C: replace(C, tainted=not C.tainted), B)]
+                for C in (C for C in copies if isinstance(C, PartialAction)):
+                    expected = helpers.reference_classify(C)
                     for _ in range(2):
-                        assert outcome(classify, C) == expected
-                    if C.validated:
-                        assert not any(isinstance(k, tuple) for k in C.facts)
-                    got = expected.free if isinstance(expected, action_module.Classification) else expected[0]
-                    seen.add((C.validated, C.tainted, got))
-    assert True not in asked
-    for validated in (True, False):
-        assert {(validated, tainted, free) for tainted in (True, False) for free in (True, False)} <= seen
-    assert (False, False, FalsificationError) in seen
+                        assert classify(C) == expected
+                    assert not any(isinstance(k, tuple) for k in C.facts)
+                    seen.add((C.tainted, expected.free))
+    assert asked == []
+    assert seen == {(tainted, free) for tainted in (True, False) for free in (True, False)}
 
 
 def test_stabilizers_of_a_validated_action_run_no_subgroup_check(monkeypatch):
-    # on a validated action and its renamed copy the subgroup property is a
-    # theorem; a copy made by the constructor checks each point once, on
-    # its first call, and keeps no verdict for other actions
+    # the subgroup property is a theorem on every untainted action: on a
+    # validated action, its renamed copy and copies made by the constructor
     A = coset_global_action(from_group(cyclic_table(6)), "0", {"0", "3"})
     B = relabel_action(A, {x: f"r{x}" for x in A.carrier})
     copies = [PartialAction(A.groupoid, A.carrier, A.anchor, A.domains, A.maps) for _ in range(2)]
@@ -234,7 +231,7 @@ def test_stabilizers_of_a_validated_action_run_no_subgroup_check(monkeypatch):
     )
     for C in (A, B, *copies, *copies):
         assert [stabilizer(C, x) for x in C.carrier] == [frozenset({"0", "3"})] * 3
-    assert calls == ["0"] * 6
+    assert calls == []
 
 
 def test_orbit_relation_checks_its_relation_on_a_validated_action(monkeypatch):
@@ -246,19 +243,19 @@ def test_orbit_relation_checks_its_relation_on_a_validated_action(monkeypatch):
     monkeypatch.setattr(
         action_module, "equivalence_classes", lambda items, rel: calls.append(items) or checks(items, rel)
     )
-    assert A.validated and not A.tainted
+    assert not A.tainted
     assert orbit_relation(A).classes == (frozenset(A.carrier),)
     assert is_transitive(A)
     assert calls == [A.carrier]
 
 
-def test_replace_drops_the_mark_and_the_facts():
+def test_replace_and_the_constructor_validate_and_keep_no_facts():
     A = random_partial_action(random.Random(11))
     classify(A)
-    assert A.validated and A.facts and A.law_holds is not None
+    assert A.facts and A.law_holds is not None
     for B in (replace(A), PartialAction(A.groupoid, A.carrier, A.anchor, A.domains, A.maps)):
         assert B == A and repr(B) == repr(A)
-        assert not B.validated and B.facts == {} and B.law_holds is None
+        assert B.facts == {} and B.law_holds is A.law_holds
 
 
 def test_renamings_and_kept_facts_leave_no_cyclic_garbage():
@@ -453,7 +450,7 @@ def test_the_random_suite_chain_does_each_piece_of_work_once(monkeypatch):
 def test_globalize_reads_the_merge_rows_of_one_pair_per_class(monkeypatch):
     # Z64 acting regularly, restricted to 32 points: 2048 pairs in 64
     # classes, and 64 merge rows per pair.  Reading the rows of every pair,
-    # as an unvalidated copy still does, took 131 072 visits on every action.
+    # as a tainted copy still does, took 131 072 visits on every action.
     whole = coset_global_action(from_group(cyclic_table(64)), "0", {"0"})
     A = restrict(whole, random.Random(64).sample(whole.carrier, 32))
     counts: dict = {}
@@ -461,5 +458,6 @@ def test_globalize_reads_the_merge_rows_of_one_pair_per_class(monkeypatch):
     E = globalize(A)
     assert (len(E.pairs), len(E.classes), counts) == (2048, 64, {"merge rows": 4096})
     counts.clear()
-    assert globalize(replace(A)) == E
+    T = globalize(replace(A, tainted=True))
+    assert (T.classes, T.class_of, T.embedding, T.action.tainted) == (E.classes, E.class_of, E.embedding, True)
     assert counts == {"merge rows": 131072}

@@ -621,6 +621,31 @@ def test_a_failing_groupoid_block_raises_on_every_load(tmp_path):
     assert memo.cache_info().currsize == 0
 
 
+def test_validate_of_a_groupoid_document_goes_through_the_memo(tmp_path, monkeypatch, capsys):
+    # a second validate of one block builds nothing, and a failing block is
+    # built and reported again on every call, with the report of
+    # validate_groupoid
+    from pactkit.groupoid import validate_groupoid
+
+    builds = []
+    build = instance_io.build_groupoid
+    monkeypatch.setattr(instance_io, "build_groupoid", lambda rows: builds.append(rows) or build(rows))
+    instance_io._groupoid.cache_clear()
+    for name in ("z2", "pair2", "remark-g"):
+        outputs = [run_cli(["validate", name], capsys) for _ in range(2)]
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    assert len(builds) == 3
+    doc = json.loads(Path(resolve_instance_path("pair2")).read_text())
+    doc["payload"]["mul"][0][2] = doc["payload"]["mul"][1][2]
+    bad = tmp_path / "bad-groupoid.json"
+    bad.write_text(json.dumps(doc))
+    expected = ("groupoid", validate_groupoid(doc["payload"]))
+    assert not expected[1].ok
+    for _ in range(2):
+        assert instance_io.inspect(str(bad)) == expected
+    assert len(builds) == 5
+
+
 def test_the_least_recently_used_block_is_built_again(tmp_path):
     bound = instance_io.GROUPOID_MEMO
     paths = []

@@ -476,7 +476,7 @@ def test_find_isomorphism_tries_every_target_point_at_scale(monkeypatch):
 def test_a_propagation_between_validated_actions_walks_the_source_fiber_only():
     # the pair groupoid on 8 objects acting regularly on one source fiber:
     # each of the 8 points sits at its own unit, whose source fiber has 8 of
-    # the 64 elements; unvalidated copies still walk every element
+    # the 64 elements; a tainted end still walks every element
     from dataclasses import replace
 
     from pactkit.morphisms import _propagate
@@ -493,7 +493,7 @@ def test_a_propagation_between_validated_actions_walks_the_source_fiber_only():
             steps.append(g)
             return dict.__getitem__(self, g)
 
-    for source, target in ((A, B), (replace(A), B), (A, replace(B))):
+    for source, target in ((A, B), (replace(A, tainted=True), B), (A, replace(B, tainted=True))):
         object.__setattr__(source, "maps", Steps(source.maps))
         steps.clear()
         answers += [_propagate(source, target, x, mapping[x], set()), len(steps)]
