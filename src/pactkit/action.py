@@ -1,9 +1,9 @@
 """Partial actions of a finite groupoid on a finite set.
 
 Validation, orbits, stabilizers, classification, restriction, invariant
-closure, action graphs, and the orbit space.  The tables of a value never
-change once it is made; the facts it keeps are written on first use, each
-a function of the tables, so racing threads get the same answer.
+closure, action graphs, and the orbit space.  A value is its tables: they
+never change once it is made, nothing is written on it afterwards, and
+every orbit, stabilizer and classification is read off them on each call.
 """
 
 from __future__ import annotations
@@ -47,9 +47,8 @@ class PartialAction:
     set is ``domains[inv(g)]``.  Equal domains may be one shared frozenset:
     a domain equal to that of its range unit is that set, and every empty
     domain is one set.  ``law_holds`` keeps the verdict of the composition
-    law when validation decided it, and is None otherwise.  ``facts`` keeps
-    what ``is_transitive``, ``classify`` and ``stabilizer`` decided.  The
-    two are outside equality and repr, and ``dataclasses.replace`` resets them.
+    law when validation decided it, and is None otherwise; it is outside
+    equality and repr.  The tables are dicts, so a value is unhashable.
     """
 
     groupoid: Groupoid
@@ -59,7 +58,8 @@ class PartialAction:
     maps: dict
     tainted: bool = False
     law_holds: bool | None = field(default=None, init=False, compare=False, repr=False)
-    facts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    __hash__ = None
 
     def __post_init__(self):
         G = self.groupoid
@@ -89,35 +89,33 @@ def _report(G: Groupoid, anchor: dict, violations: tuple) -> Report:
     return Report(not violations, violations, notes)
 
 
-def _validate(G: Groupoid, carrier, anchor, domains, maps, owned: bool = False):
-    """Normalize and validate: (violations, points, anchor, domains, maps, law).
+def _validate(G: Groupoid, carrier, anchor, domains, maps):
+    """Copy, normalize and validate: (violations, points, anchor, domains,
+    maps, law).
 
     Structural defects are never bypassable: the first one in the order of
     these checks is raised.  The tables are checked last, by ``_structural``
     and only when ``_conditions`` met a table that is not a bijection
-    between its domains.  ``owned`` tables are already in normal form and
-    no caller keeps them (see ``_adopt``), so they are not copied.
+    between its domains.
     """
     points = sorted(str(x) for x in carrier)
     on = set(points)
     if len(on) != len(points):
         raise StructuralError("duplicate carrier points")
-    anchor = anchor if owned else dict(anchor)
+    anchor = dict(anchor)
     if anchor.keys() != on:
         raise StructuralError("anchor must be defined on exactly the carrier")
     if not G.identities.issuperset(anchor.values()):
         bad = sorted(x for x, e in anchor.items() if e not in G.identities)
         raise StructuralError(f"anchor of {bad} is not an identity")
-    if not owned:
-        domains = {g: frozenset(s) for g, s in dict(domains).items()}
+    domains = {g: frozenset(s) for g, s in dict(domains).items()}
     elements = G.plan.element_set
     if domains.keys() != elements:
         raise StructuralError("domains must be defined on exactly the groupoid elements")
     if not on.issuperset(chain.from_iterable(domains.values())):
         g = next(g for g, s in domains.items() if not s <= on)
         raise StructuralError(f"domain of {g!r} leaves the carrier")
-    if not owned:
-        maps = {g: dict(t) for g, t in dict(maps).items()}
+    maps = {g: dict(t) for g, t in dict(maps).items()}
     if maps.keys() != elements:
         raise StructuralError("maps must be defined on exactly the groupoid elements")
     checked = _conditions(G, anchor, domains, maps)
@@ -321,18 +319,9 @@ def build_partial_action(
     return PartialAction(groupoid, carrier, anchor, domains, maps, bypass)
 
 
-def _adopt(G: Groupoid, carrier, anchor, domains, maps, bypass: bool):
-    """``build_partial_action`` on tables its caller has just built in normal
-    form (a dict of frozensets, a dict of dicts, an anchor dict) and hands
-    over: the action keeps those containers instead of copies."""
-    violations, points, anchor, domains, maps, law = _validate(G, carrier, anchor, domains, maps, owned=True)
-    if violations and not bypass:
-        _report(G, anchor, violations).raise_if_failed("partial action validation")
-    return _made(G, points, anchor, domains, maps, bypass, law)
-
-
 def _made(G: Groupoid, points, anchor, domains, maps, tainted: bool, law) -> PartialAction:
-    """The value of tables that validation accepted, or a renaming of them.
+    """The value of tables that validation accepted: a renamed copy
+    (``_transported``) or the coset tables that ``coset_quotient`` keeps.
 
     The one path that skips the constructor's validation: the value is made
     without ``__init__``, so its tables are kept as they are.
@@ -342,7 +331,7 @@ def _made(G: Groupoid, points, anchor, domains, maps, tainted: bool, law) -> Par
     # shares the class's key table, where ``dict.update`` would copy one
     d = out.__dict__
     d["groupoid"], d["carrier"], d["anchor"], d["domains"] = G, tuple(points), anchor, domains
-    d["maps"], d["tainted"], d["facts"], d["law_holds"] = maps, tainted, {}, law
+    d["maps"], d["tainted"], d["law_holds"] = maps, tainted, law
     return out
 
 
@@ -400,7 +389,7 @@ def quotient_action(G: Groupoid, blocks, token, unit, left, bypass: bool = False
     # the induced action is global: the domain of k is the class set at rng(k)
     at = {e: frozenset(name for name, _, _ in named) for e, named in at_unit.items()}
     domains = {k: at.get(G.rng[k], _EMPTY) for k in G.elements}
-    action = _adopt(G, sorted(anchor), anchor, domains, maps, bypass)
+    action = PartialAction(G, sorted(anchor), anchor, domains, maps, bypass)
     if not is_global(action):
         raise FalsificationError("induced action on the classes is not global")
     return classes, class_of, action
@@ -532,8 +521,7 @@ def orbit_map(A: PartialAction, x: str) -> OrbitMap:
 
 
 def stabilizer(A: PartialAction, x: str) -> frozenset:
-    """Elements fixing x, a subgroup of the isotropy group at e = anchor(x);
-    the action keeps each stabilizer.
+    """Elements fixing x, a subgroup of the isotropy group at e = anchor(x).
 
     On an untainted action this is a theorem, so nothing is checked:
     - g fixing x has src(g) = e, since x in domains[inv g] lies in the
@@ -545,13 +533,7 @@ def stabilizer(A: PartialAction, x: str) -> frozenset:
       domains[inv g] and in domains[h], so gh sends inv h·x = x to g·x = x.
     A tainted value may break the property and is not checked.
     """
-    key = ("stabilizer", x)
-    try:
-        return A.facts[key]
-    except (KeyError, TypeError):  # not decided yet, or x is no point at all
-        pass
-    stab = A.facts[key] = frozenset(g for g in moving_elements(A, x) if A.maps[g][x] == x)
-    return stab
+    return frozenset(g for g in moving_elements(A, x) if A.maps[g][x] == x)
 
 
 @dataclass(frozen=True)
@@ -561,8 +543,7 @@ class Classification:
 
 
 def is_transitive(A: PartialAction) -> bool:
-    """One orbit, which also makes the carrier nonempty; the action keeps
-    the verdict.
+    """One orbit, which also makes the carrier nonempty.
 
     On an untainted action the one-step relation is an equivalence, so the
     one-step set of the first point, ``orbit_of``, is its orbit: the
@@ -571,29 +552,21 @@ def is_transitive(A: PartialAction) -> bool:
     and transitive because h·(g·x) is (hg)·x, by (iii).  On a tainted value
     ``orbit_relation`` decides.
     """
-    facts = A.facts
-    if "transitive" not in facts:
-        if not A.tainted:
-            transitive = bool(A.carrier) and len(orbit_of(A, A.carrier[0])) == len(A.carrier)
-        else:
-            transitive = len(orbit_relation(A).classes) == 1
-        facts["transitive"] = transitive
-    return facts["transitive"]
+    if not A.tainted:
+        return bool(A.carrier) and len(orbit_of(A, A.carrier[0])) == len(A.carrier)
+    return len(orbit_relation(A).classes) == 1
 
 
 def classify(A: PartialAction) -> Classification:
-    """Transitivity and freeness, kept by the action once decided.
+    """Transitivity and freeness.
 
     Freeness is read in one walk over the table entries, tainted or not,
-    and no stabilizer is kept.  Structural checks admit no bypass, so the
+    and no stabilizer is decided.  Structural checks admit no bypass, so the
     keys of the table of g are dom(inv g), and the stabilizer of x is the
     set of g whose table sends x to x.  It is {anchor(x)} exactly when the
     anchor fixes x and no other element does.
     """
-    facts = A.facts
-    if "classification" not in facts:
-        facts["classification"] = Classification(transitive=is_transitive(A), free=_fixed_by_anchors_alone(A))
-    return facts["classification"]
+    return Classification(transitive=is_transitive(A), free=_fixed_by_anchors_alone(A))
 
 
 def _fixed_by_anchors_alone(A: PartialAction) -> bool:
@@ -623,7 +596,7 @@ def restrict(B: PartialAction, S) -> PartialAction:
     maps = {}
     for g in G.elements:
         maps[g] = {x: B.maps[g][x] for x in domains[G.inv[g]]}
-    return _adopt(G, sorted(S), {x: B.anchor[x] for x in S}, domains, maps, B.tainted)
+    return PartialAction(G, sorted(S), {x: B.anchor[x] for x in S}, domains, maps, B.tainted)
 
 
 def invariant_closure(B: PartialAction, S) -> frozenset:
@@ -655,7 +628,7 @@ def restrict_to_isotropy(A: PartialAction, e: str) -> PartialAction:
         raise PreconditionError(f"{e!r} is not an identity")
     H = isotropy_group(A.groupoid, e)
     carrier = sorted(A.domains[e])
-    return _adopt(
+    return PartialAction(
         H,
         carrier,
         {x: e for x in carrier},
@@ -788,9 +761,9 @@ def _transported(A: PartialAction, mapping: dict) -> PartialAction:
     law.  So A's renamed tables pass exactly what A's passed, with the same
     law verdict: the copy keeps ``tainted`` and ``law_holds`` and is not
     validated again.  A's violations, if it was built with the bypass,
-    become the copy's, which ``_adopt`` would discard too.  Images that are
-    not the carrier of a value (not all strings, or not one per point) go
-    through ``_adopt``, which raises for them.
+    become the copy's, which the constructor would discard too.  Images that
+    are not the carrier of a value (not all strings, or not one per point)
+    go through the constructor, which raises for them.
     """
     points = sorted(mapping.values())
     anchor = {mapping[x]: e for x, e in A.anchor.items()}
@@ -801,4 +774,4 @@ def _transported(A: PartialAction, mapping: dict) -> PartialAction:
     maps = {g: {mapping[x]: mapping[y] for x, y in t.items()} for g, t in A.maps.items()}
     if len(points) == len(A.carrier) and all(isinstance(x, str) for x in points):
         return _made(A.groupoid, points, anchor, domains, maps, A.tainted, A.law_holds)
-    return _adopt(A.groupoid, points, anchor, domains, maps, A.tainted)
+    return PartialAction(A.groupoid, points, anchor, domains, maps, A.tainted)

@@ -77,7 +77,7 @@ class Groupoid:
     tables whenever a value is made, also by ``dataclasses.replace``, and
     take no part in equality or repr.  Values are immutable after
     construction and every operation is a pure function, so concurrent reads
-    are safe.
+    are safe.  The tables are dicts, so a value is unhashable.
     """
 
     elements: tuple[str, ...]
@@ -89,6 +89,8 @@ class Groupoid:
     generators: tuple[str, ...]
     fibers: dict = field(init=False, compare=False, repr=False)
     plan: Plan = field(init=False, compare=False, repr=False)
+
+    __hash__ = None
 
     def __post_init__(self):
         index: dict = {}

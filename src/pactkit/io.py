@@ -121,9 +121,18 @@ def _read(path: str):
     try:
         if text.startswith("\ufeff"):  # json.loads rejects it, the decoder alone does not
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        return _decode(text)
+        value = _decode(text)
+        # only a \u escape can put a lone surrogate in a string, which no
+        # output can encode: re-encoding the document finds every one
+        if "\\u" in text:
+            _encode(value).encode("utf-8")
+        return value
     except json.JSONDecodeError as exc:
         raise StructuralError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise StructuralError(f"{path}: parse error: nested too deeply")
+    except UnicodeEncodeError:
+        raise StructuralError(f"{path}: parse error: a \\u escape is a lone surrogate")
     except StructuralError as exc:
         raise StructuralError(f"{path}: {exc}")
 

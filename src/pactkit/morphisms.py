@@ -127,8 +127,7 @@ def find_isomorphism(A: PartialAction, B: PartialAction):
     first: classification, the multisets of anchors, orbit sizes,
     stabilizer orders and domain sizes are each carried over by an
     isomorphism, so a pair they tell apart has none and gets None from
-    1–3 as well.  The search reads the tables only and keeps no fact on
-    either action.
+    1–3 as well.  The search reads the tables only.
     """
     if A.groupoid != B.groupoid or len(A.carrier) != len(B.carrier):
         return None

@@ -227,7 +227,7 @@ def reference_build_partial_action(groupoid, carrier, anchor, domains, maps, byp
     out = object.__new__(PartialAction)
     out.__dict__.update(
         groupoid=groupoid, carrier=tuple(points), anchor=anchor, domains=domains, maps=maps,
-        tainted=bypass, law_holds=law, facts={},
+        tainted=bypass, law_holds=law,
     )
     return out
 
@@ -1398,19 +1398,19 @@ def reference_stabilizer(A, x: str) -> frozenset:
 
 # ---------------------------------------------------------------------------
 # the library's earlier renamings and orbit facts, kept verbatim: they
-# validate every renamed copy and decide every fact on every call, where
+# validate every renamed copy and check every fact on every call, where
 # the library carries a validated action's verdict over to its renamed
-# copies and each action keeps the facts it decided
+# copies and reads each fact off the theorems beside its code
 
 
 def reference_relabel_action(A, mapping: dict):
     """The library's earlier ``action.relabel_action``."""
-    from pactkit.action import _adopt
+    from pactkit.action import PartialAction
     from pactkit.core import StructuralError
 
     if set(mapping) != set(A.carrier) or len(set(mapping.values())) != len(A.carrier):
         raise StructuralError("relabeling must be a bijection on the carrier")
-    return _adopt(
+    return PartialAction(
         A.groupoid,
         sorted(mapping.values()),
         {mapping[x]: e for x, e in A.anchor.items()},
@@ -1428,7 +1428,7 @@ def reference_renamed_domains(domains: dict, mapping: dict) -> dict:
 
 def reference_relabel_envelope_base(E, mapping: dict):
     """The library's earlier ``envelope.relabel_envelope_base``."""
-    from pactkit.action import _adopt
+    from pactkit.action import PartialAction
     from pactkit.envelope import EnvelopingAction, class_token
 
     base = reference_relabel_action(E.base, mapping)
@@ -1446,7 +1446,7 @@ def reference_relabel_envelope_base(E, mapping: dict):
         moved, token = renamed[first]
         classes.append(moved)
         class_of.update(dict.fromkeys(moved, token))
-    action = _adopt(
+    action = PartialAction(
         E.action.groupoid,
         sorted(token_map.values()),
         {token_map[t]: e for t, e in E.action.anchor.items()},

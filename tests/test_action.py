@@ -566,15 +566,24 @@ def test_replace_validates_again_and_equality_ignores_the_kept_verdict():
     from dataclasses import replace
 
     A = fix_c()
-    classify(A)
-    assert A.law_holds is True and A.facts
+    assert A.law_holds is True
     B = replace(A)
     assert B == A and repr(B) == repr(A)
-    assert B.law_holds is True and B.facts == {}
+    assert B.law_holds is True
     assert is_global(B)
     with pytest.raises(ValidationFailed) as err:
         replace(remark_x(), tainted=False)
     assert {v.condition for v in err.value.report.violations} == {"(i)"}
+
+
+def test_actions_and_groupoids_are_unhashable_by_name():
+    # the tables are dicts: hashing a value, or putting it in a set, names
+    # its class instead of failing inside a generated hash of the fields
+    A = fix_b()
+    for value, name in ((A, "PartialAction"), (A.groupoid, "Groupoid")):
+        for call in (hash, lambda v: {v}):
+            with pytest.raises(TypeError, match=f"^unhashable type: '{name}'$"):
+                call(value)
 
 
 def test_the_constructor_validates_as_build_partial_action_does():
@@ -598,7 +607,7 @@ def test_the_constructor_validates_as_build_partial_action_does():
                 if isinstance(got, tuple):
                     seen.add((tainted, got[0].__name__))
                 else:
-                    assert (got.tainted, got.law_holds, got.facts) == (tainted, expected.law_holds, {})
+                    assert (got.tainted, got.law_holds) == (tainted, expected.law_holds)
                     seen.add((tainted, "built"))
     assert seen == {
         (False, "built"), (False, "ValidationFailed"), (False, "StructuralError"), (False, "TypeError"),
@@ -859,50 +868,55 @@ def test_validated_actions_hold_one_set_per_unit_domain_and_one_empty_set():
                 assert built(got) == built(expected)
 
 
-def test_derived_actions_keep_the_tables_their_builders_made(monkeypatch):
+def test_derived_actions_are_validated_once_or_made_from_kept_tables(monkeypatch):
+    # renamed copies and kept coset tables come from _made with no
+    # _validate; every other derived value is validated once, by the
+    # constructor, and keeps copies of the tables its builder handed over
     import pactkit.action as action_module
+    import pactkit.coset as coset_module
     from pactkit import io as instance_io, relabel_envelope_base
 
-    handed, made = [], {}
+    validated, made = [], []
     validate, make = action_module._validate, action_module._made
 
-    def spy(G, carrier, anchor, domains, maps, owned=False):
-        handed.append((owned, anchor, maps))
-        return validate(G, carrier, anchor, domains, maps, owned)
+    def spy(G, carrier, anchor, domains, maps):
+        out = validate(G, carrier, anchor, domains, maps)
+        validated.append((anchor, maps, out[2], out[4]))
+        return out
 
     def made_spy(G, points, anchor, domains, maps, tainted, law):
-        made[id(anchor)] = anchor, maps
+        made.append((anchor, maps))
         return make(G, points, anchor, domains, maps, tainted, law)
 
     monkeypatch.setattr(action_module, "_validate", spy)
     monkeypatch.setattr(action_module, "_made", made_spy)
+    monkeypatch.setattr(coset_module, "_made", made_spy)
     # a fresh groupoid, whose plan keeps no coset quotient from other tests
     instance_io._groupoid.cache_clear()
     A = fix_b()
     E = globalize(A)
     mapping = {x: f"r{x}" for x in A.carrier}
-    e = A.anchor[A.carrier[0]]
-    isotropic = restrict_to_isotropy(A, e)
-    derived = {
-        "quotient_action": E.action,
-        "restrict": restrict(A, A.carrier[:2]),
-        "relabel_action": relabel_action(A, mapping),
-        "relabel_envelope_base": relabel_envelope_base(E, mapping).action,
-        "restrict_to_isotropy": isotropic,
-        "coset": build_coset_action(A, A.carrier[0]).delta,
+    derivations = {
+        "quotient_action": lambda: globalize(A).action,
+        "restrict": lambda: restrict(A, A.carrier[:2]),
+        "restrict_to_isotropy": lambda: restrict_to_isotropy(A, A.anchor[A.carrier[0]]),
+        "coset": lambda: build_coset_action(A, A.carrier[0]).delta,
+        "kept coset": lambda: build_coset_action(A, A.carrier[0]).delta,
+        "relabel_action": lambda: relabel_action(A, mapping),
+        "relabel_envelope_base": lambda: relabel_envelope_base(E, mapping).action,
     }
-    kept = {id(anchor): (owned, anchor, maps) for owned, anchor, maps in handed}
-    for name, B in derived.items():
-        anchor, maps = made[id(B.anchor)]
-        assert B.anchor is anchor and B.maps is maps, name
-        if name.startswith("relabel"):  # a renamed validated action is not validated again
-            assert id(B.anchor) not in kept, name
+    for name, derive in derivations.items():
+        validated.clear()
+        made.clear()
+        B = derive()
+        if name.startswith(("relabel", "kept")):
+            assert validated == [] and made[-1][0] is B.anchor and made[-1][1] is B.maps, name
         else:
-            owned, anchor, maps = kept[id(B.anchor)]
-            assert owned and B.anchor is anchor and B.maps is maps, name
-    # the isotropy action shares the base's tables, which no one changes
-    assert all(isotropic.maps[g] is A.maps[g] for g in isotropic.maps)
-    assert not handed[0][0]  # fix_b's own tables come from its caller
+            assert made == [] and len(validated) == 1, name
+            handed_anchor, handed_maps, anchor, maps = validated[0]
+            assert B.anchor is anchor and B.maps is maps, name
+            assert handed_anchor is not anchor and handed_maps is not maps, name
+            assert all(maps[g] is not t for g, t in handed_maps.items()), name
 
 
 def test_build_partial_action_copies_the_callers_tables():

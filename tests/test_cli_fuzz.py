@@ -29,7 +29,7 @@ from pactkit.io import fixtures_dir, load, load_envelope, resolve_instance_path
 
 # the envelopes saved by ``globalize -o``, each with its base fixture
 ENVELOPE_BASES = ("fix-b", "fix-c", "sierp-act")
-RETYPED = (1, 2.5, None, True, "x", [], {}, ["x"], [["x", "y"]], {"x": "y"})
+RETYPED = (1, 2.5, None, True, "x", "\ud800", [], {}, ["x"], [["x", "y"]], {"x": "y"})
 
 
 def run(argv):

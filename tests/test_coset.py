@@ -388,9 +388,9 @@ def test_dropping_a_groupoid_leaves_no_cyclic_garbage():
 def test_threads_sharing_a_groupoid_get_the_earlier_kernels_answers(tmp_path):
     # eight threads, more than the cores, race with a short switch interval
     # to decide the same facts: the coset quotients kept on one fresh
-    # groupoid, the facts kept on shared actions, and the loader's memo of
-    # one groupoid block that every file carries.  A race may decide a fact
-    # twice, but every answer equals the earlier kernels'
+    # groupoid, the facts of shared actions, and the loader's memo of one
+    # groupoid block that every file carries.  A race may build a kept
+    # quotient twice, but every answer equals the earlier kernels'
     import sys
     import threading
     from dataclasses import replace

@@ -1,14 +1,15 @@
-"""Renamed copies and kept facts against the earlier code in helpers.
+"""Renamed copies and orbit facts against the earlier code in helpers.
 
 A renamed copy of a validated action takes its source's verdict instead of
-being validated again, and an action keeps what ``is_transitive``,
-``classify`` and ``stabilizer`` decided.  Both give exactly what the
-earlier code gives: values, taint, law verdicts, shared domains and errors.
+being validated again, and ``is_transitive``, ``classify`` and
+``stabilizer`` read their answers off the tables on every call, keeping
+nothing on the action.  Both give exactly what the earlier code gives:
+values, taint, law verdicts, shared domains and errors.
 """
 
 import gc
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import helpers
 import pactkit.action as action_module
@@ -28,6 +29,7 @@ from pactkit import (
     classify,
     compare_globalizations,
     coset_envelope_isomorphism,
+    find_isomorphism,
     globalize,
     relabel_action,
     relabel_envelope_base,
@@ -37,7 +39,7 @@ from pactkit import (
 )
 from pactkit.action import _EMPTY, is_transitive, orbit_relation
 from pactkit.cli import main
-from pactkit.fixtures import remark_x
+from pactkit.fixtures import fix_b, fix_c, remark_x
 from pactkit.groupoid import build_groupoid, from_group, pair_groupoid
 from pactkit.io import action_document, save
 from pactkit.sampling import (
@@ -47,6 +49,10 @@ from pactkit.sampling import (
     random_partial_action,
     random_relabeling,
 )
+
+
+# what a value holds: its tables, its taint and its law verdict
+FIELDS = {"groupoid", "carrier", "anchor", "domains", "maps", "tainted", "law_holds"}
 
 
 def outcome(call, *args):
@@ -80,13 +86,12 @@ def facts(A, points, transitive, classification, stab) -> list:
 
 
 def same_facts(A, seen: set) -> None:
-    """Two rounds of the kept facts equal one round of the earlier code,
-    also for a point that is not in the carrier."""
+    """The facts equal those of the earlier code, also for a point that is
+    not in the carrier."""
     points = list(A.carrier) + ["not-a-point"]
     expected = facts(A, points, helpers.reference_is_transitive, helpers.reference_classify,
                      helpers.reference_stabilizer)
-    for _ in range(2):
-        assert facts(A, points, is_transitive, classify, stabilizer) == expected
+    assert facts(A, points, is_transitive, classify, stabilizer) == expected
     seen.update(f[0].__name__ for f in expected if isinstance(f, tuple))
 
 
@@ -173,7 +178,7 @@ def test_a_stabilizer_that_is_no_subgroup_needs_the_bypass():
     # Z3 on two points: 1 fixes x and 2 swaps the points, so the stabilizer
     # of x would be {0, 1}, which is not a subgroup.  The constructor
     # rejects the tables; built with the bypass, the stabilizer is the
-    # earlier code's, unchecked, and kept
+    # earlier code's, unchecked
     G = from_group(cyclic_table(3))
     whole = frozenset("xy")
     maps = {"0": {"x": "x", "y": "y"}, "1": {"x": "x", "y": "y"}, "2": {"x": "y", "y": "x"}}
@@ -183,17 +188,15 @@ def test_a_stabilizer_that_is_no_subgroup_needs_the_bypass():
     assert got[0] is ValidationFailed
     A = PartialAction(G, *tables, tainted=True)
     assert helpers.reference_stabilizer(A, "x") == frozenset({"0", "1"})
-    for _ in range(2):
-        assert stabilizer(A, "x") == frozenset({"0", "1"})
-        assert classify(A) == helpers.reference_classify(A)
-    assert A.facts[("stabilizer", "x")] == frozenset({"0", "1"})
+    assert stabilizer(A, "x") == frozenset({"0", "1"})
+    assert classify(A) == helpers.reference_classify(A)
 
 
 def test_classify_decides_freeness_in_one_walk_on_validated_actions(monkeypatch):
     # each corruption kind built with and without the bypass, and copies
     # made by dataclasses.replace, tainted and not: the classification of
     # the earlier code, which decided every point's stabilizer; classify
-    # decides no stabilizer and keeps none
+    # decides no stabilizer
     rng = random.Random(1516)
     bases = helpers.cross_check_actions(rng, 20) + helpers.regular_at_scale()[-1:]
     asked = []
@@ -210,9 +213,7 @@ def test_classify_decides_freeness_in_one_walk_on_validated_actions(monkeypatch)
                 copies = [B, replace(B), outcome(lambda C: replace(C, tainted=not C.tainted), B)]
                 for C in (C for C in copies if isinstance(C, PartialAction)):
                     expected = helpers.reference_classify(C)
-                    for _ in range(2):
-                        assert classify(C) == expected
-                    assert not any(isinstance(k, tuple) for k in C.facts)
+                    assert classify(C) == expected
                     seen.add((C.tainted, expected.free))
     assert asked == []
     assert seen == {(tainted, free) for tainted in (True, False) for free in (True, False)}
@@ -252,15 +253,36 @@ def test_orbit_relation_checks_its_relation_on_a_validated_action(monkeypatch):
 def test_replace_and_the_constructor_validate_and_keep_no_facts():
     A = random_partial_action(random.Random(11))
     classify(A)
-    assert A.facts and A.law_holds is not None
+    assert A.law_holds is not None
     for B in (replace(A), PartialAction(A.groupoid, A.carrier, A.anchor, A.domains, A.maps)):
         assert B == A and repr(B) == repr(A)
-        assert B.facts == {} and B.law_holds is A.law_holds
+        assert vars(B).keys() == vars(A).keys() == FIELDS and B.law_holds is A.law_holds
 
 
-def test_renamings_and_kept_facts_leave_no_cyclic_garbage():
-    # the facts hold verdicts, frozensets and a Classification, never an
-    # action, so an action and its renamed copies go when they are dropped
+def test_reading_the_facts_writes_nothing_on_an_action():
+    # every reader of orbits, stabilizers and classes leaves exactly the
+    # dataclass fields on the value, each the object it was made with
+    assert {f.name for f in fields(PartialAction)} == FIELDS
+    rng = random.Random(13)
+    bases = [fix_b(), fix_c(), remark_x(), *(random_partial_action(rng) for _ in range(5))]
+    for A in bases + [globalize(B).action for B in bases if not B.tainted]:
+        held = dict(vars(A))
+        assert held.keys() == FIELDS
+        is_transitive(A)
+        classify(A)
+        orbit_relation(A)
+        outcome(globalize, A)
+        find_isomorphism(A, A)
+        for x in A.carrier:
+            stabilizer(A, x)
+            outcome(build_coset_action, A, x)
+        assert vars(A).keys() == FIELDS
+        assert all(vars(A)[k] is v for k, v in held.items())
+
+
+def test_renamings_leave_no_cyclic_garbage():
+    # an action, its renamed copies and its envelope hold no cycle, so they
+    # go when they are dropped, also after their facts were read
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
@@ -427,20 +449,25 @@ def test_the_random_suite_chain_does_each_piece_of_work_once(monkeypatch):
             run_chain(*item)
         passes.append(dict(counts))
     # four validations per item (two builds, two envelopes) and one per
-    # coset quotient of the cold pass, none in a renaming; per item two
-    # transitivity verdicts and two classifications (the action and its
-    # envelope), and the 20 stabilizers the chain asks for.  While classify
-    # decided freeness point by point through stabilizer, a pass decided 86
-    # stabilizers and called moving_elements 126 times instead of 60.  Before
-    # actions kept their facts, the code counted 40 more validations per
-    # pass, all in renamings, 61 transitivity verdicts, 133 stabilizers and
-    # 47 classifications.  Only the 19 coset quotients of the cold pass
-    # check an equivalence, and each globalize reads the merge rows of one
-    # pair per class.  The code that checked the merge and orbit relations
-    # on every action built 40 one-step relations, called moving_elements
-    # 86 times, checked 99 and 80 equivalences and read 1362 merge rows per
-    # pass, those of every pair.
-    work = {"moving_elements": 60, "Classification": 40, "merge rows": 442}
+    # coset quotient of the cold pass, none in a renaming.  Per pass the
+    # chain asks for 40 classifications (the action and its envelope) and
+    # 20 stabilizers; build_coset_action asks for 20 stabilizers and 7
+    # classifications, and coset_envelope_isomorphism for 14 transitivity
+    # verdicts.  Nothing is kept on an action, so each is decided again:
+    # moving_elements runs 20 + 20 times for the stabilizers and 47 + 14
+    # times for the transitivity verdicts, 101 in all, and Classification
+    # 47 times.  While actions kept their facts, a pass called
+    # moving_elements 60 times and Classification 40 times, with the same
+    # validations.  While classify decided freeness point by point through
+    # stabilizer, a pass decided 86 stabilizers and called moving_elements
+    # 126 times.  Before actions first kept their facts, the code counted 40
+    # more validations per pass, all in renamings.  Only the 19 coset
+    # quotients of the cold pass check an equivalence, and each globalize
+    # reads the merge rows of one pair per class.  The code that checked the
+    # merge and orbit relations on every action built 40 one-step relations,
+    # called moving_elements 86 times, checked 99 and 80 equivalences and
+    # read 1362 merge rows per pass, those of every pair.
+    work = {"moving_elements": 101, "Classification": 47, "merge rows": 442}
     assert passes == [
         {"_validate": 99, "equivalence_classes": 19, **work},
         {"_validate": 80, **work},

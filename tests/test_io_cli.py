@@ -296,6 +296,10 @@ def _mutate_meta(doc):
     doc["meta"] = []
 
 
+def _lone_surrogate(doc):  # json.dumps writes it as the escape \ud800
+    doc["meta"]["name"] = "\ud800"
+
+
 def _mutate_carrier(doc):
     doc["payload"]["carrier"] = 5
 
@@ -352,7 +356,7 @@ def _repeat_a_min_open_member(doc):
     "mutate",
     [
         _mutate_meta, _mutate_carrier, _mutate_anchor, _extra_key, _broken_topology, "directory", "utf-16",
-        "object-key-twice", "bom",
+        "object-key-twice", "bom", "nested-deep", _lone_surrogate,
         _list_first_row_twice("anchor"), _list_first_row_twice("domains"), _list_first_row_twice("maps"),
         _list_first_row_twice("maps", 0, 1), _list_first_row_twice("groupoid", "inv"),
         _list_first_row_twice("groupoid", "src"), _list_first_row_twice("groupoid", "rng"),
@@ -363,7 +367,9 @@ def test_shape_errors_are_structural_and_exit_two(mutate, tmp_path, capsys):
     # every reader rejects what load rejects, also validate and a saved
     # envelope, and so does each on a file that cannot be read at all; a
     # key or set member listed twice is rejected, not read as its last row;
-    # a leading byte order mark is named as json.loads names it
+    # a leading byte order mark is named as json.loads names it; nesting
+    # deeper than the decoder can follow, and a string no output can encode,
+    # are rejected when read, and globalize -o writes nothing for any of them
     envelope = tmp_path / "env.json"
     assert run_cli(["globalize", "fix-b", "-o", str(envelope)], capsys)[0] == 0
     path = tmp_path / "mutated.json"
@@ -375,6 +381,8 @@ def test_shape_errors_are_structural_and_exit_two(mutate, tmp_path, capsys):
         path.write_bytes(b"\xef\xbb\xbf" + envelope.read_bytes())
     elif mutate == "object-key-twice":  # json.loads alone keeps the last "kind"
         path.write_text(envelope.read_text().replace('"kind": "action"', '"kind": "groupoid", "kind": "action"'))
+    elif mutate == "nested-deep":
+        path.write_text(envelope.read_text().replace('"meta": {', '"meta": {"deep": ' + "[" * 1000 + "]" * 1000 + ", ", 1))
     else:
         doc = json.loads(envelope.read_text())
         mutate(doc)
@@ -383,18 +391,25 @@ def test_shape_errors_are_structural_and_exit_two(mutate, tmp_path, capsys):
         load(str(path))
     with pytest.raises(StructuralError):
         instance_io.inspect(str(path))
+    written = tmp_path / "written.json"
     for argv in (
         ["validate", str(path)],
         ["info", str(path)],
         ["coset-check", "fix-b", "--at=a", "--envelope", str(path)],
+        ["globalize", str(path), "-o", str(written)],
     ):
         for flags in ([], ["--json"]):
             code, out, err = run_cli(argv + flags, capsys)
             assert (code, out) == (2, ""), argv
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            assert not written.exists(), argv
             if mutate == "bom":
                 bom = "parse error at line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"
                 assert err == f"error: {path}: {bom}\n", (argv, err)
+            if mutate == "nested-deep":
+                assert err == f"error: {path}: parse error: nested too deeply\n", (argv, err)
+            if mutate is _lone_surrogate:
+                assert err == f"error: {path}: parse error: a \\u escape is a lone surrogate\n", (argv, err)
 
 
 @pytest.mark.parametrize(
