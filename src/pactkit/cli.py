@@ -11,6 +11,8 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _string
 
 from .core import (
     CapExceededError,
@@ -20,6 +22,7 @@ from .core import (
     ValidationFailed,
 )
 from . import io as instancefiles
+from .io import _all_rows, _all_strings
 from .action import classify, is_global, orbit_relation
 from .coset import build_coset_action, coset_envelope_isomorphism
 from .envelope import envelope_topology, globalize, verify_globalization
@@ -36,13 +39,20 @@ _leaf = json.JSONEncoder().encode
 
 def _dumps(value, pad: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` from leaves that the C
-    encoder writes: the indenting encoder leaves a reference cycle."""
+    encoder writes (the indenting encoder leaves a reference cycle), a
+    string where it is met and a table of strings a row at a time."""
     inner = pad + "  "
     if isinstance(value, dict) and value:
         items = [(_leaf(k if isinstance(k, str) else _leaf(k)), v) for k, v in sorted(value.items())]
-        return "{" + ",".join(f"{inner}{k}: {_dumps(v, inner)}" for k, v in items) + pad + "}"
+        items = [f"{inner}{k}: {_string(v) if isinstance(v, str) else _dumps(v, inner)}" for k, v in items]
+        return "{" + ",".join(items) + pad + "}"
     if isinstance(value, (list, tuple)) and value:
-        return "[" + ",".join(inner + _dumps(v, inner) for v in value) + pad + "]"
+        if _all_rows(value) and _all_strings(chain.from_iterable(value)):
+            start, below, end = "[" + inner + "  ", "," + inner + "  ", inner + "]"
+            items = [start + below.join(map(_string, row)) + end if row else "[]" for row in value]
+        else:
+            items = [_string(v) if isinstance(v, str) else _dumps(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
     return _leaf(value)
 
 
@@ -277,6 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite groupoid partial actions: validation, orbits, envelopes, cosets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's parser, by name
 
     def common(name, func, help, instances=("instance",)):
         p = sub.add_parser(name, help=help)
@@ -317,9 +328,22 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv: list) -> argparse.Namespace:
+    """``argv`` as the shared parser reads it, which hands all that follows a
+    command's name to that command's parser: only an error goes through both."""
+    parser = _shared_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:  # usage errors and --help, already printed
         return exc.code
     try:

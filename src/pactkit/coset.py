@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from .core import FalsificationError, PreconditionError, defect, equivalence_classes
 from .action import (
     PartialAction,
+    _fixed_by_anchors_alone,
     _made,
-    classify,
     is_transitive,
     quotient_action,
     restrict_to_isotropy,
@@ -96,7 +96,7 @@ def build_coset_action(A: PartialAction, x: str) -> CosetSpace:
     classes, class_of, delta = coset_quotient(
         A.groupoid, e, stabilizer(A, x), None, lambda m: defect(A.tainted, m), A.tainted
     )
-    if any(len(b) != 1 for b in classes) and classify(A).free:
+    if any(len(b) != 1 for b in classes) and _fixed_by_anchors_alone(A):
         raise FalsificationError("free base produced a non-singleton coset class")
     hx = frozenset(A.groupoid.d_fiber(e))
     return CosetSpace(base=A, basepoint=x, hx=hx, classes=classes, class_of=class_of, delta=delta)

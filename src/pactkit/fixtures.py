@@ -52,7 +52,7 @@ def fix_c() -> PartialAction:
 
 def remark_x_parts() -> dict:
     """Raw data whose unit domains overlap at x2; rejected by validation."""
-    return _parse(str(PACKAGED_FIXTURES / "remark-x.json"))[1].payload
+    return _parse(str(PACKAGED_FIXTURES / "remark-x.json"))[2]
 
 
 def remark_x(bypass: bool = True) -> PartialAction:

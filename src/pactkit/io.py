@@ -10,8 +10,9 @@ from __future__ import annotations
 import functools
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, repeat
+from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
 
@@ -44,13 +45,12 @@ def fixtures_dir() -> Path:
 
 
 def resolve_instance_path(name: str) -> Path:
-    p = Path(name)
-    if p.exists():
-        return p
+    if os.path.exists(name):
+        return Path(name)
     root = fixtures_dir()
-    for candidate in (root / name, root / f"{name}.json"):
-        if candidate.exists():
-            return candidate
+    for candidate in (os.path.join(root, name), os.path.join(root, f"{name}.json")):
+        if os.path.exists(candidate):
+            return Path(candidate)
     raise FileNotFoundError(f"no such instance file or fixture: {name}")
 
 
@@ -58,33 +58,40 @@ def resolve_instance_path(name: str) -> Path:
 # parsing
 
 
-# JSON shapes checked at the boundary: ``str``, ``[shape]`` for a list of
-# that shape, or a tuple of shapes for a fixed-length list
-_STRINGS = [str]
-_PAIRS = [(str, str)]
-_TRIPLES = [(str, str, str)]
-_SETS = [(str, [str])]
-_TABLES = [(str, [(str, str)])]
 _first, _second = itemgetter(0), itemgetter(1)  # the key and the value of a row
 
 
-def _fits(values: list, shape) -> bool:
-    """Whether every item of ``values`` has the JSON shape.
-
-    The items are checked together, a column at a time, so a list of rows
-    costs a few calls, not one per row or per string.
-    """
+def _each(shape):
+    """The test that every value of a list has the JSON shape: True,
+    False, or TypeError where a value is not a string or not a list.  The
+    values are tested a column at a time, each step one C call: ``str.join``
+    takes only strings and ``list.__len__`` only lists."""
     if shape is str:
-        return all(map(isinstance, values, repeat(str)))
-    if not all(map(isinstance, values, repeat(list))):
-        return False
+        return lambda values: isinstance("".join(values), str)
     if isinstance(shape, list):
-        return _fits(list(chain.from_iterable(values)), shape[0])
-    if not set(map(len, values)) <= {len(shape)}:
-        return False
-    if shape.count(str) == len(shape):  # rows of strings: every cell at once
-        return all(map(isinstance, chain.from_iterable(values), repeat(str)))
-    return all(_fits(list(column), s) for column, s in zip(zip(*values), shape))
+        items = _each(shape[0])
+        return lambda values: items(list(chain.from_iterable(map(list.__iter__, values))))
+    width, columns = {len(shape)}, [_each(s) for s in shape]
+    if shape.count(str) == len(shape):  # rows of strings: every cell in one pass
+        return lambda rows: set(map(list.__len__, rows)) <= width and isinstance("".join(map("".join, rows)), str)
+    return lambda rows: set(map(list.__len__, rows)) <= width and all(t(c) for t, c in zip(columns, zip(*rows)))
+
+
+def _checker(shape):
+    """The test that one value has the JSON shape, built once: ``str``,
+    ``[shape]`` for a list of that shape, or a tuple of shapes for a
+    fixed-length list.  The test keeps the shape and its description."""
+    listed = isinstance(shape, list)
+    test = _each(shape[0] if listed else shape)
+
+    def fits(value) -> bool:
+        try:
+            return isinstance(value, list) and test(value) if listed else test((value,))
+        except TypeError:
+            return False
+
+    fits.shape, fits.text = shape, _describe(shape)
+    return fits
 
 
 def _describe(shape) -> str:
@@ -95,10 +102,15 @@ def _describe(shape) -> str:
     return "[" + ", ".join(_describe(s) for s in shape) + "]"
 
 
+# the JSON shapes checked at the boundary
+_STRING, _STRINGS, _PAIRS, _TRIPLES = map(_checker, (str, [str], [(str, str)], [(str, str, str)]))
+_SETS, _TABLES = _checker([(str, [str])]), _checker([(str, [(str, str)])])
+
+
 def _shaped(value, shape, what: str):
     """``value`` when it has the JSON shape, else StructuralError."""
-    if not _fits([value], shape):
-        raise StructuralError(f"{what} must have the shape {_describe(shape)}")
+    if not shape(value):
+        raise StructuralError(f"{what} must have the shape {shape.text}")
     return value
 
 
@@ -113,7 +125,8 @@ def _object(value, what: str, allowed: set | None = None) -> dict:
 
 def _read(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except FileNotFoundError:
         raise
     except (OSError, UnicodeDecodeError) as exc:
@@ -139,7 +152,8 @@ def _read(path: str):
 
 def _members(pairs: list) -> dict:
     # json.loads alone would keep only the last value of a key listed twice
-    return distinct(dict(pairs), pairs, "JSON object", _first)
+    members = dict(pairs)
+    return members if len(members) == len(pairs) else distinct(members, pairs, "JSON object", _first)
 
 
 # one decoder for every read: json.loads with a hook builds a new one per call
@@ -169,7 +183,7 @@ def _keyed(value, shape, what: str, cell=None, key=None) -> dict:
     rows = _shaped(value, shape, what)
     if cell is None:
         return distinct(dict(rows), rows, what, _first)
-    table = distinct({k: cell(v) for k, v in rows}, rows, what, _first)
+    table = distinct(dict(zip(map(_first, rows), map(cell, map(_second, rows)))), rows, what, _first)
     if list(map(len, table.values())) != list(map(len, map(_second, rows))):
         for k, v in rows:
             distinct(table[k], v, f"{what} of {k}", key)
@@ -182,15 +196,12 @@ _GROUPOID_SHAPES = {"elements": _STRINGS, "mul": _TRIPLES, "inv": _PAIRS, "src":
 GROUPOID_MEMO = 32
 
 
-def _groupoid_tables(payload) -> dict:
-    """The tables of a groupoid payload, shape-checked, with their rows as
-    tuples in document order."""
-    _object(payload, "groupoid payload", set(_GROUPOID_SHAPES))
-    tables = {}
-    for key, shape in _GROUPOID_SHAPES.items():
-        rows = _shaped(payload.get(key, []), shape, f"groupoid {key}")
-        tables[key] = tuple(rows) if shape is _STRINGS else tuple(map(tuple, rows))
-    return tables
+def _groupoid_tables(payload) -> tuple:
+    """The tables of a groupoid payload in ``_GROUPOID_SHAPES`` order,
+    shape-checked, with their rows as tuples in document order."""
+    _object(payload, "groupoid payload", _GROUPOID_SHAPES.keys())
+    tables = [_shaped(payload.get(key, []), shape, f"groupoid {key}") for key, shape in _GROUPOID_SHAPES.items()]
+    return (tuple(tables[0]), *(tuple(map(tuple, rows)) for rows in tables[1:]))
 
 
 @functools.lru_cache(maxsize=GROUPOID_MEMO)
@@ -211,7 +222,7 @@ def _groupoid(elements, mul, inv, src, rng) -> Groupoid:
 
 def _resolve_groupoid(ref) -> Groupoid:
     if isinstance(ref, dict):
-        return _groupoid(*_groupoid_tables(ref).values())
+        return _groupoid(*_groupoid_tables(ref))
     if isinstance(ref, str):
         doc = load(str(resolve_instance_path(ref)))
         if doc.kind != "groupoid":
@@ -236,9 +247,9 @@ def _action_tables(payload) -> dict:
     }
 
 
-def _parse(path: str) -> tuple[dict, InstanceFile]:
-    """The JSON document at ``path`` and its instance with the payload as
-    tables, not yet validated.
+def _parse(path: str) -> tuple:
+    """(the JSON document at ``path``, its kind, its payload as tables not
+    yet validated, and its name, description and two topologies).
 
     Every reader of instance files starts here, so each runs every
     document-level check: a malformed or unreadable document raises
@@ -250,8 +261,10 @@ def _parse(path: str) -> tuple[dict, InstanceFile]:
     doc = _object(_read(path), f"{path}: document", allowed)
     kind = doc.get("kind")
     meta = _object(doc.get("meta", {}), f"{path}: meta")
-    name = _shaped(meta.get("name", Path(path).stem), str, f"{path}: meta name")
-    description = _shaped(meta.get("description", ""), str, f"{path}: meta description")
+    # the default name is the file's stem as text: bytes that are not UTF-8 become U+FFFD
+    stem = None if "name" in meta else Path(path).stem.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
+    name = _shaped(meta.get("name", stem), _STRING, f"{path}: meta name")
+    description = _shaped(meta.get("description", ""), _STRING, f"{path}: meta description")
     payload = doc.get("payload")
     if payload is None:
         raise StructuralError(f"{path}: missing payload")
@@ -261,8 +274,8 @@ def _parse(path: str) -> tuple[dict, InstanceFile]:
 
     if kind == "groupoid":
         tables = _groupoid_tables(payload)
-        T = _topology(doc, "topology", tables["elements"], f"{path}: topology carrier does not match the elements")
-        return doc, InstanceFile(kind, name, description, tables, T, None)
+        T = _topology(doc, "topology", tables[0], f"{path}: topology carrier does not match the elements")
+        return doc, kind, tables, (name, description, T, None)
 
     if kind == "action":
         tables = _action_tables(payload)
@@ -273,19 +286,19 @@ def _parse(path: str) -> tuple[dict, InstanceFile]:
         elements = tables["groupoid"].elements
         T_G = _topology(blocks, "groupoid", elements, f"{path}: groupoid topology carrier mismatch")
         T_M = _topology(blocks, "carrier", tables["carrier"], f"{path}: carrier topology mismatch")
-        return doc, InstanceFile(kind, name, description, tables, T_G, T_M)
+        return doc, kind, tables, (name, description, T_G, T_M)
 
     raise StructuralError(f"{path}: unknown instance kind {kind!r}")
 
 
-def _build(path: str, parsed: InstanceFile, bypass: bool = False):
-    """The value of a parsed instance; violations raise, labelled with the file."""
+def _build(path: str, kind: str, tables, bypass: bool = False):
+    """The value of parsed tables; violations raise, labelled with the file."""
     try:
-        if parsed.kind == "groupoid":
-            return _groupoid(*parsed.payload.values())
-        return build_partial_action(**parsed.payload, bypass=bypass)
+        if kind == "groupoid":
+            return _groupoid(*tables)
+        return build_partial_action(**tables, bypass=bypass)
     except ValidationFailed as exc:
-        exc.report.raise_if_failed(f"{path}: {parsed.kind} payload")
+        exc.report.raise_if_failed(f"{path}: {kind} payload")
 
 
 def load(path: str, bypass: bool = False) -> InstanceFile:
@@ -294,8 +307,8 @@ def load(path: str, bypass: bool = False) -> InstanceFile:
     With ``bypass`` the semantic action checks are skipped and the loaded
     value is tainted; structural defects still raise.
     """
-    _, parsed = _parse(path)
-    return replace(parsed, payload=_build(path, parsed, bypass))
+    _, kind, tables, (name, description, T_G, T_M) = _parse(path)
+    return InstanceFile(kind, name, description, _build(path, kind, tables, bypass), T_G, T_M)
 
 
 def load_envelope(path: str, base: PartialAction) -> EnvelopingAction:
@@ -312,12 +325,12 @@ def load_envelope(path: str, base: PartialAction) -> EnvelopingAction:
     question; when it is, it is the envelope ``globalize`` builds, up to the
     names of the classes (README, "Guarantees").
     """
-    doc, parsed = _parse(path)
-    if parsed.kind != "action" or not {"classes", "embedding"} <= set(doc):
+    doc, kind, tables, _ = _parse(path)
+    if kind != "action" or not {"classes", "embedding"} <= set(doc):
         raise StructuralError(f"{path}: not an envelope document")
-    if parsed.payload["groupoid"] != base.groupoid:
+    if tables["groupoid"] != base.groupoid:
         raise StructuralError(f"{path}: envelope groupoid differs from the base groupoid")
-    action = _build(path, parsed)
+    action = _build(path, kind, tables)
     classes, class_of, listed = [], {}, 0
     for token, members in doc["classes"]:
         block = frozenset(map(tuple, members))
@@ -362,14 +375,14 @@ def inspect(path: str):
     A groupoid document goes through the loader's memo: its report is the
     one a failing build raises, and a block already built passes.
     """
-    _, parsed = _parse(path)
-    if parsed.kind == "groupoid":
+    _, kind, tables, _ = _parse(path)
+    if kind == "groupoid":
         try:
-            _groupoid(*parsed.payload.values())
+            _groupoid(*tables)
         except ValidationFailed as exc:
-            return parsed.kind, exc.report
-        return parsed.kind, Report(ok=True)
-    return parsed.kind, validate_partial_action(**parsed.payload)
+            return kind, exc.report
+        return kind, Report(ok=True)
+    return kind, validate_partial_action(**tables)
 
 
 # ---------------------------------------------------------------------------
@@ -452,27 +465,43 @@ def envelope_document(E: EnvelopingAction, name: str, description: str = "") -> 
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
+def _every(kind):
+    return lambda values: all(map(isinstance, values, repeat(kind)))
+
+
+_all_strings, _all_rows = _every(str), _every((list, tuple))
+
+
 def _render(value, indent: int) -> str:
+    """``value`` in canonical layout; a string is encoded where it is met."""
     pad = " " * indent
     if isinstance(value, dict):
         if not value:
             return "{}"
         items = [
-            f'{pad}  "{key}": {_render(val, indent + 2)}' for key, val in value.items()
+            f'{pad}  "{key}": {encode_basestring(v) if isinstance(v, str) else _render(v, indent + 2)}'
+            for key, v in value.items()
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        parts = [_render(v, indent + 2) for v in value]
-        # a part broken over lines starts with "[\n" or "{\n"; the others
-        # are their own inline form, so the list's is joined from them
-        if not any(p.startswith(("[\n", "{\n")) for p in parts):
-            inline = "[" + ", ".join(parts) + "]"
-            if "{" not in inline and len(inline) <= 72:
-                return inline
-        return "[\n" + ",\n".join(f"{pad}  {p}" for p in parts) + f"\n{pad}]"
+        if _all_rows(value) and _all_strings(chain.from_iterable(value)):  # a table of strings
+            rows = zip(value, [", ".join(map(encode_basestring, row)) for row in value])
+            parts = [f"[{r}]" if len(r) <= 70 and "{" not in r else _render(row, indent + 2) for row, r in rows]
+            return _listed(parts, pad)
+        return _listed([encode_basestring(v) if isinstance(v, str) else _render(v, indent + 2) for v in value], pad)
     return _encode(value)
+
+
+def _listed(parts: list, pad: str) -> str:
+    """The list of rendered ``parts``: inline when that fits in 72 characters
+    and holds no "{", else a part per line.  A part broken over lines holds
+    "{" or outgrows its own inline form, which was too long, so this breaks."""
+    if sum(map(len, parts)) + 2 * len(parts) <= 72:  # the inline form's length
+        inline = "[" + ", ".join(parts) + "]"
+        if "{" not in inline:
+            return inline
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
 
 
 def canonical_json(doc: dict) -> str:
@@ -480,4 +509,11 @@ def canonical_json(doc: dict) -> str:
 
 
 def save(path: str, doc: dict) -> None:
-    Path(path).write_text(canonical_json(doc), encoding="utf-8")
+    """Write ``doc`` in canonical form, encoded before the file is opened: a
+    lone surrogate raises StructuralError and leaves the file as it was."""
+    try:
+        data = canonical_json(doc).encode("utf-8")
+    except UnicodeEncodeError:
+        raise StructuralError(f"{path}: unwritable: a string holds a lone surrogate")
+    with open(path, "wb") as f:
+        f.write(data)

@@ -451,12 +451,15 @@ def test_the_random_suite_chain_does_each_piece_of_work_once(monkeypatch):
     # four validations per item (two builds, two envelopes) and one per
     # coset quotient of the cold pass, none in a renaming.  Per pass the
     # chain asks for 40 classifications (the action and its envelope) and
-    # 20 stabilizers; build_coset_action asks for 20 stabilizers and 7
-    # classifications, and coset_envelope_isomorphism for 14 transitivity
-    # verdicts.  Nothing is kept on an action, so each is decided again:
-    # moving_elements runs 20 + 20 times for the stabilizers and 47 + 14
-    # times for the transitivity verdicts, 101 in all, and Classification
-    # 47 times.  While actions kept their facts, a pass called
+    # 20 stabilizers; build_coset_action asks for 20 stabilizers and, on 7
+    # items, whether the base is free, which decides no transitivity; and
+    # coset_envelope_isomorphism asks for 14 transitivity verdicts.  Nothing
+    # is kept on an action, so each is decided again: moving_elements runs
+    # 20 + 20 times for the stabilizers and 40 + 14 times for the
+    # transitivity verdicts, 94 in all, and Classification 40 times.  While
+    # build_coset_action read freeness off a whole classification, the 7
+    # were classifications, and a pass called moving_elements 101 times and
+    # Classification 47 times.  While actions kept their facts, a pass called
     # moving_elements 60 times and Classification 40 times, with the same
     # validations.  While classify decided freeness point by point through
     # stabilizer, a pass decided 86 stabilizers and called moving_elements
@@ -467,7 +470,7 @@ def test_the_random_suite_chain_does_each_piece_of_work_once(monkeypatch):
     # merge and orbit relations on every action built 40 one-step relations,
     # called moving_elements 86 times, checked 99 and 80 equivalences and
     # read 1362 merge rows per pass, those of every pair.
-    work = {"moving_elements": 101, "Classification": 47, "merge rows": 442}
+    work = {"moving_elements": 94, "Classification": 40, "merge rows": 442}
     assert passes == [
         {"_validate": 99, "equivalence_classes": 19, **work},
         {"_validate": 80, **work},

@@ -17,6 +17,7 @@ from pactkit.fixtures import fix_b
 from pactkit.io import (
     action_document,
     canonical_json,
+    envelope_document,
     fixtures_dir,
     groupoid_document,
     load,
@@ -70,6 +71,49 @@ def test_remark_x_load_fails_naming_condition_and_witness():
 def test_remark_x_bypass_is_tainted():
     doc = load(str(resolve_instance_path("remark-x")), bypass=True)
     assert doc.payload.tainted
+
+
+def unnamed_fix_b_at_a_name_that_is_not_utf8(tmp_path) -> Path:
+    """fix-b without ``meta.name``, in a file whose name holds byte 0xff."""
+    doc = json.loads(resolve_instance_path("fix-b").read_text())
+    del doc["meta"]["name"]
+    path = tmp_path / os.fsdecode(b"bad\xff.json")
+    try:
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    except (OSError, UnicodeError):
+        pytest.skip("the file system refuses a file name that is not UTF-8")
+    return path
+
+
+def test_a_file_name_that_is_not_utf8_gives_a_name_that_is_text(tmp_path, capsys):
+    # the default name is the file's stem with each byte that is not UTF-8
+    # read as U+FFFD; every command agrees on it and can write it
+    path = str(unnamed_fix_b_at_a_name_that_is_not_utf8(tmp_path))
+    assert load(path).name == "bad\ufffd"
+    assert run_cli(["validate", path], capsys) == (0, "ok\n", "")
+    code, out, err = run_cli(["info", path, "--json"], capsys)
+    assert (code, json.loads(out)["name"], err) == (0, "bad\ufffd", "")
+    code, out, err = run_cli(["globalize", path, "--json"], capsys)
+    assert (code, err) == (0, "") and "\\ufffd" in out
+    document = json.loads(out)["document"]
+    assert document["meta"]["name"] == "bad\ufffd-envelope"
+    written = tmp_path / "env.json"
+    assert run_cli(["globalize", path, "-o", str(written)], capsys)[::2] == (0, "")
+    assert json.loads(written.read_text(encoding="utf-8")) == document
+    E = load_envelope(str(written), load(path).payload)
+    assert verify_globalization(E).ok and load(str(written)).name == "bad\ufffd-envelope"
+
+
+def test_a_document_that_cannot_be_written_leaves_the_file_as_it_was(tmp_path):
+    # save encodes the whole document before it opens the file
+    doc = action_document(fix_b(), "bad\udcff")
+    kept = tmp_path / "kept.json"
+    kept.write_bytes(b"earlier contents\n")
+    for target in (kept, tmp_path / "new.json"):
+        with pytest.raises(StructuralError, match="lone surrogate"):
+            save(str(target), doc)
+    assert kept.read_bytes() == b"earlier contents\n"
+    assert not (tmp_path / "new.json").exists()
 
 
 def test_unknown_document_keys_rejected(tmp_path):
@@ -716,9 +760,10 @@ def mutate_once(rng, value):
 
 
 def test_shape_check_matches_reference():
-    # the column-wise check accepts exactly what the row-by-row check did
-    shapes = [
-        str,
+    # each shape's column-wise test accepts exactly what the row-by-row
+    # check does
+    checks = [
+        instance_io._STRING,
         instance_io._STRINGS,
         instance_io._PAIRS,
         instance_io._TRIPLES,
@@ -728,14 +773,67 @@ def test_shape_check_matches_reference():
     rng = random.Random(66)
     fits = {}
     for _ in range(600):
-        value = shaped_sample(rng, rng.choice(shapes))
+        value = shaped_sample(rng, rng.choice(checks).shape)
         if rng.random() < 0.7:
             value = mutate_once(rng, value)
-        for i, shape in enumerate(shapes):
-            expected = helpers.reference_fits(value, shape)
-            assert instance_io._fits([value], shape) == expected
+        for i, check in enumerate(checks):
+            expected = helpers.reference_fits(value, check.shape)
+            assert check(value) == expected
             fits.setdefault(i, set()).add(expected)
     assert all(seen == {True, False} for seen in fits.values())
+    # the cases the checkers branch on: a string where a row should be (as
+    # long as the row), rows of the wrong length, rows that are not lists,
+    # and empty tables, rows and cells
+    cases = [
+        [], [[]], [""], ["ab"], ["abc"], [["a"]], [["a", "b"]], [["a", "b", "c"]], [["a", "b"], ["c"]],
+        [["a", "b"], "cd"], [("a", "b")], [["a", "b"], None], [["a", []]], [["a", ["b"]]], [["a", "b", []]],
+        [["a", "bc"]], [["a", [["b", "c"]]]], [["a", ["bc"]]], [["a", [["b"]]]], [["a", [("b", "c")]]],
+        [["a", [["b", "c"], "de"]]], [["a", [[]]]], [["a", [["b", 1]]]], [[1, []]], [["a", {}]], "ab", {}, None,
+    ]
+    for value in cases:
+        for check in checks:
+            assert check(value) == helpers.reference_fits(value, check.shape), (value, check.shape)
+    assert not instance_io._PAIRS(["ab"]) and instance_io._STRINGS(["ab"])
+    assert all(check([]) for check in checks[1:])
+
+
+def string_tables(rng, count: int = 600) -> list:
+    """Documents of lists of strings and tables of rows of strings, the
+    writers' fast paths: strings that look like the punctuation of either
+    layout, quotes, text that is not ASCII, rows on both sides of the inline
+    limit, empty rows and tables, tuples, and strings mixed with scalars."""
+    texts = ["a", "{", "x{y", "[", "]", "[]", ", ", '"', 'q"q', "\\", "é", "☃ snow", "𝔾", "", "\n", "tab\t"]
+
+    def text():
+        return rng.choice(texts) if rng.random() < 0.8 else "long" * rng.randint(1, 20)
+
+    def row():
+        cells = [text() for _ in range(rng.choice([0, 1, 2, 2, 3, 3, 4, 8]))]
+        return tuple(cells) if rng.random() < 0.1 else cells
+
+    def table():
+        r = rng.random()
+        if r < 0.3:
+            return [text() for _ in range(rng.randint(0, 8))]
+        if r < 0.8:
+            rows = [row() for _ in range(rng.randint(0, 8))]
+            return tuple(rows) if rng.random() < 0.1 else rows
+        values = [text() for _ in range(rng.randint(1, 4))] + [rng.choice([1, 2.5, None, True, [], {}, row()])]
+        rng.shuffle(values)
+        return values
+
+    return [{"t": table(), "keyed": [[text(), table()] for _ in range(rng.randint(0, 3))]} for _ in range(count)]
+
+
+def recorded_envelope_documents() -> list:
+    """The documents whose digests ``tests/data/envelope_documents.json`` records."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parent / "data" / "record_envelope_documents.py"
+    spec = importlib.util.spec_from_file_location("record_envelope_documents", path)
+    recorder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recorder)
+    return [envelope_document(E, f"envelope-{i}", "recorded") for i, E in enumerate(recorder.envelopes())]
 
 
 def test_canonical_json_matches_the_reference_renderer():
@@ -757,6 +855,10 @@ def test_canonical_json_matches_the_reference_renderer():
     for _ in range(2000):
         doc = {"a": value(0), "b": value(0)}
         assert canonical_json(doc) == helpers.reference_render(doc, 0) + "\n"
+    for doc in string_tables(random.Random(78)):
+        assert canonical_json(doc) == helpers.reference_render(doc, 0) + "\n"
+    for doc in recorded_envelope_documents():
+        assert canonical_json(doc) == helpers.reference_render(doc, 0) + "\n"
 
 
 def test_json_output_matches_json_dumps_on_a_seeded_corpus():
@@ -770,6 +872,34 @@ def test_json_output_matches_json_dumps_on_a_seeded_corpus():
     text = "\n".join(map(helpers.reference_emit, corpus))
     needles = ("\\u00e9", "\\ud835", '""', "[]", "{}", "1e-09", "-0.0", "-Infinity", "null", '"7"')
     assert all(needle in text for needle in needles)
+    for payload in [*string_tables(random.Random(1314)), *recorded_envelope_documents()]:
+        assert _dumps(payload) == helpers.reference_emit(payload)
+
+
+def test_a_command_read_by_its_own_parser_reads_as_the_shared_parser_reads_it(capsys):
+    # main hands the arguments after a command's name to that command's
+    # parser, as the shared parser does; anything that parser leaves over
+    # goes through the shared parser, so every outcome and message is its
+    from pactkit.cli import _parse_args, _shared_parser
+
+    argvs = [
+        ["info", "fix-b"], ["globalize", "fix-b", "-o", "x.json", "--json"], ["globalize", "fix-b", "--out=x", "--top"],
+        ["coset-check", "fix-b", "--at=a", "--envelope", "e.json", "--bypass"], ["isomorphic", "a", "b", "--json"],
+        ["classify", "--", "-x"], ["classify", "fix-b", "extra"], ["classify"], ["classify", "fix-b", "--nope"],
+        ["coset-check", "fix-b"], ["nope", "fix-b"], [], ["--json", "info", "fix-b"], ["info", "-h"], ["-h"],
+        ["info", "fix-b", "--js"], ["info", "fix-b", "--"], ["validate", "-x"], ["isomorphic", "a"], ["info", ""],
+    ]
+
+    def outcome(parse, argv):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+        out = capsys.readouterr()
+        return result, out.out, out.err
+
+    for argv in argvs:
+        assert outcome(_parse_args, argv) == outcome(_shared_parser().parse_args, argv), argv
 
 
 def test_json_commands_leave_no_cyclic_garbage():
