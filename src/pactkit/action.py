@@ -109,7 +109,7 @@ def _validate(G: Groupoid, carrier, anchor, domains, maps):
         bad = sorted(x for x, e in anchor.items() if e not in G.identities)
         raise StructuralError(f"anchor of {bad} is not an identity")
     domains = {g: frozenset(s) for g, s in dict(domains).items()}
-    elements = G.plan.element_set
+    elements = G.element_set
     if domains.keys() != elements:
         raise StructuralError("domains must be defined on exactly the groupoid elements")
     if not on.issuperset(chain.from_iterable(domains.values())):
@@ -177,7 +177,7 @@ def _conditions(G: Groupoid, anchor, domains, maps):
             elif not dom <= whole:
                 escape = Violation("(pre)", (g, min(dom - whole)), "domain escapes the range fiber")
                 found.append(((2, i), escape))
-    units = G.plan.units
+    units = G.units
     fibers = {e: set() for e in units}
     for x, e in anchor.items():
         fibers[e].add(x)
@@ -244,7 +244,7 @@ def _inverse(table: dict, keys, values) -> dict | None:
 def _composition_law(G: Groupoid, maps) -> bool:
     """True when maps[g]∘maps[h] == maps[gh] on every composable pair.
 
-    Decided on the pairs with h in ``G.generators`` (``G.plan.law``).  The
+    Decided on the pairs with h in ``G.generators`` (``G.law``).  The
     h passing for every g are closed under composable products: for such
     a, b, maps[g]∘maps[ab] = maps[g]∘maps[a]∘maps[b] = maps[ga]∘maps[b] =
     maps[(ga)b] = maps[g(ab)], by associativity of partial-map composition
@@ -258,7 +258,7 @@ def _composition_law(G: Groupoid, maps) -> bool:
     equal.  Without the count a key of maps[gh] outside the composite's
     domain would pass.
     """
-    for h, g, gh in G.plan.law:
+    for h, g, gh in G.law:
         to_g, to_gh = maps[g], maps[gh]
         count = 0
         for x, y in maps[h].items():
@@ -276,7 +276,7 @@ def _products(G: Groupoid, domains, maps) -> list:
     """Conditions (ii) and (iii) on tables that ``_structural`` accepts, as
     pairs (key, violation) keyed as in ``_conditions``.
 
-    The point check of (iii) runs on every row of ``G.plan.products``, and
+    The point check of (iii) runs on every row of ``G.products``, and
     (ii) is scanned only when that check missed somewhere.  Each table of g
     is a bijection from the domain of inv(g) onto the domain of g.  Let the
     point check hold on every pair.  On (g, h) it gives g(y) = gh(inv h(y))
@@ -286,7 +286,7 @@ def _products(G: Groupoid, domains, maps) -> list:
     into dom(inv g) ∩ dom(h).  So the two sets have one size, and g maps
     the overlap onto dom(g) ∩ dom(gh), which is (ii).
     """
-    rows = G.plan.products
+    rows = G.products
     found = []
     for r, (ig, h, g, ih, gh) in enumerate(rows):
         to_g, back, to_gh = maps[g], maps[ih], maps[gh]
@@ -383,9 +383,9 @@ def quotient_action(G: Groupoid, blocks, token, unit, left, bypass: bool = False
         at_unit.setdefault(e, []).append((name, block, first))
         class_of.update(dict.fromkeys(block, name))
     try:
-        maps = _class_tables(G, at_unit, class_of, left, G.plan.generator_set)
+        maps = _class_tables(G, at_unit, class_of, left, G.generator_set)
     except FalsificationError:  # name the first k in element order
-        maps = _class_tables(G, at_unit, class_of, left, G.plan.element_set)
+        maps = _class_tables(G, at_unit, class_of, left, G.element_set)
     # the induced action is global: the domain of k is the class set at rng(k)
     at = {e: frozenset(name for name, _, _ in named) for e, named in at_unit.items()}
     domains = {k: at.get(G.rng[k], _EMPTY) for k in G.elements}

@@ -2,7 +2,9 @@
 
 Exit codes: 0 when the command succeeds and every checked property holds,
 1 when a property does not hold or no witness exists, 2 on input or output
-errors.  Output is a pure function of the input files.
+errors.  Output is a pure function of the input files.  Each command
+returns its exit code, its JSON payload and an iterable of its text lines;
+``main`` prints the payload under ``--json`` and the lines otherwise.
 """
 
 from __future__ import annotations
@@ -64,27 +66,16 @@ def _classified(cls, tainted: bool) -> list[str]:
     return lines
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(_dumps(payload))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 def _load(args, name: str, action: bool = True):
     """The instance file or fixture ``name``; an action unless ``action`` is false."""
-    doc = instancefiles.load(
-        str(instancefiles.resolve_instance_path(name)), bypass=args.bypass_validation
-    )
+    doc = instancefiles.load(instancefiles.resolve_instance_path(name), bypass=args.bypass_validation)
     if action and doc.kind != "action":
         raise StructuralError(f"{name}: expected an action instance, found {doc.kind}")
     return doc
 
 
-def cmd_validate(args) -> int:
-    path = str(instancefiles.resolve_instance_path(args.instance))
-    kind, report = instancefiles.inspect(path)
+def cmd_validate(args):
+    kind, report = instancefiles.inspect(instancefiles.resolve_instance_path(args.instance))
     payload = {
         "command": "validate",
         "kind": kind,
@@ -98,62 +89,36 @@ def cmd_validate(args) -> int:
     lines = ["ok" if report.ok else "invalid"]
     lines += [str(v) for v in report.violations]
     lines += [f"note: {n}" for n in report.notes]
-    _emit(args, payload, lines)
-    return 0 if report.ok else 1
+    return 0 if report.ok else 1, payload, lines
 
 
-def cmd_info(args) -> int:
+def cmd_info(args):
     doc = _load(args, args.instance, action=False)
+    payload = {"command": "info", "kind": doc.kind, "name": doc.name, "description": doc.description}
     if doc.kind == "groupoid":
         G = doc.payload
-        payload = {
-            "command": "info",
-            "kind": "groupoid",
-            "name": doc.name,
-            "description": doc.description,
-            "elements": len(G.elements),
-            "identities": len(G.identities),
-            "composable_pairs": len(G.mul),
-        }
-        lines = [
-            "kind: groupoid",
-            f"name: {doc.name}",
-            f"elements: {len(G.elements)}",
-            f"identities: {len(G.identities)}",
-            f"composable_pairs: {len(G.mul)}",
-        ]
+        payload.update(elements=len(G.elements), identities=len(G.identities), composable_pairs=len(G.mul))
+        shown = ("kind", "name", "elements", "identities", "composable_pairs")
+        lines = [f"{key}: {payload[key]}" for key in shown]
     else:
         A = doc.payload
-        rel = orbit_relation(A)
-        cls = classify(A)
-        glob = is_global(A)
-        payload = {
-            "command": "info",
-            "kind": "action",
-            "name": doc.name,
-            "description": doc.description,
+        rel, cls = orbit_relation(A), classify(A)
+        payload.update({
             "carrier": len(A.carrier),
             "groupoid_elements": len(A.groupoid.elements),
             "orbits": len(rel.classes),
-            "global": glob,
+            "global": is_global(A),
             "transitive": cls.transitive,
             "free": cls.free,
             "tainted": A.tainted,
-        }
-        lines = [
-            "kind: action",
-            f"name: {doc.name}",
-            f"carrier: {len(A.carrier)}",
-            f"groupoid_elements: {len(A.groupoid.elements)}",
-            f"orbits: {len(rel.classes)}",
-            f"global: {_bool(glob)}",
-            *_classified(cls, A.tainted),
-        ]
-    _emit(args, payload, lines)
-    return 0
+        })
+        shown = ("kind", "name", "carrier", "groupoid_elements", "orbits")
+        lines = [f"{key}: {payload[key]}" for key in shown]
+        lines += [f"global: {_bool(payload['global'])}", *_classified(cls, A.tainted)]
+    return 0, payload, lines
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args):
     doc = _load(args, args.instance)
     cls = classify(doc.payload)
     payload = {
@@ -162,11 +127,10 @@ def cmd_classify(args) -> int:
         "free": cls.free,
         "tainted": doc.payload.tainted,
     }
-    _emit(args, payload, _classified(cls, doc.payload.tainted))
-    return 0
+    return 0, payload, _classified(cls, doc.payload.tainted)
 
 
-def cmd_orbits(args) -> int:
+def cmd_orbits(args):
     doc = _load(args, args.instance)
     rel = orbit_relation(doc.payload)
     payload = {
@@ -182,11 +146,19 @@ def cmd_orbits(args) -> int:
         lines.append(f"non-transitive: {x} ~ {rel.via} ~ {z} but {x} !~ {z}")
     if rel.tainted:
         lines.append("tainted: true")
-    _emit(args, payload, lines)
-    return 0 if rel.is_equivalence else 1
+    return 0 if rel.is_equivalence else 1, payload, lines
 
 
-def cmd_globalize(args) -> int:
+def _envelope_text(document: dict, topology: dict | None):
+    """The text of ``globalize`` without ``-o``: the document in canonical
+    layout, then the topology booleans.  A generator, so that ``--json``
+    does not render the document twice."""
+    yield instancefiles.canonical_json(document).rstrip("\n")
+    for k, v in sorted((topology or {}).items()):
+        yield f"{k}: {_bool(v)}"
+
+
+def cmd_globalize(args):
     doc = _load(args, args.instance)
     E = globalize(doc.payload)
     report = verify_globalization(E)
@@ -208,18 +180,11 @@ def cmd_globalize(args) -> int:
     }
     if args.output:
         instancefiles.save(args.output, document)
-        lines = [f"classes: {len(E.classes)}", f"written: {args.output}"]
-    elif args.json:
-        lines = []  # the payload carries the document; no text is printed
-    else:
-        lines = [instancefiles.canonical_json(document).rstrip("\n")]
-    if topo_payload is not None and not args.output:
-        lines += [f"{k}: {_bool(v)}" for k, v in sorted(topo_payload.items())]
-    _emit(args, payload, lines)
-    return 0
+        return 0, payload, [f"classes: {len(E.classes)}", f"written: {args.output}"]
+    return 0, payload, _envelope_text(document, topo_payload)
 
 
-def cmd_isomorphic(args) -> int:
+def cmd_isomorphic(args):
     doc_a = _load(args, args.first)
     doc_b = _load(args, args.second)
     witness = find_isomorphism(doc_a.payload, doc_b.payload)
@@ -229,21 +194,17 @@ def cmd_isomorphic(args) -> int:
         "witness": dict(sorted(witness.table.items())) if witness else None,
     }
     if witness is None:
-        _emit(args, payload, ["none"])
-        return 1
-    _emit(args, payload, [f"{x} -> {y}" for x, y in sorted(witness.table.items())])
-    return 0
+        return 1, payload, ["none"]
+    return 0, payload, [f"{x} -> {y}" for x, y in sorted(witness.table.items())]
 
 
-def cmd_coset_check(args) -> int:
+def cmd_coset_check(args):
     doc = _load(args, args.instance)
     A = doc.payload
     if args.at not in A.carrier:
         raise StructuralError(f"--at {args.at!r} is not a carrier point")
     if args.envelope:
-        E = instancefiles.load_envelope(
-            str(instancefiles.resolve_instance_path(args.envelope)), A
-        )
+        E = instancefiles.load_envelope(instancefiles.resolve_instance_path(args.envelope), A)
         if not verify_globalization(E).ok:
             raise StructuralError(
                 f"{args.envelope}: document is not a globalization of this base"
@@ -263,11 +224,10 @@ def cmd_coset_check(args) -> int:
         "witness": table,
         "classes": len(C.classes),
     }
-    _emit(args, payload, lines)
-    return 0 if table is not None else 1
+    return 0 if table is not None else 1, payload, lines
 
 
-def cmd_topology_report(args) -> int:
+def cmd_topology_report(args):
     doc = _load(args, args.instance)
     A = doc.payload
     T_G = doc.groupoid_topology or discrete(A.groupoid.elements)
@@ -276,9 +236,8 @@ def cmd_topology_report(args) -> int:
     booleans = report.booleans()
     payload = {"command": "topology-report", "skipped": report.skipped, **booleans}
     lines = [f"{k}: {_bool(v) if v is not None else 'skipped'}" for k, v in booleans.items()]
-    _emit(args, payload, lines)
     checked = [v for v in booleans.values() if v is not None]
-    return 0 if all(checked) and not report.skipped else 1
+    return 0 if all(checked) and not report.skipped else 1, payload, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,7 +306,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # usage errors and --help, already printed
         return exc.code
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
+        if args.json:
+            print(_dumps(payload))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except (ValidationFailed, StructuralError, CapExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -46,11 +46,11 @@ def coset_quotient(G, e: str, subgroup, naming, fail, bypass: bool = False):
     in triple-scan order; otherwise ``quotient_action`` induces the action,
     tainted with ``bypass``, naming the class of h ``[h]`` when ``naming``
     is None and ``naming.h`` otherwise.  Returns its classes, class tokens
-    and action.  ``G.plan.cosets`` keeps the tables of each success, which
+    and action.  ``G.cosets`` keeps the tables of each success, which
     a later call wraps in a new action; a failure is raised on every call.
     """
     key = (e, frozenset(subgroup), naming, bypass)
-    kept = G.plan.cosets.get(key)
+    kept = G.cosets.get(key)
     if kept is not None:
         classes, class_of, *tables, law = kept
         return classes, class_of, _made(G, *tables, bypass, law)
@@ -79,7 +79,7 @@ def coset_quotient(G, e: str, subgroup, naming, fail, bypass: bool = False):
     classes, class_of, A = quotient_action(
         G, blocks, token, unit=G.rng.__getitem__, left=lambda k, h: G.mul[(k, h)], bypass=bypass
     )
-    G.plan.cosets[key] = classes, class_of, A.carrier, A.anchor, A.domains, A.maps, A.law_holds
+    G.cosets[key] = classes, class_of, A.carrier, A.anchor, A.domains, A.maps, A.law_holds
     return classes, class_of, A
 
 

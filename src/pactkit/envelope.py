@@ -49,7 +49,7 @@ class EnvelopingAction:
 
 def _merge_relation(A: PartialAction, pairs) -> dict:
     """The pairs identified with each pair (g, x): (g·inv l, l·x) for every l
-    with src(l) = src(g) acting at x, read from ``G.plan.merge``.  Each pair
+    with src(l) = src(g) acting at x, read from ``G.merge``.  Each pair
     has src(g) = anchor(x), as in ``globalize``, which builds the relation
     only for a tainted action.
 
@@ -59,7 +59,7 @@ def _merge_relation(A: PartialAction, pairs) -> dict:
     pair raises the merge defect, named by the first such pair and its
     least stray neighbour.
     """
-    maps, merge = A.maps, A.groupoid.plan.merge
+    maps, merge = A.maps, A.groupoid.merge
     canonical = {p: p for p in pairs}
     rel = {}
     for p in pairs:
@@ -96,7 +96,7 @@ def _merge_classes(A: PartialAction, pairs) -> list:
     No pair is related to two classes, so each member is taken out of the
     unclassed pairs as it is read, and the classes hold the pair objects.
     """
-    maps, merge = A.maps, A.groupoid.plan.merge
+    maps, merge = A.maps, A.groupoid.merge
     unclassed = {p: p for p in pairs}
     classes = []
     for p in pairs:

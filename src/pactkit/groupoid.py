@@ -6,7 +6,7 @@ canonical representatives and deterministic iteration everywhere downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
@@ -25,44 +25,6 @@ class Fibers(NamedTuple):
     iso: tuple[str, ...]
 
 
-class Plan:
-    """Walks over composable pairs that depend on the groupoid alone, so that
-    every action over it reads them instead of the tables.
-
-    Each walk is built on first use and then kept: many groupoids (a loaded
-    file's, an isotropy group) serve only a few actions, and most of those
-    need one or two of the walks; the element set, the sorted units and the
-    generator set are made at once.  ``cosets`` keeps what
-    ``coset.coset_quotient`` decides per unit and subgroup, in tokens only.
-    A walk or fact is a pure function of the tables, so concurrent first
-    uses at worst build it twice.
-    """
-
-    def __init__(self, elements, mul, inv, src, rng, identities, generators, fibers):
-        self._tables = elements, mul, inv, src, rng, generators, fibers
-        self.element_set, self.generator_set = frozenset(elements), frozenset(generators)
-        self.units = tuple(sorted(identities))
-        self.cosets = {}
-
-    @cached_property
-    def law(self) -> tuple:
-        """(h, g, gh) for h in generators and g in the source fiber of rng(h)."""
-        _, mul, _, _, rng, generators, fibers = self._tables
-        return tuple((h, g, mul[(g, h)]) for h in generators for g in fibers[rng[h]].d)
-
-    @cached_property
-    def products(self) -> tuple:
-        """(inv g, h, g, inv h, gh) for each entry (g, h) -> gh of mul."""
-        _, mul, inv, _, _, _, _ = self._tables
-        return tuple([(inv[g], h, g, inv[h], gh) for (g, h), gh in mul.items()])
-
-    @cached_property
-    def merge(self) -> dict:
-        """g -> ((l, g·inv l), ...) for l in the source fiber of src(g)."""
-        elements, mul, inv, src, _, _, fibers = self._tables
-        return {g: tuple([(l, mul[(g, inv[l])]) for l in fibers[src[g]].d]) for g in elements}
-
-
 @dataclass(frozen=True, eq=True)
 class Groupoid:
     """A finite groupoid described by explicit tables.
@@ -73,11 +35,15 @@ class Groupoid:
     never trusted from input.  ``generators`` is a generating set picked
     greedily in token order, units last: each element is a composable
     product of generators, so an identity closed under products is decided
-    on generators alone.  ``fibers`` and ``plan`` are indexes derived from the
-    tables whenever a value is made, also by ``dataclasses.replace``, and
-    take no part in equality or repr.  Values are immutable after
-    construction and every operation is a pure function, so concurrent reads
-    are safe.  The tables are dicts, so a value is unhashable.
+    on generators alone.
+
+    The indexes and walks below, which actions read instead of the tables,
+    and the coset memo are built from the tables on first use and kept.
+    They hold tokens only, take no part in equality or repr, and start
+    unbuilt on every new value, also one made by ``dataclasses.replace``.
+    Values are immutable after construction and every operation is a pure
+    function, so concurrent reads are safe; concurrent first uses at worst
+    build a walk twice.  The tables are dicts, so a value is unhashable.
     """
 
     elements: tuple[str, ...]
@@ -87,12 +53,11 @@ class Groupoid:
     rng: dict
     identities: frozenset
     generators: tuple[str, ...]
-    fibers: dict = field(init=False, compare=False, repr=False)
-    plan: Plan = field(init=False, compare=False, repr=False)
 
     __hash__ = None
 
-    def __post_init__(self):
+    @cached_property
+    def fibers(self) -> dict:
         index: dict = {}
         for g in self.elements:
             s, r = self.src[g], self.rng[g]
@@ -100,10 +65,43 @@ class Groupoid:
             index.setdefault(r, ([], [], []))[1].append(g)
             if s == r:
                 index[s][2].append(g)
-        object.__setattr__(self, "fibers", {e: Fibers(*map(tuple, v)) for e, v in index.items()})
-        # the plan holds the tables, not the groupoid, so that no cycle keeps it
-        tables = self.elements, self.mul, self.inv, self.src, self.rng, self.identities, self.generators
-        object.__setattr__(self, "plan", Plan(*tables, self.fibers))
+        return {e: Fibers(*map(tuple, v)) for e, v in index.items()}
+
+    @cached_property
+    def element_set(self) -> frozenset:
+        return frozenset(self.elements)
+
+    @cached_property
+    def generator_set(self) -> frozenset:
+        return frozenset(self.generators)
+
+    @cached_property
+    def units(self) -> tuple[str, ...]:
+        """The identities in token order."""
+        return tuple(sorted(self.identities))
+
+    @cached_property
+    def law(self) -> tuple:
+        """(h, g, gh) for h in generators and g in the source fiber of rng(h)."""
+        mul, rng, fibers = self.mul, self.rng, self.fibers
+        return tuple((h, g, mul[(g, h)]) for h in self.generators for g in fibers[rng[h]].d)
+
+    @cached_property
+    def products(self) -> tuple:
+        """(inv g, h, g, inv h, gh) for each entry (g, h) -> gh of mul."""
+        inv = self.inv
+        return tuple([(inv[g], h, g, inv[h], gh) for (g, h), gh in self.mul.items()])
+
+    @cached_property
+    def merge(self) -> dict:
+        """g -> ((l, g·inv l), ...) for l in the source fiber of src(g)."""
+        mul, inv, src, fibers = self.mul, self.inv, self.src, self.fibers
+        return {g: tuple([(l, mul[(g, inv[l])]) for l in fibers[src[g]].d]) for g in self.elements}
+
+    @cached_property
+    def cosets(self) -> dict:
+        """What ``coset.coset_quotient`` decides per unit and subgroup, in tokens only."""
+        return {}
 
     def compose(self, g: str, h: str):
         """Product g*h, or None when the pair is not composable."""

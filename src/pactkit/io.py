@@ -44,13 +44,15 @@ def fixtures_dir() -> Path:
     return PACKAGED_FIXTURES
 
 
-def resolve_instance_path(name: str) -> Path:
+def resolve_instance_path(name: str) -> str:
+    """The path of the file ``name``, else of the fixture ``name`` or
+    ``name.json``, in the normal form that ``pathlib`` gives it."""
     if os.path.exists(name):
-        return Path(name)
+        return str(Path(name))
     root = fixtures_dir()
     for candidate in (os.path.join(root, name), os.path.join(root, f"{name}.json")):
         if os.path.exists(candidate):
-            return Path(candidate)
+            return str(Path(candidate))
     raise FileNotFoundError(f"no such instance file or fixture: {name}")
 
 
@@ -208,12 +210,12 @@ def _groupoid_tables(payload) -> tuple:
 def _groupoid(elements, mul, inv, src, rng) -> Groupoid:
     """``build_groupoid`` of one block of rows, kept for the most recent
     ``GROUPOID_MEMO`` distinct blocks, so every document that carries a
-    block shares one value and its plan.
+    block shares one value and the walks it keeps.
 
     ``build_groupoid`` is a pure function of the rows, so a kept value is
     the one a new build would give, and each distinct block is still
     validated in full once.  The key keeps the rows in document order:
-    the insertion order of ``mul`` fixes ``plan.products`` and so the
+    the insertion order of ``mul`` fixes ``Groupoid.products`` and so the
     order of (ii) and (iii) violations in action reports.  A failing block
     raises and is not kept, so it raises again on every load.
     """
@@ -224,7 +226,7 @@ def _resolve_groupoid(ref) -> Groupoid:
     if isinstance(ref, dict):
         return _groupoid(*_groupoid_tables(ref))
     if isinstance(ref, str):
-        doc = load(str(resolve_instance_path(ref)))
+        doc = load(resolve_instance_path(ref))
         if doc.kind != "groupoid":
             raise StructuralError(f"groupoid reference {ref!r} points at a {doc.kind} instance")
         return doc.payload
@@ -479,7 +481,7 @@ def _render(value, indent: int) -> str:
         if not value:
             return "{}"
         items = [
-            f'{pad}  "{key}": {encode_basestring(v) if isinstance(v, str) else _render(v, indent + 2)}'
+            f"{pad}  {encode_basestring(key)}: {encode_basestring(v) if isinstance(v, str) else _render(v, indent + 2)}"
             for key, v in value.items()
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"

@@ -882,7 +882,7 @@ def reference_render(value, indent: int) -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [f'{pad}  "{key}": {reference_render(val, indent + 2)}' for key, val in value.items()]
+        items = [f"{pad}  {json.dumps(key, ensure_ascii=False)}: {reference_render(val, indent + 2)}" for key, val in value.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(value, (list, tuple)):
         if not value:
@@ -1019,7 +1019,7 @@ def reference_find_isomorphism(A, B):
 
 # ---------------------------------------------------------------------------
 # the library's earlier kernels, which walk the groupoid's tables on every
-# call instead of its plan, kept verbatim
+# call instead of the walks it keeps, kept verbatim
 
 
 def reference_composition_law(G, maps) -> bool:
@@ -1076,11 +1076,11 @@ def reference_merge_relation(A, pairs) -> dict:
 
 def reference_planned_merge_relation(A, pairs) -> dict:
     """The earlier ``envelope._merge_relation``, which ``globalize`` ran on
-    every action: the related set of every pair, read from ``G.plan.merge``."""
+    every action: the related set of every pair, read from ``G.merge``."""
     from pactkit.core import defect
 
     G, maps = A.groupoid, A.maps
-    merge = G.plan.merge
+    merge = G.merge
     images = {x: [maps[l].get(x) for l in G.fibers[e].d] for x, e in A.anchor.items()}
     canonical = {p: p for p in pairs}
     rel = {}
@@ -1485,7 +1485,7 @@ def reference_classify(A):
 # JSON output of the command line
 
 
-def reference_emit(payload) -> str:
+def reference_dumps(payload) -> str:
     """What ``pactkit --json`` prints for a payload (before the newline)."""
     import json
 

@@ -891,7 +891,7 @@ def test_derived_actions_are_validated_once_or_made_from_kept_tables(monkeypatch
     monkeypatch.setattr(action_module, "_validate", spy)
     monkeypatch.setattr(action_module, "_made", made_spy)
     monkeypatch.setattr(coset_module, "_made", made_spy)
-    # a fresh groupoid, whose plan keeps no coset quotient from other tests
+    # a fresh groupoid, which keeps no coset quotient from other tests
     instance_io._groupoid.cache_clear()
     A = fix_b()
     E = globalize(A)

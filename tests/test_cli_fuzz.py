@@ -142,7 +142,7 @@ def accepted_as_envelope(path, base) -> bool:
     """Whether ``coset-check --envelope`` takes the document at ``path`` as an
     envelope of the fixture ``base``; when it does, the document must equal
     ``globalize`` of the base up to a renaming of its class tokens."""
-    A = load(str(resolve_instance_path(base))).payload
+    A = load(resolve_instance_path(base)).payload
     try:
         loaded = load_envelope(path, A)
     except (StructuralError, ValidationFailed):

@@ -250,7 +250,7 @@ def test_coset_quotients_kept_per_groupoid_match_the_earlier_kernel():
                                 assert got[2].law_holds is expected[3] and got[2].tainted is bypass
                         seen.add(expected[1] if len(expected) == 2 else "built")
         # only what was built is kept, one entry per key
-        assert all(kept[-1] is True for kept in G.plan.cosets.values())
+        assert all(kept[-1] is True for kept in G.cosets.values())
     assert "built" in seen
     assert {m for m in seen if m != "built"} == {
         "coset relation is not reflexive",
@@ -340,21 +340,21 @@ def test_kept_coset_facts_belong_to_one_groupoid_value():
     assert G == twin == copy
     A = coset_global_action(G, "0", {"0", "2"})
     stabilizer(A, min(A.carrier))
-    assert G.plan.cosets
+    assert G.cosets
     for other in (twin, copy):
-        assert not other.plan.cosets
+        assert not other.cosets
     again = coset_global_action(G, "0", {"0", "2"})
     assert again == A and again is not A and again.maps is A.maps
     assert again.law_holds is A.law_holds is True
     B = coset_global_action(twin, "0", {"0", "2"})
     assert B == A and B.maps is not A.maps
-    kept = [list(v) for v in G.plan.cosets.values()] + [list(v) for v in twin.plan.cosets.values()]
+    kept = [list(v) for v in G.cosets.values()] + [list(v) for v in twin.cosets.values()]
     ids = [id(part) for parts in kept for part in parts if isinstance(part, (dict, tuple))]
     assert len(ids) == len(set(ids))
 
 
 def test_dropping_a_groupoid_leaves_no_cyclic_garbage():
-    # what the plan keeps refers to no groupoid or action, so a groupoid
+    # what a groupoid keeps refers to no groupoid or action, so a groupoid
     # and every action over it go as soon as they are dropped
     import gc
     import weakref
@@ -364,6 +364,7 @@ def test_dropping_a_groupoid_leaves_no_cyclic_garbage():
     from pactkit.sampling import symmetric3_table
 
     gc.collect()
+    gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         G = from_group(symmetric3_table())
@@ -373,16 +374,19 @@ def test_dropping_a_groupoid_leaves_no_cyclic_garbage():
                 for x in A.carrier:
                     build_coset_action(A, x)
                 classify(globalize(A).action)
-        assert G.plan.cosets
+        assert G.cosets and G.law and G.products and G.merge
         gone = weakref.ref(G)
         del G, A
+        # with the collector off, only reference counts can free it
+        freed = gone() is None
         gc.collect()
         left = [type(o).__name__ for o in gc.garbage if isinstance(o, (Groupoid, PartialAction))]
     finally:
         gc.set_debug(0)
+        gc.enable()
         gc.garbage.clear()
     assert left == []
-    assert gone() is None
+    assert freed
 
 
 def test_threads_sharing_a_groupoid_get_the_earlier_kernels_answers(tmp_path):

@@ -393,8 +393,8 @@ def run_chain(G, raw, renamed, mapping, x) -> None:
 
 
 def count_merge_rows(monkeypatch, counts: dict) -> None:
-    """Count the merge rows read from every groupoid's plan, under "merge rows"."""
-    kept = groupoid_module.Plan.__dict__["merge"]
+    """Count the merge rows read from every groupoid, under "merge rows"."""
+    kept = groupoid_module.Groupoid.__dict__["merge"]
 
     class Rows:
         def __init__(self, rows):
@@ -405,7 +405,7 @@ def count_merge_rows(monkeypatch, counts: dict) -> None:
             counts["merge rows"] = counts.get("merge rows", 0) + len(row)
             return row
 
-    monkeypatch.setattr(groupoid_module.Plan, "merge", property(lambda plan: Rows(kept.__get__(plan))))
+    monkeypatch.setattr(groupoid_module.Groupoid, "merge", property(lambda G: Rows(kept.__get__(G))))
 
 
 def test_the_random_suite_chain_does_each_piece_of_work_once(monkeypatch):

@@ -387,28 +387,34 @@ def test_fiber_index_matches_plain_scans():
         assert G == build_groupoid(helpers.raw_groupoid(G))
 
 
-def test_plan_matches_plain_scans_and_is_rebuilt_by_replace():
+def test_walks_match_plain_scans_and_start_unbuilt_on_replace():
     from dataclasses import replace
+
+    walks = {"fibers", "element_set", "generator_set", "units", "law", "products", "merge"}
 
     def law_edges(G, generators):
         return tuple((h, g, G.mul[(g, h)]) for h in generators for g in G.elements if G.src[g] == G.rng[h])
 
     moved = 0
     for G in index_bases():
-        assert G.plan.law == law_edges(G, G.generators)
+        assert G.element_set == frozenset(G.elements) and G.generator_set == frozenset(G.generators)
+        assert G.units == tuple(sorted(G.identities))
+        assert G.law == law_edges(G, G.generators)
         rows = sorted((G.inv[g], h, g, G.inv[h], gh) for (g, h), gh in G.mul.items())
-        assert sorted(G.plan.products) == rows and len(G.plan.products) == len(G.mul)
-        assert G.plan.merge == {
+        assert sorted(G.products) == rows and len(G.products) == len(G.mul)
+        assert G.merge == {
             g: tuple((l, G.mul[(g, G.inv[l])]) for l in G.elements if G.src[l] == G.src[g])
             for g in G.elements
         }
-        # replace rebuilds the law edges from the new generators
+        # replace starts with no walk built and rebuilds the law edges from
+        # the new generators
         late = helpers.late_generators(G)
         H = replace(G, generators=late)
-        assert H.plan.law == law_edges(G, late)
-        moved += H.plan.law != G.plan.law
-        # the plan is derived: no part of equality or repr
+        assert not vars(H).keys() & {*walks, "cosets"}
+        assert H.law == law_edges(G, late)
+        moved += H.law != G.law
+        # the walks are derived: no part of equality or repr
         twin = build_groupoid(helpers.raw_groupoid(G))
-        assert twin == G and twin.plan is not G.plan
-        assert "plan" not in repr(G) and "Plan" not in repr(G)
+        assert walks <= vars(G).keys() and not vars(twin).keys() & walks
+        assert twin == G and repr(twin) == repr(G)
     assert moved

@@ -42,14 +42,14 @@ def run_cli(argv, capsys):
 
 def test_all_valid_fixtures_load():
     for name in FIXTURES:
-        doc = load(str(resolve_instance_path(name)))
+        doc = load(resolve_instance_path(name))
         assert doc.name == name
 
 
 def test_save_load_round_trip_byte_identical(tmp_path):
     for name in FIXTURES:
         path = resolve_instance_path(name)
-        doc = load(str(path))
+        doc = load(path)
         if doc.kind == "groupoid":
             out = groupoid_document(doc.payload, doc.name, doc.description, doc.groupoid_topology)
         else:
@@ -63,19 +63,19 @@ def test_save_load_round_trip_byte_identical(tmp_path):
 
 def test_remark_x_load_fails_naming_condition_and_witness():
     with pytest.raises(ValidationFailed) as err:
-        load(str(resolve_instance_path("remark-x")))
+        load(resolve_instance_path("remark-x"))
     assert "(i)" in str(err.value)
     assert "x2" in str(err.value)
 
 
 def test_remark_x_bypass_is_tainted():
-    doc = load(str(resolve_instance_path("remark-x")), bypass=True)
+    doc = load(resolve_instance_path("remark-x"), bypass=True)
     assert doc.payload.tainted
 
 
 def unnamed_fix_b_at_a_name_that_is_not_utf8(tmp_path) -> Path:
     """fix-b without ``meta.name``, in a file whose name holds byte 0xff."""
-    doc = json.loads(resolve_instance_path("fix-b").read_text())
+    doc = json.loads(Path(resolve_instance_path("fix-b")).read_text())
     del doc["meta"]["name"]
     path = tmp_path / os.fsdecode(b"bad\xff.json")
     try:
@@ -157,7 +157,7 @@ def test_fixture_dir_override(tmp_path, monkeypatch):
     src = resolve_instance_path("fix-b")
     (tmp_path / "mine.json").write_text(Path(src).read_text())
     monkeypatch.setenv("PACT_FIXTURES", str(tmp_path))
-    assert resolve_instance_path("mine") == tmp_path / "mine.json"
+    assert resolve_instance_path("mine") == str(tmp_path / "mine.json")
     with pytest.raises(FileNotFoundError):
         resolve_instance_path("fix-b")
     # the named instances are always the packaged documents
@@ -168,7 +168,7 @@ def test_envelope_document_reload(tmp_path, capsys):
     out_path = tmp_path / "env.json"
     code, _, _ = run_cli(["globalize", "fix-b", "-o", str(out_path)], capsys)
     assert code == 0
-    base = load(str(resolve_instance_path("fix-b"))).payload
+    base = load(resolve_instance_path("fix-b")).payload
     E = load_envelope(str(out_path), base)
     assert verify_globalization(E).ok
     assert len(E.classes) == 3
@@ -201,6 +201,17 @@ def test_cli_orbits_json_tainted_marker(capsys):
     payload = json.loads(out)
     assert payload["tainted"] is True
     assert payload["witness"] == ["x1", "x3"]
+
+
+def test_an_action_on_the_empty_carrier_prints_no_orbit_lines(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    empty = [["e", []], ["s", []]]
+    payload = {"groupoid": "z2", "carrier": [], "anchor": [], "domains": empty, "maps": empty}
+    path.write_text(json.dumps({"kind": "action", "payload": payload}))
+    assert run_cli(["orbits", str(path)], capsys) == (0, "", "")
+    code, out, _ = run_cli(["orbits", str(path), "--json"], capsys)
+    assert code == 0 and json.loads(out)["orbits"] == []
+    assert '"orbits": []' in out
 
 
 def test_cli_globalize_json_three_classes(capsys):
@@ -319,7 +330,7 @@ def test_cli_json_outputs_validate_against_schema(capsys, tmp_path):
 
 
 def test_canonical_json_stable_under_reparse():
-    doc = load(str(resolve_instance_path("fix-c")))
+    doc = load(resolve_instance_path("fix-c"))
     rendered = canonical_json(action_document(doc.payload, doc.name, doc.description))
     assert json.loads(rendered) == json.loads(rendered)
 
@@ -465,7 +476,7 @@ def test_shape_errors_are_structural_and_exit_two(mutate, tmp_path, capsys):
     ],
 )
 def test_a_key_listed_twice_is_named_first_in_document_order(table, rows, message, tmp_path, capsys):
-    doc = json.loads(resolve_instance_path("fix-b").read_text())
+    doc = json.loads(Path(resolve_instance_path("fix-b")).read_text())
     doc["payload"][table] = rows
     path = tmp_path / "twice.json"
     path.write_text(json.dumps(doc))
@@ -480,7 +491,7 @@ def test_a_key_listed_twice_is_named_first_in_document_order(table, rows, messag
 def test_unread_blocks_are_checked_by_every_reader(fixture, extra, tmp_path, capsys):
     # a top-level topology beside the payload's, and classes or embedding
     # blocks of the wrong shape, which only load_envelope reads
-    doc = json.loads(resolve_instance_path(fixture).read_text())
+    doc = json.loads(Path(resolve_instance_path(fixture)).read_text())
     path = tmp_path / f"{fixture}.json"
     path.write_text(json.dumps(doc | extra))
     for read in (load, instance_io.inspect):
@@ -492,7 +503,7 @@ def test_unread_blocks_are_checked_by_every_reader(fixture, extra, tmp_path, cap
     # saved envelopes, whose blocks have the right shapes, still load
     envelope = tmp_path / "env.json"
     assert run_cli(["globalize", fixture, "-o", str(envelope)], capsys)[0] == 0
-    base = load(str(resolve_instance_path(fixture))).payload
+    base = load(resolve_instance_path(fixture)).payload
     assert verify_globalization(load_envelope(str(envelope), base)).ok
     assert run_cli(["validate", str(envelope)], capsys)[0] == 0
 
@@ -548,7 +559,7 @@ def test_incoherent_envelope_documents_exit_two(mutate, message, tmp_path, capsy
     mutate(doc)
     path = tmp_path / "incoherent.json"
     path.write_text(json.dumps(doc))
-    base = load(str(resolve_instance_path("fix-c"))).payload
+    base = load(resolve_instance_path("fix-c")).payload
     with pytest.raises(StructuralError) as err:
         load_envelope(str(path), base)
     assert str(err.value) == f"{path}: {message}"
@@ -562,7 +573,7 @@ def test_every_saved_envelope_loads_as_the_envelope_it_records(tmp_path, capsys)
     for name in ("fix-b", "fix-c", "sierp-act"):
         envelope = tmp_path / f"{name}.json"
         assert run_cli(["globalize", name, "-o", str(envelope)], capsys)[0] == 0
-        base = load(str(resolve_instance_path(name))).payload
+        base = load(resolve_instance_path(name)).payload
         E, loaded = globalize(base), load_envelope(str(envelope), base)
         assert verify_globalization(loaded).ok
         assert (loaded.classes, loaded.class_of, loaded.action, loaded.embedding) == (
@@ -616,9 +627,9 @@ def test_cli_output_matches_golden_recording(capsys):
 
 
 def test_loads_of_one_groupoid_block_share_one_value(tmp_path, capsys):
-    z2 = str(resolve_instance_path("z2"))
+    z2 = resolve_instance_path("z2")
     assert load(z2).payload is load(z2).payload
-    fix = str(resolve_instance_path("fix-b"))
+    fix = resolve_instance_path("fix-b")
     base = load(fix).payload
     assert load(fix).payload.groupoid is base.groupoid
     envelope = tmp_path / "env.json"
@@ -861,6 +872,13 @@ def test_canonical_json_matches_the_reference_renderer():
         assert canonical_json(doc) == helpers.reference_render(doc, 0) + "\n"
 
 
+def test_canonical_json_escapes_keys_and_reads_back_as_the_document():
+    keys = ['a"b', "back\\slash", "tab\tnew\nline\x01", "\x7f", "é", "\u2028", "𝕏", ""]
+    for doc in ({key: 1 for key in keys}, {"outer": {key: [key] for key in keys}}):
+        assert json.loads(canonical_json(doc)) == doc
+        assert canonical_json(doc) == helpers.reference_render(doc, 0) + "\n"
+
+
 def test_json_output_matches_json_dumps_on_a_seeded_corpus():
     # the renderer behind --json against json.dumps(indent=2, sort_keys=True)
     from pactkit.cli import _dumps
@@ -868,12 +886,12 @@ def test_json_output_matches_json_dumps_on_a_seeded_corpus():
     rng = random.Random(1313)
     corpus = [helpers.random_payload(rng) for _ in range(600)]
     for payload in corpus:
-        assert _dumps(payload) == helpers.reference_emit(payload)
-    text = "\n".join(map(helpers.reference_emit, corpus))
+        assert _dumps(payload) == helpers.reference_dumps(payload)
+    text = "\n".join(map(helpers.reference_dumps, corpus))
     needles = ("\\u00e9", "\\ud835", '""', "[]", "{}", "1e-09", "-0.0", "-Infinity", "null", '"7"')
     assert all(needle in text for needle in needles)
     for payload in [*string_tables(random.Random(1314)), *recorded_envelope_documents()]:
-        assert _dumps(payload) == helpers.reference_emit(payload)
+        assert _dumps(payload) == helpers.reference_dumps(payload)
 
 
 def test_a_command_read_by_its_own_parser_reads_as_the_shared_parser_reads_it(capsys):

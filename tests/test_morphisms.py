@@ -241,7 +241,7 @@ def test_validate_gmap_matches_the_sorted_scan_on_valid_and_perturbed_maps():
 
 def test_find_isomorphism_reads_the_tables_only(monkeypatch):
     # no orbit, stabilizer or classification is computed, and no coset
-    # quotient is kept on the groupoid's plan
+    # quotient is kept on the groupoid
     from pactkit import action, globalize
 
     calls = []
@@ -261,12 +261,11 @@ def test_find_isomorphism_reads_the_tables_only(monkeypatch):
         E = globalize(make())
         A = E.action
         B = relabel_action(A, {c: f"r{i}" for i, c in enumerate(A.carrier)})
-        plan = A.groupoid.plan
-        kept = dict(plan.cosets)
+        kept = dict(A.groupoid.cosets)
         assert find_isomorphism(A, A).table == {c: c for c in A.carrier}
         assert find_isomorphism(A, B) is not None
         find_isomorphism(E.base, A)
-        assert plan.cosets == kept
+        assert A.groupoid.cosets == kept
     assert calls == []
 
 

@@ -1,8 +1,8 @@
-"""The kernels that read ``Groupoid.plan`` against the earlier kernels kept in
-helpers: the composition law, the product pass and the merge relation; at
-|G| up to 64, the validation and equivariance reports against the earlier
-ordered scans; and the merge classes and orbits read off one member on
-untainted actions against the earlier relation checks."""
+"""The kernels that read the walks a ``Groupoid`` keeps against the earlier
+kernels kept in helpers: the composition law, the product pass and the
+merge relation; at |G| up to 64, the validation and equivariance reports
+against the earlier ordered scans; and the merge classes and orbits read
+off one member on untainted actions against the earlier relation checks."""
 
 import random
 from dataclasses import replace

@@ -176,7 +176,7 @@ def test_random_partial_actions_match_a_run_on_the_earlier_coset_builder(monkeyp
 
     pool = groupoid_pool()
     got = draw(pool)
-    assert sum(len(G.plan.cosets) for G in pool) < 300
+    assert sum(len(G.cosets) for G in pool) < 300
     monkeypatch.setattr(sampling, "coset_global_action", helpers.reference_coset_global_action)
     expected = draw(groupoid_pool())
     assert got == expected
