@@ -6,14 +6,15 @@ canonical representatives and deterministic iteration everywhere downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
-from .core import PreconditionError, Report, StructuralError, Violation, distinct
+from .core import PreconditionError, Report, StructuralError, ValidationFailed, Violation, distinct
 
-_RAW_KEYS = {"elements", "mul", "inv", "src", "rng", "identities"}
+_TABLE_KEYS = ("elements", "mul", "inv", "src", "rng")
+_RAW_KEYS = {*_TABLE_KEYS, "identities"}
 _first = itemgetter(0)  # the key of a row
 
 
@@ -29,10 +30,13 @@ class Fibers(NamedTuple):
 class Groupoid:
     """A finite groupoid described by explicit tables.
 
+    The constructor validates, as ``build_groupoid`` does, and so does
+    ``dataclasses.replace``.  It derives ``identities`` and ``generators``,
+    which are never trusted from input: no caller can set them.
+
     ``mul`` holds exactly the composable pairs; looking up a non-composable
     pair yields None rather than an error, since partial definedness is
-    semantic, not exceptional.  ``identities`` is derived during validation,
-    never trusted from input.  ``generators`` is a generating set picked
+    semantic, not exceptional.  ``generators`` is a generating set picked
     greedily in token order, units last: each element is a composable
     product of generators, so an identity closed under products is decided
     on generators alone.
@@ -51,10 +55,18 @@ class Groupoid:
     inv: dict
     src: dict
     rng: dict
-    identities: frozenset
-    generators: tuple[str, ...]
+    identities: frozenset = field(init=False)
+    generators: tuple[str, ...] = field(init=False)
 
     __hash__ = None
+
+    def __post_init__(self):
+        elements, mul, inv, src, rng = tables = _tables(self.elements, self.mul, self.inv, self.src, self.rng)
+        generators = _generators(elements, mul)
+        identities = frozenset(src.values()) | frozenset(rng.values())
+        _axioms(*tables, generators, identities).raise_if_failed("groupoid validation")
+        self.__dict__.update(elements=tuple(sorted(elements)), mul=mul, inv=inv, src=src, rng=rng)
+        self.__dict__.update(identities=identities, generators=generators)
 
     @cached_property
     def fibers(self) -> dict:
@@ -103,13 +115,6 @@ class Groupoid:
         """What ``coset.coset_quotient`` decides per unit and subgroup, in tokens only."""
         return {}
 
-    def compose(self, g: str, h: str):
-        """Product g*h, or None when the pair is not composable."""
-        return self.mul.get((g, h))
-
-    def composable(self, g: str, h: str) -> bool:
-        return (g, h) in self.mul
-
     def d_fiber(self, e: str) -> frozenset:
         return frozenset(self.fibers[e].d) if e in self.fibers else frozenset()
 
@@ -145,35 +150,19 @@ def _as_mul(value) -> dict:
     return distinct(mul, rows, "mul", lambda row: (row[0], row[1]))
 
 
-def _tables(candidate):
-    """Normalize raw input into (elements, mul, inv, src, rng, declared_identities)."""
-    if isinstance(candidate, Groupoid):
-        return (
-            list(candidate.elements),
-            dict(candidate.mul),
-            dict(candidate.inv),
-            dict(candidate.src),
-            dict(candidate.rng),
-            set(candidate.identities),
-        )
-    if not isinstance(candidate, dict):
-        raise StructuralError("groupoid data must be a mapping or a Groupoid")
-    unknown = set(candidate) - _RAW_KEYS
-    if unknown:
-        raise StructuralError(f"unknown keys in groupoid data: {sorted(unknown)}")
-    for key in ("elements", "mul", "inv", "src", "rng"):
-        if key not in candidate:
-            raise StructuralError(f"groupoid data is missing {key!r}")
-    elements = list(candidate["elements"])
+def _tables(elements, mul, inv, src, rng):
+    """Copy and normalize the tables into (elements, mul, inv, src, rng),
+    the elements a list in the given order; StructuralError on the first
+    malformed table or dangling reference."""
+    elements = list(elements)
     if any(not isinstance(g, str) for g in elements):
         raise StructuralError("element tokens must be strings")
     if len(set(elements)) != len(elements):
         raise StructuralError("duplicate element tokens")
-    mul = _as_mul(candidate["mul"])
-    inv = _as_pairs(candidate["inv"], "inv")
-    src = _as_pairs(candidate["src"], "src")
-    rng = _as_pairs(candidate["rng"], "rng")
-    declared = set(candidate["identities"]) if "identities" in candidate else None
+    mul = _as_mul(mul)
+    inv = _as_pairs(inv, "inv")
+    src = _as_pairs(src, "src")
+    rng = _as_pairs(rng, "rng")
 
     universe = set(elements)
     for m, what in ((inv, "inv"), (src, "src"), (rng, "rng")):
@@ -185,20 +174,21 @@ def _tables(candidate):
     for (g, h), k in mul.items():
         if g not in universe or h not in universe or k not in universe:
             raise StructuralError(f"dangling mul reference in ({g!r}, {h!r}) -> {k!r}")
-    if declared is not None and not declared <= universe:
-        raise StructuralError("declared identities outside the element set")
-    return elements, mul, inv, src, rng, declared
+    return elements, mul, inv, src, rng
 
 
 def validate_groupoid(candidate) -> Report:
-    """Check the groupoid axioms and derived identities on raw table data.
+    """The verdict of ``build_groupoid`` on ``candidate`` as a report.
 
     Structural problems (dangling references, missing tables) raise
     StructuralError; genuine axiom violations come back in the report, each
     naming the axiom and a witness tuple.
     """
-    tables = _tables(candidate)
-    return _axioms(*tables, _generators(tables[0], tables[1]))
+    try:
+        build_groupoid(candidate)
+    except ValidationFailed as exc:
+        return exc.report
+    return Report(ok=True)
 
 
 def _generators(elements, mul) -> tuple[str, ...]:
@@ -226,19 +216,15 @@ def _generators(elements, mul) -> tuple[str, ...]:
     return tuple(generators)
 
 
-def _axioms(elements, mul, inv, src, rng, declared, generators) -> Report:
-    """The axiom checks on tables already normalized by ``_tables``."""
+def _axioms(elements, mul, inv, src, rng, generators, units) -> Report:
+    """The axiom checks on tables already normalized by ``_tables``;
+    ``units`` are the sources and ranges."""
     viol = [] if _accepts(elements, mul, inv, src, rng, generators) else _axiom_scans(
         elements, mul, inv, src, rng
     )
-    derived = {src[g] for g in elements} | {rng[g] for g in elements}
-    for e in sorted(derived):
+    for e in sorted(units):
         if src[e] != e or rng[e] != e:
             viol.append(Violation("identity-set", (e,), "unit is not idempotent under src/rng"))
-    if declared is not None and declared != derived:
-        diff = tuple(sorted(declared ^ derived))
-        viol.append(Violation("identity-set", diff, "supplied identity list disagrees with the derived one"))
-
     return Report(ok=not viol, violations=tuple(viol))
 
 
@@ -268,8 +254,9 @@ def _accepts(elements, mul, inv, src, rng, generators) -> bool:
         i = inv[g]
         if mul.get((i, g)) != src[g] or mul.get((g, i)) != rng[g] or inv[i] != g:
             return False
-        if src[i] != rng[g] or rng[i] != src[g]:
-            return False
+        # src(i) = rng(g) and rng(i) = src(g) need no check: (i, g) and
+        # (g, i) are products now, and the loop over mul met both, so the
+        # domain rule gave src(i) = rng(g) and src(g) = rng(i)
     # the domain rule: as many products as pairs with src(g) = rng(h)
     by_src, by_rng = {}, {}
     for g in elements:
@@ -346,21 +333,34 @@ def _axiom_scans(elements, mul, inv, src, rng) -> list[Violation]:
 
 
 def build_groupoid(candidate) -> Groupoid:
-    """Validate raw tables and freeze them into a Groupoid."""
-    tables = _tables(candidate)
-    elements, mul, inv, src, rng, _ = tables
-    generators = _generators(elements, mul)
-    _axioms(*tables, generators).raise_if_failed("groupoid validation")
-    identities = frozenset({src[g] for g in elements} | {rng[g] for g in elements})
-    return Groupoid(
-        elements=tuple(sorted(elements)),
-        mul=mul,
-        inv=inv,
-        src=src,
-        rng=rng,
-        identities=identities,
-        generators=generators,
-    )
+    """Validate raw tables and freeze them into a Groupoid: the constructor,
+    after the checks on the mapping and on a declared ``identities`` list,
+    which normalize the tables once more and report a mismatch after the
+    axiom violations.  A Groupoid is returned as it is: its constructor
+    validated it.
+    """
+    if isinstance(candidate, Groupoid):
+        return candidate
+    if not isinstance(candidate, dict):
+        raise StructuralError("groupoid data must be a mapping or a Groupoid")
+    unknown = set(candidate) - _RAW_KEYS
+    if unknown:
+        raise StructuralError(f"unknown keys in groupoid data: {sorted(unknown)}")
+    for key in _TABLE_KEYS:
+        if key not in candidate:
+            raise StructuralError(f"groupoid data is missing {key!r}")
+    tables = [candidate[key] for key in _TABLE_KEYS]
+    if "identities" in candidate:  # checked after the structural checks
+        elements, _, _, src, rng = tables = _tables(*tables)
+        declared, derived = set(candidate["identities"]), set(src.values()) | set(rng.values())
+        if not declared <= set(elements):
+            raise StructuralError("declared identities outside the element set")
+        if declared != derived:
+            found = validate_groupoid(dict(zip(_TABLE_KEYS, tables))).violations
+            detail = "supplied identity list disagrees with the derived one"
+            mismatch = Violation("identity-set", tuple(sorted(declared ^ derived)), detail)
+            Report(ok=False, violations=(*found, mismatch)).raise_if_failed("groupoid validation")
+    return Groupoid(*tables)
 
 
 def composable_pairs(G: Groupoid) -> frozenset:
@@ -373,14 +373,13 @@ def isotropy_group(G: Groupoid, e: str) -> Groupoid:
     if e not in G.identities:
         raise PreconditionError(f"{e!r} is not an identity of the groupoid")
     members = set(G.isotropy_elements(e))
-    sub = {
-        "elements": sorted(members),
-        "mul": {(g, h): k for (g, h), k in G.mul.items() if g in members and h in members},
-        "inv": {g: G.inv[g] for g in members},
-        "src": {g: G.src[g] for g in members},
-        "rng": {g: G.rng[g] for g in members},
-    }
-    out = build_groupoid(sub)
+    out = Groupoid(
+        elements=sorted(members),
+        mul={(g, h): k for (g, h), k in G.mul.items() if g in members and h in members},
+        inv={g: G.inv[g] for g in members},
+        src={g: G.src[g] for g in members},
+        rng={g: G.rng[g] for g in members},
+    )
     assert out.identities == frozenset({e})
     return out
 
@@ -411,14 +410,12 @@ def relabel_groupoid(G: Groupoid, mapping: dict) -> Groupoid:
     """Transport the groupoid along a bijective renaming of its elements."""
     if set(mapping) != set(G.elements) or len(set(mapping.values())) != len(G.elements):
         raise StructuralError("relabeling must be a bijection defined on every element")
-    return build_groupoid(
-        {
-            "elements": sorted(mapping.values()),
-            "mul": {(mapping[g], mapping[h]): mapping[k] for (g, h), k in G.mul.items()},
-            "inv": {mapping[g]: mapping[v] for g, v in G.inv.items()},
-            "src": {mapping[g]: mapping[v] for g, v in G.src.items()},
-            "rng": {mapping[g]: mapping[v] for g, v in G.rng.items()},
-        }
+    return Groupoid(
+        elements=sorted(mapping.values()),
+        mul={(mapping[g], mapping[h]): mapping[k] for (g, h), k in G.mul.items()},
+        inv={mapping[g]: mapping[v] for g, v in G.inv.items()},
+        src={mapping[g]: mapping[v] for g, v in G.src.items()},
+        rng={mapping[g]: mapping[v] for g, v in G.rng.items()},
     )
 
 
@@ -448,15 +445,7 @@ def from_group(table: dict) -> Groupoid:
         if len(candidates) != 1:
             raise StructuralError(f"group table has no unique inverse for {g!r}")
         inv[g] = candidates[0]
-    return build_groupoid(
-        {
-            "elements": tokens,
-            "mul": mul,
-            "inv": inv,
-            "src": {g: e for g in tokens},
-            "rng": {g: e for g in tokens},
-        }
-    )
+    return Groupoid(tokens, mul, inv, src=dict.fromkeys(tokens, e), rng=dict.fromkeys(tokens, e))
 
 
 def pair_token(i: str, j: str) -> str:
@@ -474,14 +463,12 @@ def pair_groupoid(objects) -> Groupoid:
         for j in objs:
             for k in objs:
                 mul[(pair_token(i, j), pair_token(j, k))] = pair_token(i, k)
-    return build_groupoid(
-        {
-            "elements": elements,
-            "mul": mul,
-            "inv": {pair_token(i, j): pair_token(j, i) for i in objs for j in objs},
-            "src": {pair_token(i, j): pair_token(j, j) for i in objs for j in objs},
-            "rng": {pair_token(i, j): pair_token(i, i) for i in objs for j in objs},
-        }
+    return Groupoid(
+        elements,
+        mul,
+        inv={pair_token(i, j): pair_token(j, i) for i in objs for j in objs},
+        src={pair_token(i, j): pair_token(j, j) for i in objs for j in objs},
+        rng={pair_token(i, j): pair_token(i, i) for i in objs for j in objs},
     )
 
 
@@ -498,7 +485,7 @@ def disjoint_union(parts) -> Groupoid:
         inv.update({tag(g): tag(v) for g, v in G.inv.items()})
         src.update({tag(g): tag(v) for g, v in G.src.items()})
         rng.update({tag(g): tag(v) for g, v in G.rng.items()})
-    return build_groupoid({"elements": elements, "mul": mul, "inv": inv, "src": src, "rng": rng})
+    return Groupoid(elements, mul, inv, src, rng)
 
 
 def action_groupoid(table: dict, action: dict) -> Groupoid:
@@ -541,4 +528,4 @@ def action_groupoid(table: dict, action: dict) -> Groupoid:
             for x in sorted(points):
                 # (g, h*x) composes with (h, x) to give (g*h, x)
                 mul[(tok(g, action[h][x]), tok(h, x))] = tok(group.mul[(g, h)], x)
-    return build_groupoid({"elements": elements, "mul": mul, "inv": inv, "src": src, "rng": rng})
+    return Groupoid(elements, mul, inv, src, rng)

@@ -19,36 +19,46 @@ OPEN_FAMILY_CAP = 200000
 
 @dataclass(frozen=True, eq=True)
 class FiniteTopology:
-    """Topology on a finite carrier, one minimal open set per point."""
+    """Topology on a finite carrier, one minimal open set per point.
+
+    The constructor validates, as ``build_topology`` does, and so does
+    ``dataclasses.replace``.  ``min_open`` is a dict, so a value is unhashable.
+    """
 
     carrier: tuple
     min_open: dict
 
+    __hash__ = None
+
+    def __post_init__(self):
+        points = sorted(self.carrier)
+        on = set(points)
+        if len(on) != len(points):
+            raise StructuralError("duplicate points in carrier")
+        mo = {}
+        for x in points:
+            if x not in self.min_open:
+                raise StructuralError(f"missing minimal open set for {x!r}")
+            block = frozenset(self.min_open[x])
+            if not block <= on:
+                raise StructuralError(f"minimal open set of {x!r} leaves the carrier")
+            mo[x] = block
+        for x in points:
+            if x not in mo[x]:
+                raise StructuralError(f"{x!r} is not in its own minimal open set")
+        for x in points:
+            for y in mo[x]:
+                if not mo[y] <= mo[x]:
+                    raise StructuralError(
+                        f"minimal opens are not nested: {y!r} in min_open({x!r}) "
+                        f"but min_open({y!r}) escapes it"
+                    )
+        self.__dict__.update(carrier=tuple(points), min_open=mo)
+
 
 def build_topology(carrier, min_open: dict) -> FiniteTopology:
     """Validate minimal-open data (point membership and nesting) and freeze it."""
-    points = sorted(carrier)
-    if len(set(points)) != len(points):
-        raise StructuralError("duplicate points in carrier")
-    mo = {}
-    for x in points:
-        if x not in min_open:
-            raise StructuralError(f"missing minimal open set for {x!r}")
-        block = frozenset(min_open[x])
-        if not block <= set(points):
-            raise StructuralError(f"minimal open set of {x!r} leaves the carrier")
-        mo[x] = block
-    for x in points:
-        if x not in mo[x]:
-            raise StructuralError(f"{x!r} is not in its own minimal open set")
-    for x in points:
-        for y in mo[x]:
-            if not mo[y] <= mo[x]:
-                raise StructuralError(
-                    f"minimal opens are not nested: {y!r} in min_open({x!r}) "
-                    f"but min_open({y!r}) escapes it"
-                )
-    return FiniteTopology(carrier=tuple(points), min_open=mo)
+    return FiniteTopology(carrier, min_open)
 
 
 def discrete(points) -> FiniteTopology:

@@ -841,6 +841,22 @@ def late_generators(G) -> tuple:
     return tuple(generators)
 
 
+def with_generators(G, generators):
+    """A copy of G whose generating set is ``generators``: the constructor
+    makes it with its generator picker swapped for this one call, so the
+    copy is validated, Light's test included, on that set."""
+    from dataclasses import replace
+
+    import pactkit.groupoid as groupoid_module
+
+    pick = groupoid_module._generators
+    groupoid_module._generators = lambda elements, mul: tuple(generators)
+    try:
+        return replace(G)
+    finally:
+        groupoid_module._generators = pick
+
+
 def reference_quotient_action(G, blocks, token, unit, left, bypass: bool = False):
     """The library's earlier ``action.quotient_action``: every k is sent
     through every member of every class at its source."""

@@ -662,8 +662,6 @@ def swap_members(rng, blocks, unit):
 
 
 def test_quotient_action_on_generators_matches_the_full_scan():
-    from dataclasses import replace
-
     from pactkit.coset import coset_token
     from pactkit.envelope import class_token
 
@@ -682,7 +680,7 @@ def test_quotient_action_on_generators_matches_the_full_scan():
         for blocks, token, unit, left in kernels:
             for bypass in (False, True):
                 for parts in (blocks, swap_members(rng, blocks, unit)):
-                    for H in (G, replace(G, generators=helpers.late_generators(G))):
+                    for H in (G, helpers.with_generators(G, helpers.late_generators(G))):
                         message = same_quotient(H, parts, token, unit, left, bypass)
                         messages.append((message, H.generators))
     ill_defined = [(m, S) for m, S in messages if m and "is not well defined" in m]
@@ -932,3 +930,23 @@ def test_build_partial_action_copies_the_callers_tables():
         raw["maps"][g]["new"] = "new"
         raw["maps"].clear()
         assert B == A and B.maps[g][x] == A.maps[g][x]
+
+
+def test_an_action_breaking_the_composition_law_fails_over_every_groupoid_value():
+    # Z3 with 1 and 2 both swapping a and b: maps[2] is the inverse of
+    # maps[1], but maps[1]∘maps[1] is not maps[2].  The law is decided on
+    # the generators, which every way of making Z3 derives, and which no
+    # caller can empty (test_groupoid)
+    from dataclasses import replace
+
+    from pactkit.groupoid import Groupoid, build_groupoid
+
+    G = from_group(cyclic_table(3))
+    swap, fix = {"a": "b", "b": "a", "c": "c"}, {x: x for x in "abc"}
+    tables = ("abc", dict.fromkeys("abc", "0"), dict.fromkeys(G.elements, "abc"), {"0": fix, "1": swap, "2": swap})
+    report = validate_partial_action(G, *tables)
+    assert report.conditions() == {"(iii)"}
+    for H in (replace(G), build_groupoid(helpers.raw_groupoid(G)), Groupoid(*helpers.raw_groupoid(G).values())):
+        assert H.generators == ("1",) and validate_partial_action(H, *tables) == report
+        with pytest.raises(ValidationFailed):
+            build_partial_action(H, *tables)

@@ -169,8 +169,8 @@ def test_inverse_antihomomorphism():
     for G in (z2(), pair2(), remark_g()):
         for g in G.elements:
             for h in G.elements:
-                lhs = G.compose(g, h)
-                rhs = G.compose(G.inv[h], G.inv[g])
+                lhs = G.mul.get((g, h))
+                rhs = G.mul.get((G.inv[h], G.inv[g]))
                 assert (lhs is None) == (rhs is None)
                 if lhs is not None:
                     assert G.inv[lhs] == rhs
@@ -295,7 +295,7 @@ def test_axioms_match_reference_on_one_entry_corruptions():
         for kind in helpers.GROUPOID_CORRUPTIONS:
             for _ in range(rounds):
                 raw = helpers.corrupt_groupoid(rng, G, kind)
-                expected = helpers.reference_axioms(*_tables(raw))
+                expected = helpers.reference_axioms(*_tables(**raw), None)
                 assert validate_groupoid(raw) == expected
                 if expected.ok:
                     assert build_groupoid(raw).mul == raw["mul"]
@@ -316,7 +316,7 @@ def test_axioms_match_reference_on_one_entry_corruptions_at_scale():
     for G in (from_group(cyclic_table(64)), pair_groupoid(range(8))):
         for kind in helpers.GROUPOID_CORRUPTIONS:
             raw = helpers.corrupt_groupoid(rng, G, kind)
-            expected = helpers.reference_axioms(*_tables(raw))
+            expected = helpers.reference_axioms(*_tables(**raw), None)
             assert validate_groupoid(raw) == expected, kind
             labels |= expected.conditions()
     assert labels == {"axiom1", "axiom2", "axiom3", "axiom4", "domain", "identity-set"}
@@ -388,8 +388,6 @@ def test_fiber_index_matches_plain_scans():
 
 
 def test_walks_match_plain_scans_and_start_unbuilt_on_replace():
-    from dataclasses import replace
-
     walks = {"fibers", "element_set", "generator_set", "units", "law", "products", "merge"}
 
     def law_edges(G, generators):
@@ -406,10 +404,11 @@ def test_walks_match_plain_scans_and_start_unbuilt_on_replace():
             g: tuple((l, G.mul[(g, G.inv[l])]) for l in G.elements if G.src[l] == G.src[g])
             for g in G.elements
         }
-        # replace starts with no walk built and rebuilds the law edges from
-        # the new generators
+        # a copy starts with no walk built and builds the law edges from
+        # its own generators
         late = helpers.late_generators(G)
-        H = replace(G, generators=late)
+        H = helpers.with_generators(G, late)
+        assert H.generators == late and H.mul == G.mul
         assert not vars(H).keys() & {*walks, "cosets"}
         assert H.law == law_edges(G, late)
         moved += H.law != G.law
@@ -418,3 +417,100 @@ def test_walks_match_plain_scans_and_start_unbuilt_on_replace():
         assert walks <= vars(G).keys() and not vars(twin).keys() & walks
         assert twin == G and repr(twin) == repr(G)
     assert moved
+
+
+def test_identities_and_generators_are_derived_and_cannot_be_set():
+    from dataclasses import fields, replace
+
+    from pactkit.groupoid import Groupoid
+
+    G = from_group(cyclic_table(3))
+    assert [f.name for f in fields(Groupoid) if f.init] == ["elements", "mul", "inv", "src", "rng"]
+    for change in ({"generators": ()}, {"identities": frozenset({"1"})}):
+        with pytest.raises(ValueError, match="init=False"):
+            replace(G, **change)
+        with pytest.raises(TypeError):
+            Groupoid(**helpers.raw_groupoid(G), **change)
+    H = replace(G)
+    assert H == G and (H.identities, H.generators) == (frozenset({"0"}), ("1",))
+
+
+def outcome(build):
+    """What ``build()`` returns, or the type, message and report of the
+    structural or validation error it raises."""
+    try:
+        return build()
+    except (StructuralError, ValidationFailed) as exc:
+        return type(exc), str(exc), getattr(exc, "report", None)
+
+
+def test_the_constructor_and_replace_reject_what_build_groupoid_rejects():
+    from dataclasses import replace
+
+    from pactkit.groupoid import Groupoid
+
+    rng = random.Random(26)
+    raised = set()
+    for G in corruption_bases()[::3]:
+        for kind in helpers.GROUPOID_CORRUPTIONS:
+            raw = helpers.corrupt_groupoid(rng, G, kind)
+            expected = outcome(lambda: build_groupoid(raw))
+            assert outcome(lambda: Groupoid(**raw)) == expected
+            table = kind if kind in ("inv", "src", "rng") else "mul"
+            assert outcome(lambda: replace(G, **{table: raw[table]})) == expected
+            if isinstance(expected, tuple):
+                raised |= expected[2].conditions()
+    assert raised == {"axiom1", "axiom2", "axiom3", "axiom4", "domain", "identity-set"}
+    # structural defects, in the order the checks meet them
+    raw = helpers.raw_groupoid(z2())
+    broken = [
+        dict(raw, elements=["e", "s", "s"]),
+        dict(raw, elements=["e", 1]),
+        dict(raw, mul=[("e", "e")]),
+        dict(raw, inv={"e": "ghost", "s": "s"}),
+        dict(raw, src={"e": "e"}),
+        dict(raw, mul={**raw["mul"], ("e", "ghost"): "e"}),
+        dict(raw, elements=["e", "s", "t"], inv=None),
+    ]
+    messages = []
+    for bad in broken:
+        expected = outcome(lambda: build_groupoid(bad))
+        assert expected[0] is StructuralError
+        assert outcome(lambda: Groupoid(**bad)) == expected
+        messages.append(expected[1])
+    assert len(set(messages)) == len(broken)
+
+
+def test_a_declared_identity_list_is_reported_after_the_axiom_violations():
+    rng = random.Random(27)
+    for G in corruption_bases()[:6]:
+        for kind in helpers.GROUPOID_CORRUPTIONS:
+            raw = helpers.corrupt_groupoid(rng, G, kind)
+            for declared in (sorted(G.identities), list(G.elements)):
+                data = dict(raw, identities=declared)
+                expected = helpers.reference_axioms(*_tables(**raw), set(declared))
+                assert validate_groupoid(data) == expected
+                if expected.ok:
+                    assert build_groupoid(data) == build_groupoid(raw)
+                else:
+                    with pytest.raises(ValidationFailed) as err:
+                        build_groupoid(data)
+                    assert err.value.report == expected
+    with pytest.raises(StructuralError, match="declared identities outside the element set"):
+        build_groupoid(dict(helpers.raw_groupoid(z2()), identities=["e", "ghost"]))
+
+
+def test_each_groupoid_is_validated_once(monkeypatch):
+    import pactkit.groupoid as groupoid_module
+
+    calls = []
+    accepts = groupoid_module._accepts
+    monkeypatch.setattr(groupoid_module, "_accepts", lambda *tables: calls.append(1) or accepts(*tables))
+    G = build_groupoid(raw_cyclic(6))
+    assert len(calls) == 1
+    assert build_groupoid(G) is G and validate_groupoid(G).ok and len(calls) == 1
+    calls.clear()
+    # one per groupoid the pool makes: its members, and the groups and pair
+    # groupoid that go into a disjoint union or an action groupoid
+    groupoid_pool()
+    assert len(calls) == 27

@@ -537,6 +537,22 @@ def _embed_a_point_twice(doc):
     doc["embedding"].insert(0, [doc["embedding"][0][0], doc["embedding"][1][1]])
 
 
+def _name_another_groupoid(doc):
+    doc["payload"]["groupoid"] = "z2"
+
+
+def _empty_a_class(doc):
+    doc["classes"][0][1] = []
+
+
+def _embed_one_point_only(doc):
+    doc["embedding"].pop()
+
+
+def _embed_a_point_outside(doc):
+    doc["embedding"][0][1] = "[zz]"
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -547,6 +563,10 @@ def _embed_a_point_twice(doc):
         (_list_a_member_twice, "classes do not partition the pairs of the base"),
         (_embed_two_points_alike, "embedding is not injective"),
         (_embed_a_point_twice, "embedding lists 'u' twice"),
+        (_name_another_groupoid, "envelope groupoid differs from the base groupoid"),
+        (_empty_a_class, "class [(1,1),u] has no members"),
+        (_embed_one_point_only, "embedding does not cover the base carrier"),
+        (_embed_a_point_outside, "embedding leaves the envelope carrier"),
     ],
 )
 def test_incoherent_envelope_documents_exit_two(mutate, message, tmp_path, capsys):

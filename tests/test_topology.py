@@ -225,3 +225,51 @@ def test_factor_wise_product_questions_reject_points_outside_the_carrier():
         for ask in (product_is_open, product_is_closed, product_subspace):
             with pytest.raises(StructuralError, match="subset leaves the carrier"):
                 ask(factors, {("x", "0"), stray})
+
+
+def test_the_constructor_and_replace_validate_as_build_topology_does():
+    from dataclasses import replace
+
+    from pactkit.topology import FiniteTopology
+
+    broken = [
+        (["a", "b", "a"], {"a": {"a"}, "b": {"b"}}),
+        (["a", "b"], {"a": {"a"}}),
+        (["a", "b"], {"a": {"a", "c"}, "b": {"b"}}),
+        (["a", "b"], {"a": {"b"}, "b": {"b"}}),  # a is not in its own minimal open
+        (["a", "b", "c"], {"a": {"a", "b"}, "b": {"b", "c"}, "c": {"c"}}),  # not nested
+    ]
+    messages = []
+    for carrier, min_open in broken:
+        with pytest.raises(StructuralError) as built:
+            build_topology(carrier, min_open)
+        with pytest.raises(StructuralError) as made:
+            FiniteTopology(carrier, min_open)
+        assert str(made.value) == str(built.value)
+        messages.append(str(built.value))
+    assert len(set(messages)) == len(broken)
+    assert "'a' is not in its own minimal open set" in messages
+    assert any(m.startswith("minimal opens are not nested") for m in messages)
+    with pytest.raises(StructuralError, match="not in its own minimal open set"):
+        replace(discrete(["a", "b"]), min_open={"a": {"b"}, "b": {"b"}})
+    T = FiniteTopology(["b", "a"], {"a": ["a"], "b": ("a", "b")})
+    assert T == build_topology(["b", "a"], {"a": ["a"], "b": ("a", "b")}) == sierpinski("a", "b")
+    assert T.carrier == ("a", "b") and T.min_open == {"a": frozenset("a"), "b": frozenset("ab")}
+
+
+def test_topology_report_validates_each_space_once(monkeypatch, capsys):
+    from pactkit.cli import main
+    from pactkit.topology import FiniteTopology
+
+    made = []
+    post_init = FiniteTopology.__post_init__
+    monkeypatch.setattr(FiniteTopology, "__post_init__", lambda T: made.append(T) or post_init(T))
+    counts = {}
+    for name in ("sierp-act", "fix-c"):
+        made.clear()
+        main(["topology-report", name])
+        counts[name] = len(made)
+    capsys.readouterr()
+    # sierp-act: its two topology blocks and six derived spaces; fix-c: the
+    # two discrete spaces it defaults to and the same six
+    assert counts == {"sierp-act": 8, "fix-c": 8}
