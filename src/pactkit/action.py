@@ -373,15 +373,11 @@ def quotient_action(G: Groupoid, blocks, token, unit, left, bypass: bool = False
     is a composable product of generators, so every k is well defined.
     Two classes that ``token`` gives one name raise ``StructuralError``.
     """
-    ordered = sorted([(min(block), block) for block in blocks], key=itemgetter(0))
-    classes = tuple(block for _, block in ordered)
-    class_of, anchor, at_unit, named = {}, {}, {}, {}
-    for first, block in ordered:
-        name = token(first)
-        _name_once(named, name, first)
+    named, class_of = _named_classes(blocks, token)
+    anchor, at_unit = {}, {}
+    for first, block, name in named:
         anchor[name] = e = unit(first)
         at_unit.setdefault(e, []).append((name, block, first))
-        class_of.update(dict.fromkeys(block, name))
     try:
         maps = _class_tables(G, at_unit, class_of, left, G.generator_set)
     except FalsificationError:  # name the first k in element order
@@ -392,16 +388,23 @@ def quotient_action(G: Groupoid, blocks, token, unit, left, bypass: bool = False
     action = PartialAction(G, sorted(anchor), anchor, domains, maps, bypass)
     if not is_global(action):
         raise FalsificationError("induced action on the classes is not global")
-    return classes, class_of, action
+    return tuple(block for _, block, _ in named), class_of, action
 
 
-def _name_once(named: dict, name: str, first) -> None:
-    """Give ``name`` to the class whose least member is ``first``; a name
-    that another class already has raises."""
-    other = named.setdefault(name, first)
-    if other != first:
-        a, b = sorted((other, first))
-        raise StructuralError(f"classes with least members {a} and {b} share the token {name}")
+def _named_classes(blocks, token) -> tuple:
+    """(first, block, name) for each class by least member ``first``, named
+    ``token(first)``, and the name of every member.  The classes are named
+    in that order, so two with one name raise ``StructuralError`` at the
+    first clash in it, naming the least members of both."""
+    named, owner, class_of = [], {}, {}
+    for first, block in sorted([(min(block), block) for block in blocks], key=itemgetter(0)):
+        name = token(first)
+        other = owner.setdefault(name, first)
+        if other != first:
+            raise StructuralError(f"classes with least members {other} and {first} share the token {name}")
+        named.append((first, block, name))
+        class_of.update(dict.fromkeys(block, name))
+    return named, class_of
 
 
 def _class_tables(G: Groupoid, at_unit, class_of, left, checked) -> dict:

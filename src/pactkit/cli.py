@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-from itertools import chain
-from json.encoder import encode_basestring_ascii as _string
 
 from .core import (
     CapExceededError,
@@ -24,7 +21,6 @@ from .core import (
     ValidationFailed,
 )
 from . import io as instancefiles
-from .io import _all_rows, _all_strings
 from .action import classify, is_global, orbit_relation
 from .coset import build_coset_action, coset_envelope_isomorphism
 from .envelope import envelope_topology, globalize, verify_globalization
@@ -33,29 +29,8 @@ from .topology import discrete
 
 
 def _bool(b) -> str:
-    return "true" if b else "false"
-
-
-_leaf = json.JSONEncoder().encode
-
-
-def _dumps(value, pad: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` from leaves that the C
-    encoder writes (the indenting encoder leaves a reference cycle), a
-    string where it is met and a table of strings a row at a time."""
-    inner = pad + "  "
-    if isinstance(value, dict) and value:
-        items = [(_leaf(k if isinstance(k, str) else _leaf(k)), v) for k, v in sorted(value.items())]
-        items = [f"{inner}{k}: {_string(v) if isinstance(v, str) else _dumps(v, inner)}" for k, v in items]
-        return "{" + ",".join(items) + pad + "}"
-    if isinstance(value, (list, tuple)) and value:
-        if _all_rows(value) and _all_strings(chain.from_iterable(value)):
-            start, below, end = "[" + inner + "  ", "," + inner + "  ", inner + "]"
-            items = [start + below.join(map(_string, row)) + end if row else "[]" for row in value]
-        else:
-            items = [_string(v) if isinstance(v, str) else _dumps(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    return _leaf(value)
+    """A checked property as text; one the report skipped is ``skipped``."""
+    return "skipped" if b is None else "true" if b else "false"
 
 
 def _classified(cls, tainted: bool) -> list[str]:
@@ -235,7 +210,7 @@ def cmd_topology_report(args):
     report = envelope_topology(globalize(A), T_G, T_M)
     booleans = report.booleans()
     payload = {"command": "topology-report", "skipped": report.skipped, **booleans}
-    lines = [f"{k}: {_bool(v) if v is not None else 'skipped'}" for k, v in booleans.items()]
+    lines = [f"{k}: {_bool(v)}" for k, v in booleans.items()]
     checked = [v for v in booleans.values() if v is not None]
     return 0 if all(checked) and not report.skipped else 1, payload, lines
 
@@ -308,7 +283,7 @@ def main(argv=None) -> int:
     try:
         code, payload, lines = args.func(args)
         if args.json:
-            print(_dumps(payload))
+            print(instancefiles.output_json(payload))
         else:
             for line in lines:
                 print(line)

@@ -20,7 +20,7 @@ from .action import (
     stabilizer,
 )
 from .envelope import EnvelopingAction, verify_globalization
-from .morphisms import GMap, find_isomorphism, is_isomorphism
+from .morphisms import GMap, class_map, find_isomorphism
 
 
 def coset_token(rep: str) -> str:
@@ -116,19 +116,8 @@ def coset_envelope_isomorphism(C: CosetSpace, E: EnvelopingAction) -> GMap:
         raise PreconditionError(
             "coset comparison requires a transitive base action; this base is not transitive"
         )
-    B = E.action
-    anchored = E.embedding[C.basepoint]
-    table = {}
-    for block in C.classes:
-        token = C.class_of[min(block)]
-        targets = {B.maps[h][anchored] for h in block}
-        if len(targets) != 1:
-            raise FalsificationError(f"comparison map is not well defined on {token}")
-        table[token] = next(iter(targets))
-    witness = GMap(source=C.delta, target=B, table=table)
-    if not is_isomorphism(witness):
-        raise FalsificationError("coset comparison map is not an isomorphism")
-    return witness
+    B, anchored = E.action.maps, E.embedding[C.basepoint]
+    return class_map(C.delta, E.action, C.classes, C.class_of, lambda h: B[h][anchored], "coset comparison map")
 
 
 @dataclass(frozen=True)

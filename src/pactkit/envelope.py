@@ -19,14 +19,14 @@ from .core import (
 )
 from .action import (
     PartialAction,
-    _name_once,
+    _named_classes,
     _transported,
     action_graphs,
     quotient_action,
     relabel_action,
     restrict,
 )
-from .morphisms import GMap, build_gmap, is_isomorphism
+from .morphisms import GMap, build_gmap, class_map, is_isomorphism
 from . import topology as topo
 from .topology import FiniteTopology, star_open_report
 
@@ -229,20 +229,10 @@ def compare_globalizations(E1: EnvelopingAction, E2: EnvelopingAction) -> GMap:
     """
     if E1.base != E2.base:
         raise PreconditionError("envelopes are not over the same base action")
-    B2 = E2.action
-    table = {}
-    for block in E1.classes:
-        token = E1.class_of[min(block)]
-        targets = {B2.maps[g][E2.embedding[x]] for g, x in block}
-        if len(targets) != 1:
-            raise FalsificationError(
-                f"uniqueness map is not well defined on {token}: {sorted(targets)}"
-            )
-        table[token] = next(iter(targets))
-    witness = GMap(source=E1.action, target=B2, table=table)
-    if not is_isomorphism(witness):
-        raise FalsificationError("canonical comparison map is not an isomorphism")
-    return witness
+    B2, embedding = E2.action.maps, E2.embedding
+    return class_map(
+        E1.action, E2.action, E1.classes, E1.class_of, lambda p: B2[p[0]][embedding[p[1]]], "canonical comparison map"
+    )
 
 
 def relabel_envelope_base(E: EnvelopingAction, mapping: dict) -> EnvelopingAction:
@@ -250,34 +240,22 @@ def relabel_envelope_base(E: EnvelopingAction, mapping: dict) -> EnvelopingActio
 
     Class tokens are recomputed from the renamed canonical members, so two
     envelopes of the same action built under different orderings can be
-    compared directly.  Two classes whose renamed tokens coincide raise
-    ``StructuralError``, as in ``quotient_action``.
+    compared directly.  The classes are named as ``quotient_action`` names
+    them (``action._named_classes``), so two whose renamed tokens coincide
+    raise the ``StructuralError`` that globalizing the renamed base raises.
     """
     base = relabel_action(E.base, mapping)
     # each pair is renamed once, and pairs, classes and class_of share it
     moved_pair = {p: (p[0], mapping[p[1]]) for p in E.pairs}
-    pairs = tuple(sorted(moved_pair.values()))
-    token_map, renamed, named = {}, {}, {}
-    for block in E.classes:
-        moved = frozenset(map(moved_pair.__getitem__, block))
-        first = min(moved)
-        token_map[E.class_of[min(block)]] = token = class_token(first)
-        _name_once(named, token, first)
-        renamed[first] = moved, token
-    classes, class_of = [], {}
-    for first in sorted(renamed):
-        moved, token = renamed[first]
-        classes.append(moved)
-        class_of.update(dict.fromkeys(moved, token))
-    action = _transported(E.action, token_map)
-    embedding = {mapping[x]: token_map[t] for x, t in E.embedding.items()}
+    named, class_of = _named_classes([frozenset(map(moved_pair.__getitem__, b)) for b in E.classes], class_token)
+    token_map = {E.class_of[p]: class_of[q] for p, q in moved_pair.items()}
     return EnvelopingAction(
         base=base,
-        pairs=pairs,
-        classes=tuple(classes),
+        pairs=tuple(sorted(moved_pair.values())),
+        classes=tuple(block for _, block, _ in named),
         class_of=class_of,
-        action=action,
-        embedding=embedding,
+        action=_transported(E.action, token_map),
+        embedding={mapping[x]: token_map[t] for x, t in E.embedding.items()},
     )
 
 

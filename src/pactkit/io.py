@@ -12,7 +12,7 @@ import json
 import os
 from dataclasses import dataclass
 from itertools import chain, repeat
-from json.encoder import encode_basestring
+from json.encoder import encode_basestring, encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
@@ -464,50 +464,62 @@ def envelope_document(E: EnvelopingAction, name: str, description: str = "") -> 
     return doc
 
 
+def _writer(string, leaf, ordered: bool, width: int):
+    """The JSON writer of one layout, built once so that a call leaves no
+    reference cycle: ``string`` encodes strings, ``leaf`` other leaves and
+    keys that are no strings (as ``json.dumps`` does), keys keep their order
+    unless ``ordered``, and a list is inline when its contents fit in
+    ``width`` characters and hold no "{" (at width 0, only "[]").  A table of
+    strings is written in one comprehension, where a row that is not inline
+    is encoded again.  A part broken over lines holds "{" or outgrew its own
+    inline form, so its list breaks too."""
+
+    def written(value, pad: str) -> str:  # pad: a newline and the indent of value's lines
+        inner = pad + "  "
+        if isinstance(value, dict) and value:
+            items = [
+                f"{string(k) if isinstance(k, str) else string(leaf(k))}: "
+                + (string(v) if isinstance(v, str) else written(v, inner))
+                for k, v in (sorted(value.items()) if ordered else value.items())
+            ]
+            return "{" + inner + ("," + inner).join(items) + pad + "}"
+        if not value or not isinstance(value, (list, tuple)):  # a leaf or an empty container
+            return leaf(value)
+        all_rows = all(map(isinstance, value, repeat((list, tuple))))
+        if all_rows and all(map(isinstance, chain.from_iterable(value), repeat(str))):  # a table of strings
+            start, below, end = "[" + inner + "  ", "," + inner + "  ", inner + "]"
+            parts = [
+                f"[{r}]" if width and len(r := ", ".join(map(string, row))) <= width and "{" not in r
+                else start + below.join(map(string, row)) + end if row else "[]"
+                for row in value
+            ]
+        else:
+            parts = [string(v) if isinstance(v, str) else written(v, inner) for v in value]
+        if width and sum(map(len, parts)) + 2 * len(parts) - 2 <= width:
+            inline = "[" + ", ".join(parts) + "]"
+            if "{" not in inline:
+                return inline
+        return "[" + inner + ("," + inner).join(parts) + pad + "]"
+
+    return written
+
+
 _encode = json.JSONEncoder(ensure_ascii=False).encode
-
-
-def _every(kind):
-    return lambda values: all(map(isinstance, values, repeat(kind)))
-
-
-_all_strings, _all_rows = _every(str), _every((list, tuple))
-
-
-def _render(value, indent: int) -> str:
-    """``value`` in canonical layout; a string is encoded where it is met."""
-    pad = " " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f"{pad}  {encode_basestring(key)}: {encode_basestring(v) if isinstance(v, str) else _render(v, indent + 2)}"
-            for key, v in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if _all_rows(value) and _all_strings(chain.from_iterable(value)):  # a table of strings
-            rows = zip(value, [", ".join(map(encode_basestring, row)) for row in value])
-            parts = [f"[{r}]" if len(r) <= 70 and "{" not in r else _render(row, indent + 2) for row, r in rows]
-            return _listed(parts, pad)
-        return _listed([encode_basestring(v) if isinstance(v, str) else _render(v, indent + 2) for v in value], pad)
-    return _encode(value)
-
-
-def _listed(parts: list, pad: str) -> str:
-    """The list of rendered ``parts``: inline when that fits in 72 characters
-    and holds no "{", else a part per line.  A part broken over lines holds
-    "{" or outgrows its own inline form, which was too long, so this breaks."""
-    if sum(map(len, parts)) + 2 * len(parts) <= 72:  # the inline form's length
-        inline = "[" + ", ".join(parts) + "]"
-        if "{" not in inline:
-            return inline
-    inner = pad + "  "
-    return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
+# saved documents: insertion order, UTF-8, a list inline when "[...]" fits in 72 characters
+_document = _writer(encode_basestring, _encode, False, 70)
+# --json output: json.dumps(indent=2, sort_keys=True), whose lists are inline only when empty
+_output = _writer(encode_basestring_ascii, json.JSONEncoder().encode, True, 0)
 
 
 def canonical_json(doc: dict) -> str:
-    return _render(doc, 0) + "\n"
+    """``doc`` in the layout of saved documents, with a trailing newline."""
+    return _document(doc, "\n") + "\n"
+
+
+def output_json(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, written without the
+    indenting encoder, which leaves a reference cycle per call."""
+    return _output(value, "\n")
 
 
 def save(path: str, doc: dict) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .core import PreconditionError, Report, StructuralError, Violation
+from .core import FalsificationError, PreconditionError, Report, StructuralError, Violation
 from .action import PartialAction
 
 
@@ -92,6 +92,24 @@ def is_isomorphism(f: GMap) -> bool:
         return False
     A, B = f.source, f.target
     return all(len(A.domains[g]) == len(B.domains[g]) for g in A.groupoid.elements)
+
+
+def class_map(source: PartialAction, target: PartialAction, classes, class_of: dict, image, what: str) -> GMap:
+    """The map from ``source``, whose points name ``classes``, sending each
+    class to the one ``image`` of its members, checked to be an isomorphism
+    onto ``target``.  A class with two images, or a map that is no
+    isomorphism, raises ``FalsificationError`` naming ``what``."""
+    table = {}
+    for block in classes:
+        token = class_of[min(block)]
+        targets = set(map(image, block))
+        if len(targets) != 1:
+            raise FalsificationError(f"{what} is not well defined on {token}: {sorted(targets)}")
+        table[token] = targets.pop()
+    witness = GMap(source=source, target=target, table=table)
+    if not is_isomorphism(witness):
+        raise FalsificationError(f"{what} is not an isomorphism")
+    return witness
 
 
 def inverse_gmap(f: GMap) -> GMap:

@@ -449,3 +449,27 @@ def test_threads_sharing_a_groupoid_get_the_earlier_kernels_answers(tmp_path):
     assert errors == []
     assert results == [True] * 160
     assert io._groupoid.cache_info().currsize == 1
+
+
+def test_a_wrong_envelope_falsifies_the_coset_comparison_map():
+    # Z2 fixing one point x: the coset class [0] holds both elements
+    from dataclasses import replace
+
+    from pactkit import FalsificationError, from_group
+    from pactkit.sampling import cyclic_table
+
+    G = from_group(cyclic_table(2))
+    A = build_partial_action(G, ["x"], {"x": "0"}, {"0": {"x"}, "1": {"x"}}, {"0": {"x": "x"}, "1": {"x": "x"}})
+    C, E = build_coset_action(A, "x"), globalize(A)
+
+    def on(maps):
+        return build_partial_action(G, ["p", "q"], {"p": "0", "q": "0"}, dict.fromkeys(G.elements, {"p", "q"}), maps)
+
+    swapping = replace(E, action=on({"0": {"p": "p", "q": "q"}, "1": {"p": "q", "q": "p"}}), embedding={"x": "p"})
+    with pytest.raises(FalsificationError) as err:
+        coset_envelope_isomorphism(C, swapping)
+    assert str(err.value) == "coset comparison map is not well defined on [0]: ['p', 'q']"
+    fixing = replace(swapping, action=on(dict.fromkeys(G.elements, {"p": "p", "q": "q"})))
+    with pytest.raises(FalsificationError) as err:
+        coset_envelope_isomorphism(C, fixing)
+    assert str(err.value) == "coset comparison map is not an isomorphism"

@@ -452,3 +452,37 @@ def test_envelope_documents_match_the_recorded_bytes():
     recorder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(recorder)
     assert recorder.digests() == json.loads(recorder.DIGESTS.read_text())
+
+
+def test_a_wrong_envelope_falsifies_the_canonical_comparison_map():
+    # fix-b's envelope: [e,a] holds (e, a) and (s, a), and s swaps [e,b] and [s,b]
+    from dataclasses import replace
+
+    E = globalize(fix_b())
+    swapped = replace(E, embedding={"a": "[e,b]", "b": "[e,a]"})
+    with pytest.raises(FalsificationError) as err:
+        compare_globalizations(E, swapped)
+    assert str(err.value) == "canonical comparison map is not well defined on [e,a]: ['[e,b]', '[s,b]']"
+    G, tokens = E.action.groupoid, list(E.action.carrier)
+    fixed = build_partial_action(
+        G, tokens, dict.fromkeys(tokens, "e"), dict.fromkeys(G.elements, set(tokens)),
+        dict.fromkeys(G.elements, {t: t for t in tokens}),
+    )
+    with pytest.raises(FalsificationError) as err:
+        compare_globalizations(E, replace(E, action=fixed))
+    assert str(err.value) == "canonical comparison map is not an isomorphism"
+
+
+def test_an_envelope_point_in_no_translate_fails_condition_iii():
+    # fix-b's envelope with a point [z] that no translate of an embedded fiber reaches
+    from dataclasses import replace
+
+    E = globalize(fix_b())
+    B = E.action
+    more = build_partial_action(
+        B.groupoid, [*B.carrier, "[z]"], {**B.anchor, "[z]": "e"},
+        {g: s | {"[z]"} for g, s in B.domains.items()}, {g: {**t, "[z]": "[z]"} for g, t in B.maps.items()},
+    )
+    report = verify_globalization(replace(E, action=more))
+    assert (report.ok, report.condition_i, report.condition_ii, report.condition_iii) == (False, True, True, False)
+    assert [(v.condition, v.witness) for v in report.violations] == [("(iii)", ("e", "[z]")), ("(iii)", ("s", "[z]"))]

@@ -338,6 +338,19 @@ def test_colliding_class_tokens_raise_a_structural_error():
     assert outcome(globalize, relabel_action(A, mapping)) == (StructuralError, COLLISION)
 
 
+def test_renaming_an_envelope_reports_the_clash_that_globalizing_the_renamed_base_reports():
+    # two clashes, [u,v,w] and [u,v,z]: the renamed classes are named in
+    # least-member order on both paths, so both name [u,v,w] first
+    G = comma_groupoid()
+    A = build_partial_action(
+        G, ["a", "b", "c", "d"], {"a": "u", "c": "u", "b": "u,v", "d": "u,v"},
+        {"u": {"a", "c"}, "u,v": {"b", "d"}}, {"u": {"a": "a", "c": "c"}, "u,v": {"b": "b", "d": "d"}},
+    )
+    mapping = {"a": "v,z", "c": "v,w", "b": "z", "d": "w"}
+    assert outcome(relabel_envelope_base, globalize(A), mapping) == (StructuralError, COLLISION)
+    assert outcome(globalize, relabel_action(A, mapping)) == (StructuralError, COLLISION)
+
+
 def test_colliding_class_tokens_exit_two_on_the_command_line(tmp_path, capsys):
     G = comma_groupoid()
     A = two_points(G, "v,w", "w")

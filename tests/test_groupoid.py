@@ -514,3 +514,40 @@ def test_each_groupoid_is_validated_once(monkeypatch):
     # groupoid that go into a disjoint union or an action groupoid
     groupoid_pool()
     assert len(calls) == 27
+
+
+Z2, FIX_XY = cyclic_table(2), {"x": "x", "y": "y"}
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: from_group({("e", "e"): "e", ("e", "a"): "a"}), "group table is not total: missing ('a', 'a')"),
+        (lambda: from_group({(x, y): "a" for x in "ab" for y in "ab"}), "group table has no unique identity"),
+        (
+            lambda: from_group({("e", "e"): "e", ("e", "z"): "z", ("z", "e"): "z", ("z", "z"): "z"}),
+            "group table has no unique inverse for 'z'",
+        ),
+        (lambda: pair_groupoid([]), "pair groupoid needs at least one object"),
+        (lambda: disjoint_union([]), "disjoint union needs at least one summand"),
+        (lambda: action_groupoid(Z2, {"0": {"x": "x"}}), "action is missing group element '1'"),
+        (
+            lambda: action_groupoid(Z2, {"0": {"x": "x", "y": "y"}, "1": {"x": "x", "y": "x"}}),
+            "action of '1' is not a permutation of the point set",
+        ),
+        (lambda: action_groupoid(Z2, {"0": {}, "1": {}}), "action groupoid needs a nonempty point set"),
+        (
+            lambda: action_groupoid(Z2, {"0": {"x": "y", "y": "x"}, "1": {"x": "x", "y": "y"}}),
+            "identity of the group must act trivially",
+        ),
+        (
+            # 1 swaps x and y, but 1 + 1 = 2 fixes them
+            lambda: action_groupoid(cyclic_table(3), {"0": FIX_XY, "1": {"x": "y", "y": "x"}, "2": FIX_XY}),
+            "action table is not a homomorphism",
+        ),
+    ],
+)
+def test_the_constructors_reject_what_is_no_groupoid_of_their_kind(build, message):
+    with pytest.raises(StructuralError) as err:
+        build()
+    assert str(err.value) == message

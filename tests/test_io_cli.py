@@ -621,6 +621,50 @@ def test_cli_topology_report_on_large_discrete_groupoid(tmp_path, capsys):
     assert "skipped" not in out
 
 
+def test_checks_a_skipped_report_did_not_run_print_skipped_in_both_commands(tmp_path, capsys):
+    # Z18 acting regularly: 18 * 18 is past the envelope report's size cap
+    from pactkit.groupoid import from_group
+    from pactkit.sampling import coset_global_action, cyclic_table
+
+    G = from_group(cyclic_table(18))
+    path = tmp_path / "z18-regular.json"
+    save(str(path), action_document(coset_global_action(G, "0", {"0"}), "z18-regular"))
+    code, out, err = run_cli(["topology-report", str(path)], capsys)
+    assert (code, err) == (1, "")
+    report = out.splitlines()
+    assert "pi_open: skipped" in report and len([line for line in report if line.endswith(": skipped")]) == 6
+    code, out, err = run_cli(["globalize", str(path), "--topology"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-len(report):] == sorted(report)
+    code, out, _ = run_cli(["globalize", str(path), "--topology", "--json"], capsys)
+    booleans = json.loads(out)["topology_report"]
+    assert code == 0 and [f"{k}: {'skipped' if v is None else str(v).lower()}" for k, v in booleans.items()] == sorted(report)
+
+
+def test_an_envelope_document_that_is_no_globalization_exits_two(tmp_path, capsys):
+    # it loads: P holds (e, a) and (s, a), Q holds (e, b) and (s, b), and s
+    # fixes both; but s acts at the embedded b, which fails condition (i)
+    doc = {
+        "kind": "action",
+        "payload": {
+            "groupoid": instance_io.groupoid_payload(fix_b().groupoid),
+            "carrier": ["P", "Q"],
+            "anchor": [["P", "e"], ["Q", "e"]],
+            "domains": [["e", ["P", "Q"]], ["s", ["P", "Q"]]],
+            "maps": [["e", [["P", "P"], ["Q", "Q"]]], ["s", [["P", "P"], ["Q", "Q"]]]],
+        },
+        "classes": [["P", [["e", "a"], ["s", "a"]]], ["Q", [["e", "b"], ["s", "b"]]]],
+        "embedding": [["a", "P"], ["b", "Q"]],
+    }
+    path = tmp_path / "no-globalization.json"
+    path.write_text(json.dumps(doc))
+    report = verify_globalization(load_envelope(str(path), fix_b()))
+    assert (report.ok, report.condition_i, report.condition_ii, report.condition_iii) == (False, False, True, True)
+    for flags in ([], ["--json"]):
+        got = run_cli(["coset-check", "fix-b", "--at", "a", "--envelope", str(path)] + flags, capsys)
+        assert got == (2, "", f"error: {path}: document is not a globalization of this base\n"), flags
+
+
 def test_cli_output_matches_golden_recording(capsys):
     import importlib.util
 
@@ -901,17 +945,17 @@ def test_canonical_json_escapes_keys_and_reads_back_as_the_document():
 
 def test_json_output_matches_json_dumps_on_a_seeded_corpus():
     # the renderer behind --json against json.dumps(indent=2, sort_keys=True)
-    from pactkit.cli import _dumps
+    from pactkit.io import output_json
 
     rng = random.Random(1313)
     corpus = [helpers.random_payload(rng) for _ in range(600)]
     for payload in corpus:
-        assert _dumps(payload) == helpers.reference_dumps(payload)
+        assert output_json(payload) == helpers.reference_dumps(payload)
     text = "\n".join(map(helpers.reference_dumps, corpus))
     needles = ("\\u00e9", "\\ud835", '""', "[]", "{}", "1e-09", "-0.0", "-Infinity", "null", '"7"')
     assert all(needle in text for needle in needles)
     for payload in [*string_tables(random.Random(1314)), *recorded_envelope_documents()]:
-        assert _dumps(payload) == helpers.reference_dumps(payload)
+        assert output_json(payload) == helpers.reference_dumps(payload)
 
 
 def test_a_command_read_by_its_own_parser_reads_as_the_shared_parser_reads_it(capsys):

@@ -273,3 +273,15 @@ def test_topology_report_validates_each_space_once(monkeypatch, capsys):
     # sierp-act: its two topology blocks and six derived spaces; fix-c: the
     # two discrete spaces it defaults to and the same six
     assert counts == {"sierp-act": 8, "fix-c": 8}
+
+
+def test_all_opens_raises_past_its_cap(monkeypatch):
+    import pactkit.topology as topology
+
+    T = discrete(["a", "b"])  # four opens
+    monkeypatch.setattr(topology, "OPEN_FAMILY_CAP", 4)
+    assert len(all_opens(T)) == 4
+    monkeypatch.setattr(topology, "OPEN_FAMILY_CAP", 3)
+    with pytest.raises(CapExceededError) as err:
+        all_opens(T)
+    assert str(err.value) == "open-set family exceeds cap 3"
