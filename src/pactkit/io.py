@@ -226,10 +226,12 @@ def _resolve_groupoid(ref) -> Groupoid:
     if isinstance(ref, dict):
         return _groupoid(*_groupoid_tables(ref))
     if isinstance(ref, str):
-        doc = load(resolve_instance_path(ref))
-        if doc.kind != "groupoid":
-            raise StructuralError(f"groupoid reference {ref!r} points at a {doc.kind} instance")
-        return doc.payload
+        path = resolve_instance_path(ref)
+        # the kind first: an action's payload may name this document again,
+        # and a groupoid payload names no document
+        if _object(_read(path), f"{path}: document").get("kind") == "action":
+            raise StructuralError(f"groupoid reference {ref!r} points at a action instance")
+        return load(path).payload
     raise StructuralError("groupoid must be inline or a fixture/path reference")
 
 

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-import helpers
+import reference
 from pactkit import (
     build_coset_action,
     classify,
@@ -132,7 +132,7 @@ def test_criterion_4_invariant_closure_minimality():
     for _ in range(200):
         B = random_global_action(rng, rng.choice(pool), max_points=10)
         S = rng.sample(list(B.carrier), k=rng.randint(0, len(B.carrier)))
-        if invariant_closure(B, S) != helpers.brute_minimal_invariant_superset(B, S):
+        if invariant_closure(B, S) != reference.minimal_invariant_superset(B, S):
             mismatches += 1
     _report(f"criterion 4: invariant closure minimality ({mismatches} mismatches)", mismatches == 0)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+import reference
 from pactkit import (
     FalsificationError,
     PreconditionError,
@@ -110,7 +111,7 @@ def test_orbits_fix_b():
     rel = orbit_relation(fix_b())
     assert rel.is_equivalence
     assert [sorted(c) for c in rel.classes] == [["a"], ["b"]]
-    assert rel.classes == tuple(helpers.bfs_orbits(fix_b()))
+    assert rel.classes == reference.orbit_relation(fix_b()).classes
 
 
 def test_orbits_fix_c_single():
@@ -125,7 +126,7 @@ def test_orbit_partition_equals_one_step_relation_on_random_instances():
         A = random_partial_action(rng)
         rel = orbit_relation(A)
         assert rel.is_equivalence
-        assert rel.classes == tuple(helpers.bfs_orbits(A))
+        assert rel.classes == reference.orbit_relation(A).classes
         for x in A.carrier:
             assert rel.one_step[x] == orbit_of(A, x)
 
@@ -233,7 +234,7 @@ def test_invariant_closure_matches_brute_force_minimum():
     for _ in range(15):
         B = random_global_action(rng, rng.choice(pool), max_points=6)
         S = rng.sample(list(B.carrier), k=rng.randint(0, len(B.carrier)))
-        assert invariant_closure(B, S) == helpers.brute_minimal_invariant_superset(B, S)
+        assert invariant_closure(B, S) == reference.minimal_invariant_superset(B, S)
 
 
 def test_isotropy_restriction_inherits_classification():
@@ -397,7 +398,7 @@ def test_condition_iii_only_label_and_witnesses():
         ("(iii)", ("2", "2", "b")),
         ("(iii)", ("2", "2", "a")),
     ]
-    assert report == helpers.reference_validate_partial_action(*case)
+    assert report == reference.validate(*case)
 
 
 def test_condition_ii_label_and_witnesses():
@@ -413,7 +414,7 @@ def test_condition_ii_label_and_witnesses():
         ("(iii)", ("1", "1", "a")),
         ("(iii)", ("2", "2", "c")),
     ]
-    assert report == helpers.reference_validate_partial_action(*case)
+    assert report == reference.validate(*case)
 
 
 def test_condition_pre_label_and_witnesses():
@@ -438,7 +439,7 @@ def test_condition_pre_label_and_witnesses():
         ("(iii)", ("(1,2)", "(2,1)", "b")),
         ("(iii)", ("(2,1)", "(1,2)", "a")),
     ]
-    assert report == helpers.reference_validate_partial_action(*case)
+    assert report == reference.validate(*case)
 
 
 def test_validation_matches_reference_on_random_and_corrupted_actions():
@@ -448,7 +449,7 @@ def test_validation_matches_reference_on_random_and_corrupted_actions():
         cases = [helpers.raw_tables(A)] + [helpers.corrupt_one_entry(rng, A) for _ in range(6)]
         for raw in cases:
             args = (A.groupoid, raw["carrier"], raw["anchor"], raw["domains"], raw["maps"])
-            expected = helpers.reference_validate_partial_action(*args)
+            expected = reference.validate(*args)
             assert validate_partial_action(*args) == expected
             labels |= expected.conditions()
             assert build_partial_action(*args, bypass=True).tainted
@@ -485,19 +486,19 @@ def test_global_actions_and_their_corruptions_match_reference():
         if A.carrier:
             bases.append(build_coset_action(A, A.carrier[0]).delta)
         for B in bases:
-            assert is_global(B) and helpers.reference_is_global(B)
+            assert is_global(B) and reference.is_global(B)
             cases = [helpers.raw_tables(B)] + [helpers.corrupt_one_entry(rng, B) for _ in range(5)]
             for raw in cases:
                 args = (B.groupoid, raw["carrier"], raw["anchor"], raw["domains"], raw["maps"])
-                expected = helpers.reference_validate_partial_action(*args)
+                expected = reference.validate(*args)
                 assert validate_partial_action(*args) == expected
                 labels |= expected.conditions()
                 built = [build_partial_action(*args, bypass=True)]
                 if expected.ok:
                     built.append(build_partial_action(*args))
                 for C in built:
-                    is_global_C = same_outcome(is_global, helpers.reference_is_global, C)
-                    same_outcome(orbit_relation, helpers.reference_orbit_relation, C)
+                    is_global_C = same_outcome(is_global, reference.is_global, C)
+                    same_outcome(orbit_relation, reference.orbit_relation, C)
                     outcomes.add((expected.ok, C.tainted, is_global_C))
     assert labels == {"(i)", "(pre)", "(ii)", "(iii)", "(inv)"}
     assert {(True, False, True), (True, False, False), (False, True, False)} <= outcomes
@@ -512,10 +513,10 @@ def test_orbit_relation_matches_reference_on_tainted_actions():
             T = build_partial_action(
                 A.groupoid, raw["carrier"], raw["anchor"], raw["domains"], raw["maps"], bypass=True
             )
-            rel = same_outcome(orbit_relation, helpers.reference_orbit_relation, T)
+            rel = same_outcome(orbit_relation, reference.orbit_relation, T)
             non_equivalences += not rel.is_equivalence
     T = remark_x()
-    assert orbit_relation(T) == helpers.reference_orbit_relation(T)
+    assert orbit_relation(T) == reference.orbit_relation(T)
     assert non_equivalences > 0
 
 
@@ -528,7 +529,7 @@ def test_orbit_saturation_on_minimal_opens_matches_all_opens():
         for raw in [helpers.raw_tables(A)] + [helpers.corrupt_one_entry(rng, A) for _ in range(3)]:
             B = build_partial_action(A.groupoid, *raw.values(), bypass=True)
             T = helpers.random_preorder_topology(rng, B.carrier)
-            failing = helpers.reference_orbit_saturation_failure(B, T)
+            failing = reference.orbit_saturation_failure(B, T)
             try:
                 orbit_space(B, T)
                 raised = None
@@ -557,7 +558,7 @@ def test_is_global_matches_reference_on_built_derived_and_corrupted_actions():
             raw = helpers.corrupt_one_entry(rng, A)
             derived.append(build_partial_action(A.groupoid, *raw.values(), bypass=True))
         for B in derived:
-            verdicts.add((B.law_holds, same_outcome(is_global, helpers.reference_is_global, B)))
+            verdicts.add((B.law_holds, same_outcome(is_global, reference.is_global, B)))
     # validation decided the law both ways, or left it to is_global
     assert {(True, True), (False, False), (None, False), (None, True)} <= verdicts
 
@@ -588,7 +589,7 @@ def test_actions_and_groupoids_are_unhashable_by_name():
 
 def test_the_constructor_validates_as_build_partial_action_does():
     # every corruption kind, semantic or structural, against
-    # build_partial_action and the earlier code: untainted, the same error,
+    # build_partial_action and the reference: untainted, the same error,
     # message and report; tainted, the value of the bypass with its law
     # verdict, or the same structural error
     from pactkit import PartialAction
@@ -603,7 +604,7 @@ def test_the_constructor_validates_as_build_partial_action_does():
             for tainted in (False, True):
                 got = outcome(PartialAction, G, *raw.values(), tainted)
                 expected = outcome(build_partial_action, G, *raw.values(), tainted)
-                assert got == expected == outcome(helpers.reference_build_partial_action, G, *raw.values(), tainted)
+                assert got == expected == outcome(reference.build, G, *raw.values(), tainted)
                 if isinstance(got, tuple):
                     seen.add((tainted, got[0].__name__))
                 else:
@@ -631,12 +632,12 @@ def test_is_global_reads_the_kept_verdict_on_a_fresh_global_action(monkeypatch):
 
 
 def same_quotient(*args):
-    """The generator-only kernel and the reference kernel agree on the
+    """The generator-only kernel and the reference agree on the
     classes, tokens and action, or raise the same error."""
     from pactkit.action import quotient_action
 
     try:
-        expected = helpers.reference_quotient_action(*args)
+        expected = reference.quotient_action(*args)
     except (FalsificationError, ValidationFailed) as exc:
         with pytest.raises(type(exc)) as err:
             quotient_action(*args)
@@ -715,7 +716,7 @@ def test_quotient_action_matches_the_full_scan_on_tainted_corruptions(monkeypatc
             raw = helpers.corrupt_one_entry(rng, A)
             B = build_partial_action(A.groupoid, *raw.values(), bypass=True)
             if B.carrier:
-                expected = with_kernel(helpers.reference_quotient_action, B)
+                expected = with_kernel(reference.quotient_action, B)
                 assert with_kernel(quotient_action, B) == expected
                 built += sum(not isinstance(v, str) for v in expected)
     assert built >= 50
@@ -756,7 +757,7 @@ def test_accepting_pass_matches_the_two_pass_build():
             # the carrier also as a one-shot iterator, which a miss must not lose
             for fresh, bypass in ((list, True), (list, False), (iter, True)):
                 expected = outcome(
-                    helpers.reference_build_partial_action,
+                    reference.build,
                     B.groupoid, fresh(carrier), anchor, domains, maps, bypass=bypass,
                 )
                 got = outcome(
@@ -767,7 +768,7 @@ def test_accepting_pass_matches_the_two_pass_build():
                 seen.add(built(expected)[1])
             args = (B.groupoid, carrier, anchor, domains, maps)
             assert outcome(validate_partial_action, *args) == outcome(
-                helpers.reference_validate_partial_action, *args
+                reference.validate, *args
             )
     # both kept verdicts, violations and every structural error were reached
     kinds = {re.sub(r"\[.*\]|'.*'", "_", m) for m in seen if isinstance(m, str)}
@@ -860,7 +861,7 @@ def test_validated_actions_hold_one_set_per_unit_domain_and_one_empty_set():
         for raw in cases:
             for bypass in (False, True):
                 expected = outcome(
-                    helpers.reference_build_partial_action, G, *raw.values(), bypass=bypass
+                    reference.build, G, *raw.values(), bypass=bypass
                 )
                 got = outcome(build_partial_action, G, *raw.values(), bypass=bypass)
                 assert built(got) == built(expected)
@@ -950,3 +951,36 @@ def test_an_action_breaking_the_composition_law_fails_over_every_groupoid_value(
         assert H.generators == ("1",) and validate_partial_action(H, *tables) == report
         with pytest.raises(ValidationFailed):
             build_partial_action(H, *tables)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: restrict(fix_b(), {"a", "zz"}), PreconditionError, "restriction subset leaves the carrier",
+            id="restrict",
+        ),
+        pytest.param(
+            lambda: invariant_closure(fix_c(), {"zz"}), PreconditionError, "subset leaves the carrier", id="closure"
+        ),
+        pytest.param(
+            lambda: restrict_to_isotropy(fix_b(), "s"), PreconditionError, "'s' is not an identity", id="isotropy"
+        ),
+        pytest.param(
+            lambda: action_graphs(fix_b(), discrete(["e"]), discrete(["a", "b"])), StructuralError,
+            "groupoid topology carrier mismatch", id="graphs-groupoid",
+        ),
+        pytest.param(
+            lambda: action_graphs(fix_b(), discrete(["e", "s"]), discrete(["a"])), StructuralError,
+            "carrier topology mismatch", id="graphs-carrier",
+        ),
+        pytest.param(
+            lambda: orbit_space(fix_b(), discrete(["a"])), StructuralError, "carrier topology mismatch",
+            id="orbit-space",
+        ),
+    ],
+)
+def test_input_errors_of_the_action_layer(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

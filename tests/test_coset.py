@@ -3,7 +3,7 @@ import random
 import pytest
 
 import helpers
-
+import reference
 from pactkit import (
     PreconditionError,
     build_coset_action,
@@ -166,7 +166,7 @@ def test_isotropy_comparison_rejects_multi_unit_groupoids():
 
 
 def test_coset_relation_errors_match_the_reference_scan():
-    from helpers import corrupt_one_entry, cross_check_actions, reference_coset_relation_failure
+    from helpers import corrupt_one_entry, cross_check_actions
 
     rng = random.Random(47)
     checked = set()
@@ -175,7 +175,7 @@ def test_coset_relation_errors_match_the_reference_scan():
             raw = corrupt_one_entry(rng, A)
             B = build_partial_action(A.groupoid, *raw.values(), bypass=True)
             x = min(B.carrier)
-            expected = reference_coset_relation_failure(B, x)
+            expected = reference.coset_relation_failure(B.groupoid, B.anchor[x], reference.stabilizer(B, x))
             if expected is None:
                 C = build_coset_action(B, x)
                 assert set().union(*C.classes) == C.hx
@@ -210,14 +210,6 @@ def quotient_outcome(call, G, e, subgroup, naming, bypass):
     return classes, class_of, action, action.law_holds
 
 
-def reference_quotient(G, e, subgroup, naming, fail, bypass):
-    """The earlier kernel, with ``naming`` turned into its token callable."""
-    from pactkit.coset import coset_token
-
-    token = coset_token if naming is None else (lambda h: f"{naming}.{h}")
-    return helpers.reference_coset_quotient(G, e, subgroup, token, fail, bypass)
-
-
 def subsets_and_closures(G, e) -> set:
     """The subsets of at most two isotropy elements at e, with and without e,
     and their closures."""
@@ -231,7 +223,7 @@ def subsets_and_closures(G, e) -> set:
 def test_coset_quotients_kept_per_groupoid_match_the_earlier_kernel():
     # every pool groupoid, unit and subset of at most two isotropy elements
     # with its closure, both namings and both bypass settings: the first
-    # call and the kept answer equal the earlier kernel's, law verdict
+    # call and the kept answer equal the definition's, law verdict
     # included, and a relation that is not an equivalence raises twice
     from pactkit.coset import coset_quotient
 
@@ -242,7 +234,7 @@ def test_coset_quotients_kept_per_groupoid_match_the_earlier_kernel():
                 for naming in (None, "w1"):
                     for bypass in (False, True):
                         args = (G, e, subgroup, naming, bypass)
-                        expected = quotient_outcome(reference_quotient, *args)
+                        expected = quotient_outcome(reference.coset_quotient, *args)
                         for _ in range(2):
                             got = quotient_outcome(coset_quotient, *args)
                             assert got == expected
@@ -286,7 +278,7 @@ def test_coset_quotients_at_scale_match_the_earlier_kernel():
                 for naming in (None, "w1"):
                     for bypass in (False, True):
                         args = (G, e, subgroup, naming, bypass)
-                        expected = quotient_outcome(reference_quotient, *args)
+                        expected = quotient_outcome(reference.coset_quotient, *args)
                         for _ in range(2):
                             got = quotient_outcome(coset_quotient, *args)
                             assert got == expected
@@ -304,7 +296,7 @@ def test_coset_quotients_at_scale_match_the_earlier_kernel():
 def test_stabilizer_verdicts_kept_per_groupoid_match_the_earlier_check():
     # stabilizers of coset actions and of bypass-built corruptions, whose
     # stabilizers need not be subgroups and are not checked: every call,
-    # first or kept, returns what the earlier code returns
+    # first or kept, returns the definition's stabilizer
     from helpers import corrupt_one_entry
 
     rng = random.Random(1313)
@@ -319,7 +311,7 @@ def test_stabilizer_verdicts_kept_per_groupoid_match_the_earlier_check():
                 B = build_partial_action(G, *raw.values(), bypass=True)
                 for C in (A, B):
                     for x in C.carrier:
-                        expected = helpers.reference_stabilizer(C, x)
+                        expected = reference.stabilizer(C, x)
                         assert stabilizer(C, x) == expected
                         assert stabilizer(C, x) == expected
                         verdicts.add((C.tainted, mulclose(G, expected) == expected))
@@ -394,7 +386,7 @@ def test_threads_sharing_a_groupoid_get_the_earlier_kernels_answers(tmp_path):
     # to decide the same facts: the coset quotients kept on one fresh
     # groupoid, the facts of shared actions, and the loader's memo of one
     # groupoid block that every file carries.  A race may build a kept
-    # quotient twice, but every answer equals the earlier kernels'
+    # quotient twice, but every answer equals the definitions'
     import sys
     import threading
     from dataclasses import replace
@@ -408,12 +400,11 @@ def test_threads_sharing_a_groupoid_get_the_earlier_kernels_answers(tmp_path):
     subgroups = sorted(
         (s for s in subsets_and_closures(G, "abc") if s and mulclose(G, s) == s), key=sorted
     )
-    expected = [helpers.reference_coset_global_action(G, "abc", s, "t") for s in subgroups]
-    stabilizers = [[helpers.reference_stabilizer(A, x) for x in A.carrier] for A in expected]
+    expected = [reference.coset_quotient(G, "abc", s, "t", PreconditionError)[2] for s in subgroups]
+    stabilizers = [[reference.stabilizer(A, x) for x in A.carrier] for A in expected]
     shared = [random_partial_action(random.Random(i), G) for i in range(6)]
     facts = [
-        (helpers.reference_classify(B), helpers.reference_is_transitive(B),
-         [helpers.reference_stabilizer(B, x) for x in B.carrier])
+        (reference.classify(B), reference.is_transitive(B), [reference.stabilizer(B, x) for x in B.carrier])
         for B in map(replace, shared)
     ]
     paths = [str(tmp_path / f"a{i}.json") for i in range(len(shared))]
@@ -473,3 +464,35 @@ def test_a_wrong_envelope_falsifies_the_coset_comparison_map():
     with pytest.raises(FalsificationError) as err:
         coset_envelope_isomorphism(C, fixing)
     assert str(err.value) == "coset comparison map is not an isomorphism"
+
+
+def envelope_of_one_point(A):
+    """The envelope of A with every base point embedded at one class."""
+    from dataclasses import replace
+
+    E = globalize(A)
+    return replace(E, embedding=dict.fromkeys(E.embedding, min(E.embedding.values())))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: build_coset_action(fix_b(), "zz"), "'zz' is not a carrier point", id="point"),
+        pytest.param(
+            lambda: coset_envelope_isomorphism(build_coset_action(fix_c(), "u"), globalize(fix_b())),
+            "coset space and envelope are not over the same base action", id="base",
+        ),
+        pytest.param(
+            lambda: isotropy_restriction_check(fix_b(), "a", globalize(fix_b())),
+            "isotropy comparison requires a transitive base action", id="transitive",
+        ),
+        pytest.param(
+            lambda: isotropy_restriction_check(z2_swap(), "a", envelope_of_one_point(z2_swap())),
+            "envelope fails its defining conditions", id="envelope",
+        ),
+    ],
+)
+def test_input_errors_of_the_coset_layer(call, message):
+    with pytest.raises(PreconditionError) as err:
+        call()
+    assert str(err.value) == message

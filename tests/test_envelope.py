@@ -3,6 +3,7 @@ import random
 import pytest
 
 import helpers
+import reference
 from pactkit import (
     EnvelopingAction,
     FalsificationError,
@@ -278,7 +279,7 @@ def test_globalize_neighbour_outside_the_pairs_is_a_merge_defect():
 
 
 def test_merge_relation_errors_name_the_reference_first_witness():
-    from helpers import corrupt_one_entry, cross_check_actions, reference_merge_relation_problems
+    from helpers import corrupt_one_entry, cross_check_actions
 
     rng = random.Random(31)
     checked = set()
@@ -291,21 +292,20 @@ def test_merge_relation_errors_name_the_reference_first_witness():
                 raised = None
             except (PreconditionError, FalsificationError) as exc:
                 raised = str(exc)
-            if raised and raised.startswith("merge relation leaves the pair set"):
-                continue  # the reference scan has no answer here
-            problems = reference_merge_relation_problems(B)
-            if problems:
-                kind, witness = problems[0]
-                assert raised == f"merge relation is not {kind}: witness {witness}" + BYPASS_NOTE
-                checked.add(kind)
-            else:
-                assert raised is None or not raised.startswith("merge relation")
+            try:
+                reference.globalize(B)
+                expected = None
+            except (PreconditionError, FalsificationError) as exc:
+                expected = str(exc)
+            assert raised == expected
+            if raised and raised.startswith("merge relation is not "):
+                checked.add(raised.split()[4].rstrip(":"))
     assert checked == {"reflexive", "symmetric", "transitive"}
 
 
 def test_relation_failures_name_the_first_failure_of_each_property():
-    # random relations on up to six items, against the earlier scan that
-    # listed every failure of the merge relation in order
+    # random relations on up to six items, against the ordered scans of
+    # each property
     from pactkit.core import equivalence_classes, relation_failures
 
     rng = random.Random(1101)
@@ -314,11 +314,11 @@ def test_relation_failures_name_the_first_failure_of_each_property():
     for _ in range(400):
         items = rng.sample(range(9), rng.randint(1, 6))
         rel = {p: {q for q in items if rng.random() < (0.9 if q == p else 0.3)} for p in items}
-        problems = helpers.reference_relation_problems(items, rel)
         failures = relation_failures(items, rel)
-        assert failures == tuple(next((w for k, w in problems if k == kind), None) for kind in kinds)
+        assert failures == reference.relation_failures(items, rel)
         assert (failures == (None, None, None)) == (equivalence_classes(items, rel) is not None)
-        seen |= {k for k, _ in problems} | {failures == (None, None, None)}
+        assert reference.is_equivalence(items, rel) == (failures == (None, None, None))
+        seen |= {k for k, w in zip(kinds, failures) if w is not None} | {failures == (None, None, None)}
     assert seen == {*kinds, True, False}
 
 
@@ -391,13 +391,13 @@ def test_envelope_topology_matches_the_reference_report():
     for A, T_G, T_M in cases:
         E = globalize(A)
         rep = envelope_topology(E, T_G, T_M)
-        ref = helpers.reference_envelope_topology(E, T_G, T_M)
+        ref = reference.envelope_topology(E, T_G, T_M)
         assert (rep.skipped, rep.reasons, rep.booleans()) == (
             ref.skipped,
             ref.reasons,
             ref.booleans(),
         )
-        assert action_graphs(A, T_G, T_M) == helpers.reference_action_graphs(A, T_G, T_M)
+        assert action_graphs(A, T_G, T_M) == reference.action_graphs(A, T_G, T_M)
         seen |= {(k, v) for k, v in rep.booleans().items() if v is not None}
         seen.add(("skipped", rep.skipped))
     for key in ("skipped", "graph_open", "graph_closed", "MG_hausdorff", "relation_closed"):
@@ -435,7 +435,7 @@ def test_envelope_topology_matches_the_reference_on_merged_classes():
         for T_G in (discrete(G.elements), indiscrete(G.elements)):
             for T_M in (discrete(A.carrier), indiscrete(A.carrier)):
                 rep = envelope_topology(E, T_G, T_M)
-                ref = helpers.reference_envelope_topology(E, T_G, T_M)
+                ref = reference.envelope_topology(E, T_G, T_M)
                 assert not rep.skipped
                 assert rep.booleans() == ref.booleans()
                 seen.add((rep.pi_open, len(T_M.min_open[A.carrier[0]]) == 1))

@@ -1,10 +1,12 @@
-"""Renamed copies and orbit facts against the earlier code in helpers.
+"""Renamed copies and orbit facts against the definitions in ``reference``.
 
 A renamed copy of a validated action takes its source's verdict instead of
 being validated again, and ``is_transitive``, ``classify`` and
 ``stabilizer`` read their answers off the tables on every call, keeping
-nothing on the action.  Both give exactly what the earlier code gives:
-values, taint, law verdicts, shared domains and errors.
+nothing on the action.  Both give exactly what the definitions give: values,
+taint, law verdicts and errors; and a renamed copy holds equal domains as
+one set.  Also: colliding class tokens, and the work of the random-suite
+chain, counted.
 """
 
 import gc
@@ -13,6 +15,7 @@ from dataclasses import fields, replace
 
 import helpers
 import pactkit.action as action_module
+import reference
 import pactkit.core as core_module
 import pactkit.coset as coset_module
 import pactkit.envelope as envelope_module
@@ -63,17 +66,18 @@ def outcome(call, *args):
         return type(exc), str(exc)
 
 
-def sharing(A) -> list:
-    """Which domains are one object: each domain's first position among the
-    domains, or -1 for the shared empty set."""
+def shares_equal_domains(A) -> bool:
+    """Whether equal domains are one object, every empty one ``_EMPTY``."""
     first: dict = {}
-    return [-1 if s is _EMPTY else first.setdefault(id(s), i) for i, s in enumerate(A.domains.values())]
+    held = [-1 if s is _EMPTY else first.setdefault(id(s), i) for i, s in enumerate(A.domains.values())]
+    equal = [-1 if not s else list(A.domains.values()).index(s) for s in A.domains.values()]
+    return held == equal
 
 
 def relabeled(call, *args):
     """What a renaming gives, with what equality does not see."""
     got = outcome(call, *args)
-    held = lambda A: (A, A.tainted, A.law_holds, sharing(A))  # noqa: E731
+    held = lambda A: (A, A.tainted, A.law_holds)  # noqa: E731
     if isinstance(got, PartialAction):
         return held(got)
     if isinstance(got, EnvelopingAction):
@@ -81,37 +85,44 @@ def relabeled(call, *args):
     return got
 
 
+def reference_relabel_envelope_base(E, mapping: dict):
+    """The envelope of the renamed base, which renaming E gives when E is
+    the envelope of its base."""
+    return reference.globalize(reference.relabel(E.base, mapping))
+
+
 def facts(A, points, transitive, classification, stab) -> list:
     return [outcome(transitive, A), outcome(classification, A)] + [outcome(stab, A, x) for x in points]
 
 
 def same_facts(A, seen: set) -> None:
-    """The facts equal those of the earlier code, also for a point that is
-    not in the carrier."""
+    """The facts equal the definitions', also for a point that is not in
+    the carrier."""
     points = list(A.carrier) + ["not-a-point"]
-    expected = facts(A, points, helpers.reference_is_transitive, helpers.reference_classify,
-                     helpers.reference_stabilizer)
+    expected = facts(A, points, reference.is_transitive, reference.classify, reference.stabilizer)
     assert facts(A, points, is_transitive, classify, stabilizer) == expected
     seen.update(f[0].__name__ for f in expected if isinstance(f, tuple))
 
 
 def same_renamings(A, mapping: dict, seen: set) -> None:
     """relabel_action, a renaming of the renamed copy, and
-    relabel_envelope_base equal the earlier code's, and so do the facts of
+    relabel_envelope_base equal the definitions', and so do the facts of
     the action and of its envelope."""
     got = relabeled(relabel_action, A, mapping)
-    assert got == relabeled(helpers.reference_relabel_action, A, mapping)
+    assert got == relabeled(reference.relabel, A, mapping)
     if isinstance(got[0], PartialAction):
         inverse = {y: x for x, y in mapping.items()}
         twice = relabeled(relabel_action, got[0], inverse)
-        assert twice == relabeled(helpers.reference_relabel_action, got[0], inverse)
+        assert twice == relabeled(reference.relabel, got[0], inverse)
+        assert shares_equal_domains(got[0]) and shares_equal_domains(twice[0])
         seen.add(("renamed", A.tainted, got[0].tainted))
     else:
         seen.add(("raised", A.tainted, got[0].__name__))
     E = outcome(globalize, A)
     if isinstance(E, EnvelopingAction):
         got = relabeled(relabel_envelope_base, E, mapping)
-        assert got == relabeled(helpers.reference_relabel_envelope_base, E, mapping)
+        assert got == relabeled(reference_relabel_envelope_base, E, mapping)
+        assert shares_equal_domains(got[0].action)
         same_facts(E.action, seen)
     same_facts(A, seen)
 
@@ -136,7 +147,7 @@ def test_renamings_and_facts_match_the_earlier_code_at_scale():
 
 def test_renamings_and_facts_match_the_earlier_code_on_corrupted_actions():
     # one bypass-built corruption of each kind per base: the renamed copy
-    # stays tainted, and its facts and envelope are the earlier code's
+    # stays tainted, and its facts and envelope are the definitions'
     rng = random.Random(1515)
     bases = [random_partial_action(rng, pair_groupoid(range(3)), max_points=6) for _ in range(3)]
     bases += [coset_global_action(from_group(cyclic_table(6)), "0", {"0"})]
@@ -163,13 +174,13 @@ def test_renamings_keep_the_errors_of_the_mapping():
         ]
         for mapping in mappings:
             got = relabeled(relabel_action, B, mapping)
-            assert got == relabeled(helpers.reference_relabel_action, B, mapping)
+            assert got == relabeled(reference.relabel, B, mapping)
             assert got[0] in (StructuralError, TypeError)
         E = globalize(B) if not B.tainted else None
         if E is not None:
             mapping = dict(zip(B.carrier, reversed(B.carrier)))
             got = relabeled(relabel_envelope_base, E, mapping)
-            assert got == relabeled(helpers.reference_relabel_envelope_base, E, mapping)
+            assert got == relabeled(reference_relabel_envelope_base, E, mapping)
     message = "anchor must be defined on exactly the carrier"
     assert relabeled(relabel_action, A, dict(zip(A.carrier, range(9)))) == (StructuralError, message)
 
@@ -178,7 +189,7 @@ def test_a_stabilizer_that_is_no_subgroup_needs_the_bypass():
     # Z3 on two points: 1 fixes x and 2 swaps the points, so the stabilizer
     # of x would be {0, 1}, which is not a subgroup.  The constructor
     # rejects the tables; built with the bypass, the stabilizer is the
-    # earlier code's, unchecked
+    # definition's, unchecked
     G = from_group(cyclic_table(3))
     whole = frozenset("xy")
     maps = {"0": {"x": "x", "y": "y"}, "1": {"x": "x", "y": "y"}, "2": {"x": "y", "y": "x"}}
@@ -187,16 +198,16 @@ def test_a_stabilizer_that_is_no_subgroup_needs_the_bypass():
     assert got == outcome(build_partial_action, G, *tables)
     assert got[0] is ValidationFailed
     A = PartialAction(G, *tables, tainted=True)
-    assert helpers.reference_stabilizer(A, "x") == frozenset({"0", "1"})
+    assert reference.stabilizer(A, "x") == frozenset({"0", "1"})
     assert stabilizer(A, "x") == frozenset({"0", "1"})
-    assert classify(A) == helpers.reference_classify(A)
+    assert classify(A) == reference.classify(A)
 
 
 def test_classify_decides_freeness_in_one_walk_on_validated_actions(monkeypatch):
     # each corruption kind built with and without the bypass, and copies
     # made by dataclasses.replace, tainted and not: the classification of
-    # the earlier code, which decided every point's stabilizer; classify
-    # decides no stabilizer
+    # the definition, which decides every point's stabilizer; classify
+    # decides none
     rng = random.Random(1516)
     bases = helpers.cross_check_actions(rng, 20) + helpers.regular_at_scale()[-1:]
     asked = []
@@ -212,7 +223,7 @@ def test_classify_decides_freeness_in_one_walk_on_validated_actions(monkeypatch)
                     continue
                 copies = [B, replace(B), outcome(lambda C: replace(C, tainted=not C.tainted), B)]
                 for C in (C for C in copies if isinstance(C, PartialAction)):
-                    expected = helpers.reference_classify(C)
+                    expected = reference.classify(C)
                     assert classify(C) == expected
                     seen.add((C.tainted, expected.free))
     assert asked == []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+import reference
 from pactkit import (
     PreconditionError,
     StructuralError,
@@ -295,7 +296,7 @@ def test_axioms_match_reference_on_one_entry_corruptions():
         for kind in helpers.GROUPOID_CORRUPTIONS:
             for _ in range(rounds):
                 raw = helpers.corrupt_groupoid(rng, G, kind)
-                expected = helpers.reference_axioms(*_tables(**raw), None)
+                expected = reference.axioms(*_tables(**raw), None)
                 assert validate_groupoid(raw) == expected
                 if expected.ok:
                     assert build_groupoid(raw).mul == raw["mul"]
@@ -316,7 +317,7 @@ def test_axioms_match_reference_on_one_entry_corruptions_at_scale():
     for G in (from_group(cyclic_table(64)), pair_groupoid(range(8))):
         for kind in helpers.GROUPOID_CORRUPTIONS:
             raw = helpers.corrupt_groupoid(rng, G, kind)
-            expected = helpers.reference_axioms(*_tables(**raw), None)
+            expected = reference.axioms(*_tables(**raw), None)
             assert validate_groupoid(raw) == expected, kind
             labels |= expected.conditions()
     assert labels == {"axiom1", "axiom2", "axiom3", "axiom4", "domain", "identity-set"}
@@ -488,7 +489,7 @@ def test_a_declared_identity_list_is_reported_after_the_axiom_violations():
             raw = helpers.corrupt_groupoid(rng, G, kind)
             for declared in (sorted(G.identities), list(G.elements)):
                 data = dict(raw, identities=declared)
-                expected = helpers.reference_axioms(*_tables(**raw), set(declared))
+                expected = reference.axioms(*_tables(**raw), set(declared))
                 assert validate_groupoid(data) == expected
                 if expected.ok:
                     assert build_groupoid(data) == build_groupoid(raw)
@@ -550,4 +551,42 @@ Z2, FIX_XY = cyclic_table(2), {"x": "x", "y": "y"}
 def test_the_constructors_reject_what_is_no_groupoid_of_their_kind(build, message):
     with pytest.raises(StructuralError) as err:
         build()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: build_groupoid([("e", "e", "e")]), StructuralError, "groupoid data must be a mapping or a Groupoid",
+            id="not-a-mapping",
+        ),
+        pytest.param(
+            lambda: build_groupoid(dict(helpers.raw_groupoid(z2()), units=["e"])), StructuralError,
+            "unknown keys in groupoid data: ['units']", id="unknown-key",
+        ),
+        pytest.param(
+            lambda: build_groupoid({k: v for k, v in helpers.raw_groupoid(z2()).items() if k != "inv"}),
+            StructuralError, "groupoid data is missing 'inv'", id="missing-key",
+        ),
+        pytest.param(
+            lambda: star_fibers(z2(), "s"), PreconditionError, "'s' is not an identity of the groupoid", id="star"
+        ),
+        pytest.param(
+            lambda: translation_map(z2(), "x"), PreconditionError, "'x' is not an element of the groupoid",
+            id="translation-element",
+        ),
+        pytest.param(
+            lambda: translation_map(z2(), "s", side="up"), PreconditionError,
+            "side must be 'left' or 'right', got 'up'", id="translation-side",
+        ),
+        pytest.param(
+            lambda: relabel_groupoid(z2(), {"e": "a", "s": "a"}), StructuralError,
+            "relabeling must be a bijection defined on every element", id="relabel",
+        ),
+    ],
+)
+def test_input_errors_of_the_groupoid_layer(call, error, message):
+    with pytest.raises(error) as err:
+        call()
     assert str(err.value) == message

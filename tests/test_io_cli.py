@@ -9,6 +9,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import helpers
+import reference
 import pactkit
 from pactkit import io as instance_io
 from pactkit import StructuralError, ValidationFailed, globalize, verify_globalization
@@ -149,8 +150,33 @@ def test_action_payload_can_reference_groupoid_by_name(tmp_path):
 
     doc["payload"]["groupoid"] = "fix-b"  # an action, not a groupoid
     path.write_text(json.dumps(doc))
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match="^groupoid reference 'fix-b' points at a action instance$"):
         load(str(path))
+
+
+def test_a_groupoid_reference_cycle_exits_two_on_every_loading_command(tmp_path, capsys):
+    # an action naming itself as its groupoid, and two actions naming each
+    # other: the referenced document's kind is read before its payload
+    doc = json.loads(Path(resolve_instance_path("fix-b")).read_text())
+    cycles = {}
+    for names in (["self"], ["one", "two"]):
+        paths = [str(tmp_path / f"{name}.json") for name in names]
+        for path, ref in zip(paths, paths[1:] + paths[:1]):
+            Path(path).write_text(json.dumps(dict(doc, payload=dict(doc["payload"], groupoid=ref))))
+        cycles[paths[0]] = paths[1 % len(paths)]
+    commands = [
+        ["validate"], ["info"], ["classify"], ["orbits"], ["globalize"], ["coset-check", "--at=a"],
+        ["topology-report"], ["isomorphic", "fix-b"],
+    ]
+    for path, ref in cycles.items():
+        error = f"error: groupoid reference {ref!r} points at a action instance\n"
+        for command in commands:
+            for flags in ([], ["--json"]):
+                code = main([command[0], path, *command[1:], *flags])
+                assert (code, *capsys.readouterr()) == (2, "", error), command
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        run = subprocess.run([sys.executable, "-m", "pactkit", "validate", path], env=env, capture_output=True, text=True)
+        assert (run.returncode, run.stdout, run.stderr) == (2, "", error)
 
 
 def test_fixture_dir_override(tmp_path, monkeypatch):
@@ -852,7 +878,7 @@ def test_shape_check_matches_reference():
         if rng.random() < 0.7:
             value = mutate_once(rng, value)
         for i, check in enumerate(checks):
-            expected = helpers.reference_fits(value, check.shape)
+            expected = reference.fits(value, check.shape)
             assert check(value) == expected
             fits.setdefault(i, set()).add(expected)
     assert all(seen == {True, False} for seen in fits.values())
@@ -867,7 +893,7 @@ def test_shape_check_matches_reference():
     ]
     for value in cases:
         for check in checks:
-            assert check(value) == helpers.reference_fits(value, check.shape), (value, check.shape)
+            assert check(value) == reference.fits(value, check.shape), (value, check.shape)
     assert not instance_io._PAIRS(["ab"]) and instance_io._STRINGS(["ab"])
     assert all(check([]) for check in checks[1:])
 
@@ -929,18 +955,18 @@ def test_canonical_json_matches_the_reference_renderer():
 
     for _ in range(2000):
         doc = {"a": value(0), "b": value(0)}
-        assert canonical_json(doc) == helpers.reference_render(doc, 0) + "\n"
+        assert canonical_json(doc) == reference.render(doc, 0) + "\n"
     for doc in string_tables(random.Random(78)):
-        assert canonical_json(doc) == helpers.reference_render(doc, 0) + "\n"
+        assert canonical_json(doc) == reference.render(doc, 0) + "\n"
     for doc in recorded_envelope_documents():
-        assert canonical_json(doc) == helpers.reference_render(doc, 0) + "\n"
+        assert canonical_json(doc) == reference.render(doc, 0) + "\n"
 
 
 def test_canonical_json_escapes_keys_and_reads_back_as_the_document():
     keys = ['a"b', "back\\slash", "tab\tnew\nline\x01", "\x7f", "é", "\u2028", "𝕏", ""]
     for doc in ({key: 1 for key in keys}, {"outer": {key: [key] for key in keys}}):
         assert json.loads(canonical_json(doc)) == doc
-        assert canonical_json(doc) == helpers.reference_render(doc, 0) + "\n"
+        assert canonical_json(doc) == reference.render(doc, 0) + "\n"
 
 
 def test_json_output_matches_json_dumps_on_a_seeded_corpus():
@@ -950,12 +976,12 @@ def test_json_output_matches_json_dumps_on_a_seeded_corpus():
     rng = random.Random(1313)
     corpus = [helpers.random_payload(rng) for _ in range(600)]
     for payload in corpus:
-        assert output_json(payload) == helpers.reference_dumps(payload)
-    text = "\n".join(map(helpers.reference_dumps, corpus))
+        assert output_json(payload) == reference.dumps(payload)
+    text = "\n".join(map(reference.dumps, corpus))
     needles = ("\\u00e9", "\\ud835", '""', "[]", "{}", "1e-09", "-0.0", "-Infinity", "null", '"7"')
     assert all(needle in text for needle in needles)
     for payload in [*string_tables(random.Random(1314)), *recorded_envelope_documents()]:
-        assert output_json(payload) == helpers.reference_dumps(payload)
+        assert output_json(payload) == reference.dumps(payload)
 
 
 def test_a_command_read_by_its_own_parser_reads_as_the_shared_parser_reads_it(capsys):
@@ -1011,3 +1037,34 @@ def test_json_commands_leave_no_cyclic_garbage():
         gc.set_debug(0)
         gc.garbage.clear()
     assert left == []
+
+
+def with_change(doc: dict, change) -> dict:
+    """A copy of ``doc`` whose payload ``change`` has edited."""
+    doc = json.loads(json.dumps(doc))
+    change(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "name, change, message",
+    [
+        pytest.param(
+            "z2", lambda doc: doc.update(topology={"carrier": ["e"], "min_open": [["e", ["e"]]]}),
+            "{path}: topology carrier does not match the elements", id="topology-carrier",
+        ),
+        pytest.param(
+            "fix-b", lambda doc: doc["payload"].update(groupoid=["z2"]),
+            "groupoid must be inline or a fixture/path reference", id="groupoid-reference",
+        ),
+        pytest.param(
+            "fix-b", lambda doc: doc["payload"].pop("anchor"), "action payload is missing 'anchor'", id="payload-key"
+        ),
+    ],
+)
+def test_input_errors_of_the_document_reader(tmp_path, name, change, message):
+    path = str(tmp_path / "doc.json")
+    Path(path).write_text(json.dumps(with_change(json.loads(Path(resolve_instance_path(name)).read_text()), change)))
+    with pytest.raises(StructuralError) as err:
+        load(path)
+    assert str(err.value) == message.format(path=path)

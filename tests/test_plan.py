@@ -1,14 +1,15 @@
-"""The kernels that read the walks a ``Groupoid`` keeps against the earlier
-kernels kept in helpers: the composition law, the product pass and the
-merge relation; at |G| up to 64, the validation and equivariance reports
-against the earlier ordered scans; and the merge classes and orbits read
-off one member on untainted actions against the earlier relation checks."""
+"""The kernels that read the walks a ``Groupoid`` keeps against the
+definitions in ``reference``: the composition law, the product pass and the
+merge relation; at |G| up to 64, the validation and equivariance reports;
+and the merge classes and orbits, which the kernels read off one member on
+untainted actions."""
 
 import random
 from dataclasses import replace
 from operator import itemgetter
 
 import helpers
+import reference
 from pactkit import (
     EnvelopingAction,
     FalsificationError,
@@ -52,31 +53,23 @@ def pairs_of(A) -> tuple:
 
 
 def same_merge_relation(A, seen: set) -> None:
-    pairs = pairs_of(A)
-    got = outcome(_merge_relation, A, pairs)
-    assert got == outcome(helpers.reference_merge_relation, A, pairs)
+    got = outcome(_merge_relation, A, pairs_of(A))
+    assert got == outcome(reference.merge_relation, A)
     seen.add(("merge", got[0].__name__ if isinstance(got, tuple) else "built"))
 
 
-def reference_products(G, domains, maps) -> list:
-    """The earlier (ii) and (iii) scans, run when the earlier accepting pass
-    for them missed."""
-    if helpers.reference_products_compatible(G, domains, maps):
-        return []
-    ii = helpers.reference_condition_ii(G, domains, maps)
-    return ii + helpers.reference_condition_iii(G, domains, maps)
-
-
 def same_kernels(G, raw, seen: set) -> None:
-    """The three kernels agree with their references on the raw tables and
+    """The three kernels agree with the definitions on the raw tables and
     on the action built from them with the bypass, the only kind of action
-    whose merge relation ``globalize`` builds."""
+    whose merge relation ``globalize`` builds: the product pass gives the
+    (ii) and (iii) violations of the ordered scans."""
     A = build_partial_action(G, *raw.values(), bypass=True)
+    law = outcome(reference.composition_law, G, raw["maps"])
+    scanned = [v for v in reference.validate(G, *raw.values()).violations if v.condition in ("(ii)", "(iii)")]
     for domains, maps in ((raw["domains"], raw["maps"]), (A.domains, A.maps)):
-        law = outcome(_composition_law, G, maps)
-        assert law == outcome(helpers.reference_composition_law, G, maps)
+        assert outcome(_composition_law, G, maps) == law
         products = [v for _, v in sorted(_products(G, domains, maps), key=itemgetter(0))]
-        assert products == reference_products(G, domains, maps)
+        assert products == scanned
         seen.update({("law", law), ("products", not products)})
     same_merge_relation(A, seen)
 
@@ -103,10 +96,10 @@ def test_composition_law_counts_the_keys_of_the_product_table():
     G = from_group(cyclic_table(2))
     assert "1" in G.generators
     maps = {"0": {"a": "a", "b": "b"}, "1": {"a": "a"}}
-    assert helpers.reference_composition_law(G, maps) is False
+    assert reference.composition_law(G, maps) is False
     assert _composition_law(G, maps) is False
     maps["1"] = {"a": "b", "b": "a"}
-    assert helpers.reference_composition_law(G, maps) is True
+    assert reference.composition_law(G, maps) is True
     assert _composition_law(G, maps) is True
 
 
@@ -128,8 +121,7 @@ def test_plan_kernels_match_the_table_walks_at_scale():
 def test_reports_match_the_ordered_scans_at_scale():
     # one corruption of each kind per regular action: the validation report
     # and the reports of maps into and out of the corrupted action equal the
-    # ordered scans' in labels, witnesses, order and notes, and their verdicts
-    # the earlier accepting passes'
+    # ordered scans' in verdicts, labels, witnesses, order and notes
     rng = random.Random(1012)
     labels, gmap_labels = set(), set()
     for A in helpers.regular_at_scale():
@@ -138,10 +130,7 @@ def test_reports_match_the_ordered_scans_at_scale():
             raw = helpers.corrupt_one_entry(rng, A, kind)
             args = (A.groupoid, *raw.values())
             report = validate_partial_action(*args)
-            assert report == helpers.reference_validate_partial_action(*args)
-            domains = {g: frozenset(s) for g, s in raw["domains"].items()}
-            accepted, _ = helpers.reference_accepts(A.groupoid, raw["anchor"], domains, raw["maps"])
-            assert report.ok == accepted
+            assert report == reference.validate(*args)
             labels |= report.conditions()
             T = build_partial_action(*args, bypass=True)
             swapped = dict(identity)
@@ -149,8 +138,7 @@ def test_reports_match_the_ordered_scans_at_scale():
             swapped[x], swapped[y] = y, x
             for f in (GMap(T, A, identity), GMap(A, T, identity), GMap(A, T, swapped)):
                 report = validate_gmap(f)
-                assert report == helpers.reference_validate_gmap(f)
-                assert report.ok == helpers.reference_gmap_accepts(f.source, f.target, f.table)
+                assert report == reference.validate_gmap(f)
                 gmap_labels |= report.conditions()
     assert labels == {"(i)", "(pre)", "(ii)", "(iii)", "(inv)"}
     assert gmap_labels == {"(i)", "(ii)", "(anchor)"}
@@ -201,7 +189,7 @@ def test_full_domain_validation_matches_the_ordered_scans_at_scale():
         for raw in raws:
             for bypass in (False, True):
                 got = build_outcome(build_partial_action, G, raw, bypass)
-                assert got == build_outcome(helpers.reference_build_partial_action, G, raw, bypass)
+                assert got == build_outcome(reference.build, G, raw, bypass)
                 if isinstance(got[0], type):
                     errors.add(got[0].__name__)
                     labels |= got[2].conditions() if got[2] else set()
@@ -228,12 +216,12 @@ def test_full_domain_acceptance_leaves_table_defects_to_the_table_scan():
         raw = {"carrier": carrier, "anchor": anchor, "domains": domains, "maps": maps}
         for bypass in (False, True):
             got = build_outcome(build_partial_action, G, raw, bypass)
-            assert got == build_outcome(helpers.reference_build_partial_action, G, raw, bypass)
+            assert got == build_outcome(reference.build, G, raw, bypass)
             assert got[0] is StructuralError
 
 
 # ---------------------------------------------------------------------------
-# merge classes and orbits read off one member, against the relation checks
+# merge classes and orbits read off one member, against the relations built
 
 
 def envelope_outcome(call, A):
@@ -246,28 +234,32 @@ def envelope_outcome(call, A):
     return E, E.action.tainted, E.action.law_holds
 
 
-def same_classes(A, seen: set) -> None:
-    """globalize, orbit_relation and is_transitive agree with the earlier
-    code on A, and the last two also on the envelope action."""
-    got = envelope_outcome(globalize, A)
-    assert got == envelope_outcome(helpers.reference_globalize, A)
-    built = isinstance(got[0], EnvelopingAction)
-    seen.add((not A.tainted, "built" if built else got[0].__name__))
-    for B in [A, got[0].action] if built else [A]:
-        assert outcome(orbit_relation, B) == outcome(helpers.reference_orbit_relation, B)
-        assert outcome(is_transitive, B) == outcome(helpers.reference_is_transitive, B)
+def same_classes(values, seen: set) -> None:
+    """globalize, orbit_relation and is_transitive agree with the definitions
+    on equal values, and the last two also on the envelope action."""
+    A = values[0]
+    expected = envelope_outcome(reference.globalize, A)
+    built = isinstance(expected[0], EnvelopingAction)
+    seen.add((not A.tainted, "built" if built else expected[0].__name__))
+    facts = [(outcome(reference.orbit_relation, B), outcome(reference.is_transitive, B))
+             for B in ([A, expected[0].action] if built else [A])]
+    for B in values:
+        got = envelope_outcome(globalize, B)
+        assert got == expected
+        for C, fact in zip([B, got[0].action] if built else [B], facts):
+            assert (outcome(orbit_relation, C), outcome(is_transitive, C)) == fact
 
 
 def variants(rng, A) -> list:
-    """A and its copy by ``dataclasses.replace``, which validates again; and
+    """A with its copy by ``dataclasses.replace``, which validates again; and
     for each corruption kind, the tables built with the bypass, and built
-    without it when they pass."""
-    found = [A, replace(A)]
+    without it when they pass: lists of equal values."""
+    found = [[A, replace(A)]]
     for kind in helpers.CORRUPTIONS:
         raw = helpers.corrupt_one_entry(rng, A, kind)
-        found.append(build_partial_action(A.groupoid, *raw.values(), bypass=True))
+        found.append([build_partial_action(A.groupoid, *raw.values(), bypass=True)])
         try:
-            found.append(build_partial_action(A.groupoid, *raw.values()))
+            found.append([build_partial_action(A.groupoid, *raw.values())])
         except ValidationFailed:
             pass
     return found
@@ -279,8 +271,8 @@ def test_merge_classes_and_orbits_match_the_relation_checks_on_sampled_actions()
     actions += [random_partial_action(rng) for _ in range(40)]
     seen: set = set()
     for A in actions:
-        for B in variants(rng, A):
-            same_classes(B, seen)
+        for values in variants(rng, A):
+            same_classes(values, seen)
     # untainted values take the classes off one member, tainted values
     # build and check the relation, and meet its defects
     assert seen == {(True, "built"), (False, "built"), (False, "PreconditionError")}
@@ -291,6 +283,6 @@ def test_merge_classes_and_orbits_match_the_relation_checks_at_scale():
     seen: set = set()
     for whole in helpers.regular_at_scale():
         half = restrict(whole, rng.sample(whole.carrier, len(whole.carrier) // 2))
-        for B in [whole, replace(whole)] + variants(rng, half):
-            same_classes(B, seen)
+        for values in [[whole, replace(whole)]] + variants(rng, half):
+            same_classes(values, seen)
     assert {(True, "built"), (False, "built")} <= seen

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-import helpers
+import reference
 from pactkit import (
     PreconditionError,
     classify,
@@ -122,7 +122,7 @@ def test_coset_global_action_matches_the_reference_on_subgroups():
             for _ in range(4):
                 sub = random_subgroup(rng, G, e)
                 prefix = f"w{checked % 3}"
-                expected = helpers.reference_coset_global_action(G, e, sub, prefix)
+                expected = reference.coset_quotient(G, e, sub, prefix, PreconditionError)[2]
                 assert coset_global_action(G, e, sub, prefix) == expected
                 checked += 1
     assert checked > 100
@@ -164,7 +164,7 @@ def test_coset_global_action_rejects_members_outside_the_isotropy_group(G, e, su
 def test_random_partial_actions_match_a_run_on_the_earlier_coset_builder(monkeypatch):
     # the sampler over one pool, whose groupoids keep their coset quotients
     # from seed to seed, draws the same actions, table for table, as a run
-    # in which every coset component is built afresh by the earlier builder
+    # in which every coset component is built afresh by the reference
     from pactkit import sampling
 
     def draw(pool) -> list:
@@ -177,7 +177,10 @@ def test_random_partial_actions_match_a_run_on_the_earlier_coset_builder(monkeyp
     pool = groupoid_pool()
     got = draw(pool)
     assert sum(len(G.cosets) for G in pool) < 300
-    monkeypatch.setattr(sampling, "coset_global_action", helpers.reference_coset_global_action)
+    def quotient(G, e, subgroup, prefix):
+        return reference.coset_quotient(G, e, subgroup, prefix, PreconditionError)[2]
+
+    monkeypatch.setattr(sampling, "coset_global_action", quotient)
     expected = draw(groupoid_pool())
     assert got == expected
     assert [A.law_holds for A in got] == [B.law_holds for B in expected]

@@ -3,8 +3,10 @@ import random
 import pytest
 
 import helpers
+import reference
 from pactkit import (
     CapExceededError,
+    PreconditionError,
     StructuralError,
     all_opens,
     build_topology,
@@ -21,6 +23,7 @@ from pactkit import (
     product_is_open,
     product_subspace,
     quotient,
+    rename_points,
     star_open_report,
     subspace,
 )
@@ -33,15 +36,15 @@ def sierp():
 
 def test_discrete_everything_open_and_closed():
     T = discrete(["a", "b", "c"])
-    for S in helpers.powerset(T.carrier):
+    for S in reference.powerset(T.carrier):
         assert is_open(T, S)
         assert is_closed(T, S)
 
 
 def test_sierpinski_closure_matches_complement_scan():
     T = sierp()
-    assert closure(T, {"x"}) == helpers.brute_closure(T, {"x"}) == frozenset({"x", "y"})
-    assert closure(T, {"y"}) == helpers.brute_closure(T, {"y"}) == frozenset({"y"})
+    assert closure(T, {"x"}) == reference.closure(T, {"x"}) == frozenset({"x", "y"})
+    assert closure(T, {"y"}) == reference.closure(T, {"y"}) == frozenset({"y"})
 
 
 def test_sierpinski_closed_point():
@@ -70,7 +73,7 @@ def test_product_of_discrete_is_discrete():
 
 def test_product_opens_against_brute_force():
     T = product(sierp(), discrete(["0", "1"]))
-    assert set(all_opens(T)) == helpers.brute_opens(T)
+    assert set(all_opens(T)) == reference.opens(T)
 
 
 def test_subspace_of_sierpinski_on_closed_point_is_discrete():
@@ -89,7 +92,7 @@ def test_quotient_opens_are_exactly_preimage_open_sets():
     blocks = [frozenset({"x"}), frozenset({"y"})]
     Q = quotient(T, blocks)
     rep = {"x": "x", "y": "y"}
-    for V in helpers.powerset(Q.carrier):
+    for V in reference.powerset(Q.carrier):
         pre = frozenset(p for p in T.carrier if rep[p] in V)
         assert is_open(Q, V) == is_open(T, pre)
 
@@ -175,7 +178,7 @@ def test_arbitrary_intersections_of_opens_are_open():
 def test_all_opens_matches_brute_force_on_small_spaces():
     for mo in helpers.all_preorders(3):
         T = build_topology(range(3), mo)
-        assert set(all_opens(T)) == helpers.brute_opens(T)
+        assert set(all_opens(T)) == reference.opens(T)
 
 
 def test_star_report_discrete_all_true():
@@ -285,3 +288,41 @@ def test_all_opens_raises_past_its_cap(monkeypatch):
     with pytest.raises(CapExceededError) as err:
         all_opens(T)
     assert str(err.value) == "open-set family exceeds cap 3"
+
+
+AB = ("a", "b")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: product(discrete(AB)), PreconditionError, "product needs at least two factors", id="product"),
+        pytest.param(
+            lambda: product_is_open((discrete(AB),), set()), PreconditionError, "product needs at least two factors",
+            id="product-check",
+        ),
+        pytest.param(
+            lambda: quotient(discrete(AB), [set(AB), set()]), StructuralError, "empty class in quotient input", id="empty"
+        ),
+        pytest.param(
+            lambda: quotient(discrete(AB), [{"a"}]), StructuralError, "quotient classes do not cover the carrier",
+            id="cover",
+        ),
+        pytest.param(
+            lambda: rename_points(discrete(AB), {"a": "x"}), StructuralError,
+            "point renaming must be a bijection on the carrier", id="rename",
+        ),
+        pytest.param(
+            lambda: is_continuous({"a": "x"}, discrete(AB), discrete("x")), StructuralError,
+            "map is not total on the domain carrier", id="continuous",
+        ),
+        pytest.param(
+            lambda: is_open_map({"a": "z", "b": "x"}, discrete(AB), discrete("x")), StructuralError,
+            "map leaves the codomain carrier", id="open-map",
+        ),
+    ],
+)
+def test_input_errors_of_the_topology_layer(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
