@@ -18,6 +18,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 import reference
 from pactkit import (
+    EnvelopingAction,
     FalsificationError,
     PartialAction,
     PreconditionError,
@@ -95,7 +96,7 @@ def outcome(call, *args):
         return type(exc), str(exc), getattr(exc, "report", None)
     if isinstance(got, PartialAction):
         return got, got.tainted, got.law_holds
-    if hasattr(got, "action"):  # an envelope
+    if isinstance(got, EnvelopingAction):
         return got, got.action.tainted, got.action.law_holds
     return got
 
@@ -142,6 +143,7 @@ def test_every_tiny_instance_matches_the_reference():
                     tainted = build_partial_action(G, *args, bypass=True)
                     assert outcome(lambda: tainted) == outcome(reference.build, G, *args, True)
                     assert orbit_relation(tainted) == reference.orbit_relation(tainted)
+                    assert classify(tainted) == reference.classify(tainted)
                     assert outcome(globalize, tainted) == outcome(reference.globalize, tainted)
             for A in valid:
                 same_facts(A)
