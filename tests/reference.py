@@ -143,7 +143,7 @@ def _report(G, points, anchor, domains, maps) -> Report:
             bad = min(set(maps[inv[g]].items()) ^ set(inverse.items()))
             viol.append(Violation("(inv)", (g, *bad), "stored table of the inverse is not the inverse table"))
     for (g, h), gh in G.mul.items():
-        image = frozenset(maps[g][x] for x in domains[inv[g]] & domains[h])
+        image = frozenset(map(maps[g].__getitem__, domains[inv[g]] & domains[h]))
         if image != domains[g] & domains[gh]:
             witness = (g, h, min(image ^ (domains[g] & domains[gh])))
             viol.append(Violation("(ii)", witness, "image of the overlap misses the target overlap"))
