@@ -230,27 +230,14 @@ def test_envelope_topology_size_cap_marker():
 
 
 def test_merge_relation_matches_pairwise_definition():
-    # oracle: evaluate the defining conditions of the merge relation directly
-    # on every ordered pair, instead of the translation parameterization
-    def related(A, p, q):
-        (g, x), (h, y) = p, q
-        G = A.groupoid
-        if G.rng[g] != G.rng[h]:
-            return False
-        gh = G.mul[(G.inv[g], h)]
-        if x not in A.domains[gh]:
-            return False
-        return A.maps[G.mul[(G.inv[h], g)]][x] == y
-
+    # the translation parameterization against the definition, which relates
+    # (g, x) to (h, y) when rng(h) = rng(g) and inv(h)·g sends x to y
     from pactkit.envelope import _merge_relation
 
     rng = random.Random(777)
     for A in (fix_b(), fix_c(), *(random_partial_action(rng) for _ in range(20))):
         E = globalize(A)
-        rel = _merge_relation(A, E.pairs)
-        assert set(rel) == set(E.pairs)
-        for p in E.pairs:
-            assert rel[p] == {q for q in E.pairs if related(A, p, q)}
+        assert _merge_relation(A, E.pairs) == reference.merge_relation(A)
 
 
 def test_hausdorff_iff_relation_closed_on_random_instances():

@@ -175,7 +175,8 @@ def test_a_groupoid_reference_cycle_exits_two_on_every_loading_command(tmp_path,
                 code = main([command[0], path, *command[1:], *flags])
                 assert (code, *capsys.readouterr()) == (2, "", error), command
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
-        run = subprocess.run([sys.executable, "-m", "pactkit", "validate", path], env=env, capture_output=True, text=True)
+        argv = [sys.executable, "-m", "pactkit", "validate", path]
+        run = subprocess.run(argv, env=env, capture_output=True, text=True)
         assert (run.returncode, run.stdout, run.stderr) == (2, "", error)
 
 

@@ -296,13 +296,16 @@ AB = ("a", "b")
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        pytest.param(lambda: product(discrete(AB)), PreconditionError, "product needs at least two factors", id="product"),
+        pytest.param(
+            lambda: product(discrete(AB)), PreconditionError, "product needs at least two factors", id="product"
+        ),
         pytest.param(
             lambda: product_is_open((discrete(AB),), set()), PreconditionError, "product needs at least two factors",
             id="product-check",
         ),
         pytest.param(
-            lambda: quotient(discrete(AB), [set(AB), set()]), StructuralError, "empty class in quotient input", id="empty"
+            lambda: quotient(discrete(AB), [set(AB), set()]), StructuralError, "empty class in quotient input",
+            id="empty",
         ),
         pytest.param(
             lambda: quotient(discrete(AB), [{"a"}]), StructuralError, "quotient classes do not cover the carrier",
