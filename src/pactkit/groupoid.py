@@ -11,7 +11,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
-from .core import PreconditionError, Report, StructuralError, ValidationFailed, Violation, distinct
+from .core import PreconditionError, Report, StructuralError, Violation, distinct
 
 _TABLE_KEYS = ("elements", "mul", "inv", "src", "rng")
 _RAW_KEYS = {*_TABLE_KEYS, "identities"}
@@ -177,6 +177,19 @@ def _tables(elements, mul, inv, src, rng):
     return elements, mul, inv, src, rng
 
 
+def _fields(candidate) -> list:
+    """The five tables of a groupoid mapping, after the checks on its keys."""
+    if not isinstance(candidate, dict):
+        raise StructuralError("groupoid data must be a mapping or a Groupoid")
+    unknown = set(candidate) - _RAW_KEYS
+    if unknown:
+        raise StructuralError(f"unknown keys in groupoid data: {sorted(unknown)}")
+    for key in _TABLE_KEYS:
+        if key not in candidate:
+            raise StructuralError(f"groupoid data is missing {key!r}")
+    return [candidate[key] for key in _TABLE_KEYS]
+
+
 def validate_groupoid(candidate) -> Report:
     """The verdict of ``build_groupoid`` on ``candidate`` as a report.
 
@@ -184,11 +197,14 @@ def validate_groupoid(candidate) -> Report:
     StructuralError; genuine axiom violations come back in the report, each
     naming the axiom and a witness tuple.
     """
-    try:
-        build_groupoid(candidate)
-    except ValidationFailed as exc:
-        return exc.report
-    return Report(ok=True)
+    if isinstance(candidate, Groupoid):
+        return Report(ok=True)
+    elements, mul, _, src, rng = tables = _tables(*_fields(candidate))
+    declared = set(candidate["identities"]) if "identities" in candidate else None
+    if declared and not declared <= set(elements):
+        raise StructuralError("declared identities outside the element set")
+    units = set(src.values()) | set(rng.values())
+    return _axioms(*tables, _generators(elements, mul), units, declared)
 
 
 def _generators(elements, mul) -> tuple[str, ...]:
@@ -216,60 +232,103 @@ def _generators(elements, mul) -> tuple[str, ...]:
     return tuple(generators)
 
 
-def _axioms(elements, mul, inv, src, rng, generators, units) -> Report:
+def _axioms(elements, mul, inv, src, rng, generators, units, declared=None) -> Report:
     """The axiom checks on tables already normalized by ``_tables``;
-    ``units`` are the sources and ranges."""
-    viol = [] if _accepts(elements, mul, inv, src, rng, generators) else _axiom_scans(
-        elements, mul, inv, src, rng
-    )
+    ``units`` are the sources and ranges, and a ``declared`` identity set
+    that differs from them is reported last.
+
+    Each violation is collected with its place in the ordered scan as a
+    key, and the list is sorted only when it is not empty.  That order is
+    axiom 3 (right unit, then left) and then axiom 4 for each element in
+    the given order, the domain rule on each pair (g, h) in that order,
+    axioms 2 and 1 on each triple, and last each unit that src or rng moves,
+    in token order.
+
+    One walk over ``mul`` collects the unit products and the listed pairs
+    outside the domain rule, and one walk over the elements checks axioms
+    3 and 4.  The pairs the domain rule makes composable are counted per
+    unit, and those missing from ``mul`` are looked for only when fewer are
+    listed.  The triples are scanned only when the domain rule or the
+    products' sources and ranges fail, or Light's test does (``_light``).
+    """
+    found = []
+    rights, lefts = {g: [] for g in elements}, {g: [] for g in elements}
+    domain, closed = [], True
+    for (g, h), k in mul.items():
+        if src[g] != rng[h]:
+            domain.append((g, h))
+        elif src[k] != src[h] or rng[k] != rng[g]:
+            closed = False
+        if k == g:
+            rights[g].append(h)
+        if k == h:
+            lefts[h].append(g)
+    by_src, by_rng = {}, {}
+    for i, g in enumerate(elements):
+        s, r, j = src[g], rng[g], inv[g]
+        by_src.setdefault(s, []).append(g)
+        by_rng.setdefault(r, []).append(g)
+        # the sort is stable, so the key of each element keeps this order
+        for side, met, unit, what in (("right", rights[g], s, "src"), ("left", lefts[g], r, "rng")):
+            if len(met) != 1:
+                found.append(((0, i), Violation("axiom3", (g,), f"{side} units {sorted(met)} not unique")))
+            elif met[0] != unit:
+                found.append(((0, i), Violation("axiom3", (g,), f"declared {what} is not the {side} unit")))
+        if mul.get((j, g)) != s:
+            found.append(((1, i), Violation("axiom4", (g,), "inv(g)*g != src(g)")))
+        if mul.get((g, j)) != r:
+            found.append(((1, i), Violation("axiom4", (g,), "g*inv(g) != rng(g)")))
+        if inv[j] != g:
+            found.append(((1, i), Violation("axiom4", (g,), "inv is not an involution")))
+        if src[j] != r or rng[j] != s:
+            found.append(((1, i), Violation("axiom4", (g,), "src/rng of the inverse are swapped wrongly")))
+    if len(mul) - len(domain) < sum(len(gs) * len(by_rng.get(e, ())) for e, gs in by_src.items()):
+        domain += [(g, h) for g in elements for h in by_rng.get(src[g], ()) if (g, h) not in mul]
+    if domain:
+        index = {g: i for i, g in enumerate(elements)}
+        detail = "mul defined iff src(g)=rng(h) fails"
+        found += [((2, index[g], index[h]), Violation("domain", (g, h), detail)) for g, h in domain]
+    viol = [v for _, v in sorted(found, key=_first)] if found else []
+    if domain or not closed or not _light(mul, src, rng, generators, by_src, by_rng):
+        for g in elements:
+            for h in elements:
+                gh = mul.get((g, h))
+                for k in elements:
+                    hk = mul.get((h, k))
+                    left = mul.get((gh, k)) if gh is not None else None
+                    right = mul.get((g, hk)) if hk is not None else None
+                    if (left is not None) != (gh is not None and hk is not None):
+                        viol.append(Violation("axiom2", (g, h, k), "(gh)k defined iff gh and hk defined fails"))
+                    if (left is None) != (right is None):
+                        viol.append(Violation("axiom1", (g, h, k), "one association defined, the other not"))
+                    elif left is not None and left != right:
+                        viol.append(Violation("axiom1", (g, h, k), "(gh)k != g(hk)"))
     for e in sorted(units):
         if src[e] != e or rng[e] != e:
             viol.append(Violation("identity-set", (e,), "unit is not idempotent under src/rng"))
+    if declared is not None and declared != units:
+        detail = "supplied identity list disagrees with the derived one"
+        viol.append(Violation("identity-set", tuple(sorted(declared ^ units)), detail))
     return Report(ok=not viol, violations=tuple(viol))
 
 
-def _accepts(elements, mul, inv, src, rng, generators) -> bool:
-    """Accept axioms 1-4 and the domain rule in O(|mul|) plus, for each
-    generator h, one lookup per pair of its left and right neighbours.
+def _light(mul, src, rng, generators, by_src, by_rng) -> bool:
+    """Whether axioms 2 and 1 hold on every triple, on tables that keep the
+    domain rule and src(gh) = src(h), rng(gh) = rng(g) on every product;
+    ``by_src`` and ``by_rng`` list the elements per source and range.
 
-    False on any miss; the ordered scans then name the violations.
+    Axiom 2 holds on such tables: (gh)k is defined exactly when src(gh) =
+    src(h) = rng(k), that is when gh and hk are, and g(hk) exactly when
+    src(g) = rng(hk) = rng(h), so both associations or neither are defined.
+    Axiom 1 is tested on middles h from the generating set (Light's test;
+    Clifford and Preston, *The Algebraic Theory of Semigroups* I, §1.2).
+    Let M be the h with (gh)k = g(hk) for all g, k composable with h.  For
+    a, b in M and g, k composable with ab, every product below is defined,
+    and
+      (g(ab))k = ((ga)b)k = (ga)(bk) = g(a(bk)) = g((ab)k)
+    by a, b, a, b in M.  So M is closed under products; it holds the
+    generators, whose products are all of G.
     """
-    # the domain rule on every product, and axiom 2: src(gh) = src(h) and
-    # rng(gh) = rng(g); with the count below they make (gh)k defined exactly
-    # when gh and hk are, and g(hk) too
-    rights = dict.fromkeys(elements, 0)
-    lefts = dict.fromkeys(elements, 0)
-    for (g, h), k in mul.items():
-        if src[g] != rng[h] or src[k] != src[h] or rng[k] != rng[g]:
-            return False
-        if k == g:
-            rights[g] += 1
-        if k == h:
-            lefts[h] += 1
-    # axiom 3 by the unit products counted above, and axiom 4 plus the
-    # derived inverse identities
-    for g in elements:
-        if rights[g] != 1 or lefts[g] != 1 or mul.get((g, src[g])) != g or mul.get((rng[g], g)) != g:
-            return False
-        i = inv[g]
-        if mul.get((i, g)) != src[g] or mul.get((g, i)) != rng[g] or inv[i] != g:
-            return False
-        # src(i) = rng(g) and rng(i) = src(g) need no check: (i, g) and
-        # (g, i) are products now, and the loop over mul met both, so the
-        # domain rule gave src(i) = rng(g) and src(g) = rng(i)
-    # the domain rule: as many products as pairs with src(g) = rng(h)
-    by_src, by_rng = {}, {}
-    for g in elements:
-        by_src.setdefault(src[g], []).append(g)
-        by_rng.setdefault(rng[g], []).append(g)
-    if len(mul) != sum(len(gs) * len(by_rng.get(e, ())) for e, gs in by_src.items()):
-        return False
-    # axiom 1 on middles h from the generating set (Light's test).  Let M be
-    # the h with (gh)k = g(hk) for all g, k composable with h.  For a, b in
-    # M and g, k composable with ab, every product below is defined, and
-    #   (g(ab))k = ((ga)b)k = (ga)(bk) = g(a(bk)) = g((ab)k)
-    # by a, b, a, b in M.  So M is closed under products; it holds the
-    # generators, whose products are all of G.
     for h in generators:
         row = [(k, mul[(h, k)]) for k in by_rng.get(src[h], ())]
         for g in by_src.get(rng[h], ()):
@@ -280,86 +339,20 @@ def _accepts(elements, mul, inv, src, rng, generators) -> bool:
     return True
 
 
-def _axiom_scans(elements, mul, inv, src, rng) -> list[Violation]:
-    """Axioms 1-4 and the domain rule, scanned in order with every witness."""
-    viol: list[Violation] = []
-
-    # axiom 3: unique right/left units, and they agree with the declared maps
-    for g in elements:
-        rights = [u for u in elements if mul.get((g, u)) == g]
-        lefts = [u for u in elements if mul.get((u, g)) == g]
-        if len(rights) != 1:
-            viol.append(Violation("axiom3", (g,), f"right units {sorted(rights)} not unique"))
-        elif rights[0] != src[g]:
-            viol.append(Violation("axiom3", (g,), "declared src is not the right unit"))
-        if len(lefts) != 1:
-            viol.append(Violation("axiom3", (g,), f"left units {sorted(lefts)} not unique"))
-        elif lefts[0] != rng[g]:
-            viol.append(Violation("axiom3", (g,), "declared rng is not the left unit"))
-
-    # axiom 4 plus the derived inverse identities
-    for g in elements:
-        i = inv[g]
-        if mul.get((i, g)) != src[g]:
-            viol.append(Violation("axiom4", (g,), "inv(g)*g != src(g)"))
-        if mul.get((g, i)) != rng[g]:
-            viol.append(Violation("axiom4", (g,), "g*inv(g) != rng(g)"))
-        if inv[i] != g:
-            viol.append(Violation("axiom4", (g,), "inv is not an involution"))
-        if src[i] != rng[g] or rng[i] != src[g]:
-            viol.append(Violation("axiom4", (g,), "src/rng of the inverse are swapped wrongly"))
-
-    # composability domain: mul defined exactly when src(g) = rng(h)
-    for g in elements:
-        for h in elements:
-            if ((g, h) in mul) != (src[g] == rng[h]):
-                viol.append(Violation("domain", (g, h), "mul defined iff src(g)=rng(h) fails"))
-
-    # axioms 1 and 2 over all triples
-    for g in elements:
-        for h in elements:
-            gh = mul.get((g, h))
-            for k in elements:
-                hk = mul.get((h, k))
-                left = mul.get((gh, k)) if gh is not None else None
-                right = mul.get((g, hk)) if hk is not None else None
-                if (left is not None) != (gh is not None and hk is not None):
-                    viol.append(Violation("axiom2", (g, h, k), "(gh)k defined iff gh and hk defined fails"))
-                if (left is None) != (right is None):
-                    viol.append(Violation("axiom1", (g, h, k), "one association defined, the other not"))
-                elif left is not None and left != right:
-                    viol.append(Violation("axiom1", (g, h, k), "(gh)k != g(hk)"))
-    return viol
-
-
 def build_groupoid(candidate) -> Groupoid:
     """Validate raw tables and freeze them into a Groupoid: the constructor,
-    after the checks on the mapping and on a declared ``identities`` list,
-    which normalize the tables once more and report a mismatch after the
-    axiom violations.  A Groupoid is returned as it is: its constructor
-    validated it.
+    after the checks on the mapping.  A declared ``identities`` list is
+    compared on tables normalized once more, and a mismatch raises what
+    ``validate_groupoid`` raises or reports.  A Groupoid is returned as it
+    is: its constructor validated it.
     """
     if isinstance(candidate, Groupoid):
         return candidate
-    if not isinstance(candidate, dict):
-        raise StructuralError("groupoid data must be a mapping or a Groupoid")
-    unknown = set(candidate) - _RAW_KEYS
-    if unknown:
-        raise StructuralError(f"unknown keys in groupoid data: {sorted(unknown)}")
-    for key in _TABLE_KEYS:
-        if key not in candidate:
-            raise StructuralError(f"groupoid data is missing {key!r}")
-    tables = [candidate[key] for key in _TABLE_KEYS]
+    tables = _fields(candidate)
     if "identities" in candidate:  # checked after the structural checks
-        elements, _, _, src, rng = tables = _tables(*tables)
-        declared, derived = set(candidate["identities"]), set(src.values()) | set(rng.values())
-        if not declared <= set(elements):
-            raise StructuralError("declared identities outside the element set")
-        if declared != derived:
-            found = validate_groupoid(dict(zip(_TABLE_KEYS, tables))).violations
-            detail = "supplied identity list disagrees with the derived one"
-            mismatch = Violation("identity-set", tuple(sorted(declared ^ derived)), detail)
-            Report(ok=False, violations=(*found, mismatch)).raise_if_failed("groupoid validation")
+        _, _, _, src, rng = tables = _tables(*tables)
+        if set(candidate["identities"]) != set(src.values()) | set(rng.values()):
+            validate_groupoid(candidate).raise_if_failed("groupoid validation")
     return Groupoid(*tables)
 
 

@@ -16,10 +16,10 @@ from json.encoder import encode_basestring, encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
-from .core import Report, StructuralError, ValidationFailed, distinct
+from .core import StructuralError, ValidationFailed, distinct
 from .action import PartialAction, build_partial_action, validate_partial_action
 from .envelope import EnvelopingAction
-from .groupoid import Groupoid, build_groupoid
+from .groupoid import Groupoid, build_groupoid, validate_groupoid
 from .topology import FiniteTopology, build_topology
 
 FIXTURES_ENV = "PACT_FIXTURES"
@@ -374,18 +374,10 @@ def load_envelope(path: str, base: PartialAction) -> EnvelopingAction:
 
 
 def inspect(path: str):
-    """Parse a document and return (kind, report) without raising on violations.
-
-    A groupoid document goes through the loader's memo: its report is the
-    one a failing build raises, and a block already built passes.
-    """
+    """Parse a document and return (kind, report) without raising on violations."""
     _, kind, tables, _ = _parse(path)
     if kind == "groupoid":
-        try:
-            _groupoid(*tables)
-        except ValidationFailed as exc:
-            return kind, exc.report
-        return kind, Report(ok=True)
+        return kind, validate_groupoid(dict(zip(_GROUPOID_SHAPES, tables)))
     return kind, validate_partial_action(**tables)
 
 

@@ -141,8 +141,9 @@ def find_isomorphism(A: PartialAction, B: PartialAction):
        assigned when x is reached, and a propagation assigns only points
        forced by the choices made so far.
 
-    So None means no isomorphism exists, and no invariant is compared
-    first: classification, the multisets of anchors, orbit sizes,
+    So None means no isomorphism exists, and a table that is not one is a
+    defect of the search and raises FalsificationError.  No invariant is
+    compared first: classification, the multisets of anchors, orbit sizes,
     stabilizer orders and domain sizes are each carried over by an
     isomorphism, so a pair they tell apart has none and gets None from
     1–3 as well.  The search reads the tables only.
@@ -164,7 +165,7 @@ def find_isomorphism(A: PartialAction, B: PartialAction):
         used.update(component.values())
     found = GMap(source=A, target=B, table={x: table[x] for x in A.carrier})
     if not is_isomorphism(found):
-        return None
+        raise FalsificationError("the greedy isomorphism table is not an isomorphism")
     return found
 
 

@@ -207,6 +207,35 @@ def corrupt_groupoid(rng, G, kind: str) -> dict:
     return raw
 
 
+def groupoid_corruptions(G, kind: str):
+    """Every raw table set ``corrupt_groupoid`` can make of G by ``kind``,
+    none where it leaves G as it is; ``swap`` exchanges each unordered pair
+    of products once."""
+    mul, tokens, keys = G.mul, list(G.elements), sorted(G.mul)
+    missing = [(g, h) for g in tokens for h in tokens if (g, h) not in mul]
+    if kind == "add" and not missing:
+        kind = "product"
+    if kind == "product":
+        edits = [[("mul", key, t)] for key in keys for t in tokens if t != mul[key]]
+    elif kind == "drop":
+        edits = [[("mul", key, None)] for key in keys]
+    elif kind == "add":
+        edits = [[("mul", key, t)] for key in missing for t in tokens]
+    elif kind == "swap":
+        pairs = itertools.combinations(keys, 2)
+        edits = [[("mul", a, mul[b]), ("mul", b, mul[a])] for a, b in pairs if mul[a] != mul[b]]
+    else:
+        edits = [[(kind, g, t)] for g in tokens for t in tokens if t != getattr(G, kind)[g]]
+    for edit in edits:
+        raw = raw_groupoid(G)
+        for table, key, value in edit:
+            if value is None:
+                del raw[table][key]
+            else:
+                raw[table][key] = value
+        yield raw
+
+
 def late_generators(G) -> tuple:
     """A generating set picked greedily in reverse token order."""
     generators, reached = [], set()

@@ -16,6 +16,7 @@ representative at least of each class (27 850 of the 203 810 instances).
 
 from itertools import combinations, combinations_with_replacement, permutations, product
 
+import helpers
 import reference
 from pactkit import (
     EnvelopingAction,
@@ -35,7 +36,7 @@ from pactkit import (
     validate_partial_action,
     verify_globalization,
 )
-from pactkit.groupoid import disjoint_union, from_group, pair_groupoid
+from pactkit.groupoid import _tables, build_groupoid, disjoint_union, from_group, pair_groupoid, validate_groupoid
 from pactkit.sampling import cyclic_table
 
 
@@ -116,8 +117,8 @@ def same_facts(A) -> None:
         assert outcome(build_coset_action, A, x) == outcome(reference.build_coset_action, A, x)
 
 
-# instances and valid instances per groupoid on 0, 1, 2 and 3 points: 27 850
-# and 67 in all
+# instances and valid instances per groupoid on 0, 1, 2 and 3 points; README
+# and this module's docstring state the sums
 CELLS = {
     "Z1": [(1, 1), (2, 1), (4, 1), (10, 1)],
     "Z2": [(1, 1), (4, 2), (17, 4), (109, 8)],
@@ -153,6 +154,48 @@ def test_every_tiny_instance_matches_the_reference():
             cells.setdefault(name, []).append((count, len(valid)))
     # the enumeration cannot shrink unseen
     assert cells == CELLS
+
+
+# one-entry corruptions per groupoid, of each kind in the order of
+# helpers.GROUPOID_CORRUPTIONS
+CORRUPTIONS = {
+    "Z1": [0, 1, 0, 0, 0, 0, 0],
+    "Z2": [4, 4, 4, 4, 2, 2, 2],
+    "Z3": [18, 9, 18, 27, 6, 6, 6],
+    "pair(2)": [24, 8, 32, 24, 12, 12, 12],
+    "Z2+Z1": [10, 5, 12, 8, 6, 6, 6],
+}
+
+
+def test_every_one_entry_corruption_of_a_tier_groupoid_matches_the_reference():
+    counts, labels = {}, set()
+    for name, G in groupoids().items():
+        for kind in helpers.GROUPOID_CORRUPTIONS:
+            count = 0
+            for raw in helpers.groupoid_corruptions(G, kind):
+                count += 1
+                expected = reference.axioms(*_tables(**raw), None)
+                assert validate_groupoid(raw) == expected, raw
+                got = outcome(build_groupoid, raw)
+                if expected.ok:
+                    assert got.mul == raw["mul"]
+                else:
+                    lines = "; ".join(map(str, expected.violations))
+                    assert got == (ValidationFailed, f"groupoid validation: {lines}", expected), raw
+                labels |= expected.conditions()
+            counts.setdefault(name, []).append(count)
+    assert counts == CORRUPTIONS
+    assert labels == {"axiom1", "axiom2", "axiom3", "axiom4", "domain", "identity-set"}
+
+
+def test_the_stated_counts_are_the_sums_of_the_cells():
+    from pathlib import Path
+
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").split())
+    total = f"{sum(n for cells in CELLS.values() for n, _ in cells):,}".replace(",", " ")
+    valid = sum(v for cells in CELLS.values() for _, v in cells)
+    assert f"({total} instances, {valid} of them valid)" in readme
+    assert f"({total} of the " in " ".join(__doc__.split())
 
 
 def test_every_reference_definition_is_compared_and_helpers_keep_no_oracle():

@@ -505,8 +505,8 @@ def test_each_groupoid_is_validated_once(monkeypatch):
     import pactkit.groupoid as groupoid_module
 
     calls = []
-    accepts = groupoid_module._accepts
-    monkeypatch.setattr(groupoid_module, "_accepts", lambda *tables: calls.append(1) or accepts(*tables))
+    axioms = groupoid_module._axioms
+    monkeypatch.setattr(groupoid_module, "_axioms", lambda *tables: calls.append(1) or axioms(*tables))
     G = build_groupoid(raw_cyclic(6))
     assert len(calls) == 1
     assert build_groupoid(G) is G and validate_groupoid(G).ok and len(calls) == 1

@@ -60,6 +60,16 @@ def test_save_load_round_trip_byte_identical(tmp_path):
         target = tmp_path / f"{name}.json"
         save(str(target), out)
         assert target.read_bytes() == Path(path).read_bytes()
+    # a groupoid document with a topology reads back with it, and is saved
+    # again byte for byte
+    G = load(resolve_instance_path("z2")).payload
+    T = pactkit.build_topology(G.elements, {"e": {"e"}, "s": {"e", "s"}})
+    target = tmp_path / "z2-topology.json"
+    save(str(target), groupoid_document(G, "z2-topology", T=T))
+    doc = load(str(target))
+    assert (doc.payload, doc.groupoid_topology) == (G, T)
+    save(str(tmp_path / "again.json"), groupoid_document(doc.payload, doc.name, T=doc.groupoid_topology))
+    assert (tmp_path / "again.json").read_bytes() == target.read_bytes()
 
 
 def test_remark_x_load_fails_naming_condition_and_witness():
@@ -782,29 +792,41 @@ def test_a_failing_groupoid_block_raises_on_every_load(tmp_path):
     assert memo.cache_info().currsize == 0
 
 
-def test_validate_of_a_groupoid_document_goes_through_the_memo(tmp_path, monkeypatch, capsys):
-    # a second validate of one block builds nothing, and a failing block is
-    # built and reported again on every call, with the report of
-    # validate_groupoid
-    from pactkit.groupoid import validate_groupoid
+def test_validate_of_a_groupoid_document_reports_without_raising(tmp_path, monkeypatch, capsys):
+    # validate_groupoid and inspect return a failing report, and raise none
+    # to catch it; validate keeps no groupoid, so a failing block is
+    # reported again on every call.  The constructors and the loader still
+    # raise the report, with its violations in the message
+    from pactkit.core import Report
+    from pactkit.groupoid import Groupoid, build_groupoid, validate_groupoid
 
-    builds = []
-    build = instance_io.build_groupoid
-    monkeypatch.setattr(instance_io, "build_groupoid", lambda rows: builds.append(rows) or build(rows))
     instance_io._groupoid.cache_clear()
     for name in ("z2", "pair2", "remark-g"):
         outputs = [run_cli(["validate", name], capsys) for _ in range(2)]
         assert outputs[0] == outputs[1] and outputs[0][0] == 0
-    assert len(builds) == 3
+    assert instance_io._groupoid.cache_info().currsize == 0
     doc = json.loads(Path(resolve_instance_path("pair2")).read_text())
     doc["payload"]["mul"][0][2] = doc["payload"]["mul"][1][2]
     bad = tmp_path / "bad-groupoid.json"
     bad.write_text(json.dumps(doc))
-    expected = ("groupoid", validate_groupoid(doc["payload"]))
-    assert not expected[1].ok
+    raised = []
+    raise_if_failed = Report.raise_if_failed
+    monkeypatch.setattr(Report, "raise_if_failed", lambda report, what: raised.append(what) or raise_if_failed(report, what))
+    expected = validate_groupoid(doc["payload"])
+    assert not expected.ok
     for _ in range(2):
-        assert instance_io.inspect(str(bad)) == expected
-    assert len(builds) == 5
+        assert instance_io.inspect(str(bad)) == ("groupoid", expected)
+    assert raised == []
+    lines = "; ".join(map(str, expected.violations))
+    for build, message in (
+        (lambda: build_groupoid(doc["payload"]), f"groupoid validation: {lines}"),
+        (lambda: Groupoid(**doc["payload"]), f"groupoid validation: {lines}"),
+        (lambda: load(str(bad)), f"{bad}: groupoid payload: {lines}"),
+    ):
+        with pytest.raises(ValidationFailed) as err:
+            build()
+        assert (str(err.value), err.value.report) == (message, expected)
+    assert instance_io._groupoid.cache_info().currsize == 0
 
 
 def test_the_least_recently_used_block_is_built_again(tmp_path):
@@ -1048,24 +1070,28 @@ def with_change(doc: dict, change) -> dict:
 
 
 @pytest.mark.parametrize(
-    "name, change, message",
+    "name, change, error, message",
     [
         pytest.param(
-            "z2", lambda doc: doc.update(topology={"carrier": ["e"], "min_open": [["e", ["e"]]]}),
+            "z2", lambda doc: doc.update(topology={"carrier": ["e"], "min_open": [["e", ["e"]]]}), StructuralError,
             "{path}: topology carrier does not match the elements", id="topology-carrier",
         ),
         pytest.param(
-            "fix-b", lambda doc: doc["payload"].update(groupoid=["z2"]),
+            "fix-b", lambda doc: doc["payload"].update(groupoid=["z2"]), StructuralError,
             "groupoid must be inline or a fixture/path reference", id="groupoid-reference",
         ),
         pytest.param(
-            "fix-b", lambda doc: doc["payload"].pop("anchor"), "action payload is missing 'anchor'", id="payload-key"
+            "fix-b", lambda doc: doc["payload"].pop("anchor"), StructuralError,
+            "action payload is missing 'anchor'", id="payload-key",
         ),
+        pytest.param(None, None, FileNotFoundError, "[Errno 2] No such file or directory: '{path}'", id="missing-file"),
     ],
 )
-def test_input_errors_of_the_document_reader(tmp_path, name, change, message):
+def test_input_errors_of_the_document_reader(tmp_path, name, change, error, message):
     path = str(tmp_path / "doc.json")
-    Path(path).write_text(json.dumps(with_change(json.loads(Path(resolve_instance_path(name)).read_text()), change)))
-    with pytest.raises(StructuralError) as err:
+    if name is not None:
+        doc = with_change(json.loads(Path(resolve_instance_path(name)).read_text()), change)
+        Path(path).write_text(json.dumps(doc))
+    with pytest.raises(error) as err:
         load(path)
     assert str(err.value) == message.format(path=path)

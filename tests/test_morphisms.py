@@ -266,6 +266,19 @@ def test_find_isomorphism_reads_the_tables_only(monkeypatch):
     assert calls == []
 
 
+def test_find_isomorphism_raises_when_its_table_is_no_isomorphism(monkeypatch):
+    # the search proves its table an isomorphism, on tainted ends too, so a
+    # table that is none is a defect and not an answer of None
+    from pactkit import FalsificationError, morphisms
+
+    swap = lambda A, B, x, y, used: dict(zip(A.carrier, reversed(B.carrier)))  # noqa: E731
+    monkeypatch.setattr(morphisms, "_propagate", swap)
+    C = fix_c()
+    for A in (C, build_partial_action(C.groupoid, C.carrier, C.anchor, C.domains, C.maps, bypass=True)):
+        with pytest.raises(FalsificationError, match="the greedy isomorphism table is not an isomorphism"):
+            find_isomorphism(A, A)
+
+
 def test_find_isomorphism_leaves_no_cyclic_garbage():
     # a search drops its actions and groupoids as soon as it returns: with
     # DEBUG_SAVEALL the collector keeps whatever only a cycle held
